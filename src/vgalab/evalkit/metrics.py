@@ -137,34 +137,6 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def point_biserial(values: np.ndarray, labels: np.ndarray) -> float:
-    """Correlation between a continuous score and a binary label.
-
-    r = (mean1 - mean0) / std * sqrt(n1 * n0 / n^2), population std.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    y = np.asarray(labels)
-    if v.ndim != 1 or y.ndim != 1 or v.shape != y.shape:
-        raise ShapeError("values and labels must be equal-length vectors")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput("values must be finite")
-    classes = set(np.unique(y).tolist())
-    if not classes <= {0, 1, False, True}:
-        raise InvalidInput("labels must be binary")
-    y = y.astype(bool)
-    n1 = int(y.sum())
-    n0 = int((~y).sum())
-    if n1 == 0 or n0 == 0:
-        raise InvalidInput("both label classes must be present")
-    std = float(np.std(v))
-    if std == 0.0:
-        raise InvalidInput("values have zero variance")
-    m1 = float(v[y].mean())
-    m0 = float(v[~y].mean())
-    n = n1 + n0
-    return (m1 - m0) / std * np.sqrt(n1 * n0 / (n * n))
-
-
 def ranking_auc(values: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative; ties count half."""
     v = np.asarray(values, dtype=np.float64)

@@ -90,17 +90,8 @@ def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
     logits = _check_visual_logits(visual_logits)
     m, v = logits.shape
     if not 0 <= word < v:
-        raise IndexError(f"token id {word} out of range for vocab size {v}")
+        raise InvalidInput(f"token id {word} out of range for vocab size {v}")
     return row_softmax(logits)[:, word]
-
-
-def vsc_token(visual_logits: np.ndarray, patch: int, word: int) -> float:
-    """Confidence of a single patch for a single token id."""
-    logits = _check_visual_logits(visual_logits)
-    m = logits.shape[0]
-    if not 0 <= patch < m:
-        raise IndexError(f"patch {patch} out of range for {m} patches")
-    return float(vsc_vector(logits, word)[patch])
 
 
 def image_confidence(visual_logits: np.ndarray, word: int) -> float:

@@ -6,9 +6,9 @@ profiling BOS attention.
 
 ``attention_fused`` streams over key blocks with an online softmax and
 never exposes weights, mimicking fused kernels whose internals are
-unavailable. Guidance for this path is applied *outside* the kernel as a
-value-space correction (output + sum_i G_i * beta * gamma_h * rho * V_i),
-which callers obtain from the guidance session; equivalence of the two
+unavailable. Guidance for this path is applied *outside* the kernel by
+``GuidanceRow.apply``, the value-space form of the same splice
+(output + beta * gamma_h * rho * sum_i G_i V_i); equivalence of the two
 routes is a tested invariant.
 
 Shapes: q is [Tq, H, dh]; k and v are [Tk, H, dh] with Tk >= Tq. Query row
@@ -42,6 +42,15 @@ class GuidanceRow:
 
     def head_scales(self) -> np.ndarray:
         return self.beta * self.rho * np.asarray(self.gamma, dtype=np.float64)
+
+    def apply(self, z_row: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Guided output of one row: ``z_row`` [H, dh] plus the scaled value mix.
+
+        ``v`` is the value cache [Tk, H, dh]; only the span's rows are read.
+        """
+        s, e = self.span
+        g = np.asarray(self.weights, dtype=np.float64)
+        return z_row + self.head_scales()[:, None] * np.einsum("k,khd->hd", g, v[s:e])
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

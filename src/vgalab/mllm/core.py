@@ -15,11 +15,10 @@ attention output of designated rows at each layer. The hook is duck-typed:
     on_visual(visual_logits, layout, vocab)  -> None
     correction(layer, z_row, v_cache)        -> GuidanceRow | None
     on_token(token_id)                       -> None
-    guide_all_rows                           -> bool (attribute, optional)
 
-Corrections are applied in value space (z + beta*gamma_h*rho * sum_i G_i V_i),
-the fused-compatible route; the explicit route splices the same weights into
-the attention matrix instead, and the two must agree.
+The fused route applies a correction in value space (``GuidanceRow.apply``);
+the explicit route, the reference, recomputes the guided row with the same
+weights spliced into its attention matrix, and the two must agree.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from ..errors import CapacityError, InvalidInput, ShapeError
 from ..vocab import Vocabulary
-from .attention import GuidanceRow, attention_explicit, attention_fused
+from .attention import attention_explicit, attention_fused
 from .config import ModelConfig, SequenceLayout
 
 _NORM_EPS = 1e-6
@@ -165,14 +164,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
 
 
-def _guided_rows(n_rows: int, hook, is_last_block: bool) -> list[int]:
-    if hook is None:
-        return []
-    if getattr(hook, "guide_all_rows", False):
-        return list(range(n_rows))
-    return [n_rows - 1] if is_last_block else []
-
-
 def _forward_block(
     model: Model,
     cache: KvCache,
@@ -187,8 +178,7 @@ def _forward_block(
 
     Returns (logits for the block rows, per-layer BOS attention of the last
     row when ``explicit``). Guidance corrections are applied to the block's
-    last row (or every row when the hook asks for that) only when
-    ``guide_block_tail`` is set.
+    last row only when ``guide_block_tail`` is set.
     """
     global _FORWARD_ROWS
     cfg = model.config
@@ -204,7 +194,7 @@ def _forward_block(
         model.embed_tok[token_ids].astype(np.float64)
         + model.embed_pos[start_pos : start_pos + n].astype(np.float64)
     )
-    rows = _guided_rows(n, hook, guide_block_tail)
+    guided = hook is not None and guide_block_tail
     bos_records: list[float] = []
 
     for layer_idx, lw in enumerate(model.layers):
@@ -215,27 +205,18 @@ def _forward_block(
         cache.write(layer_idx, start_pos, k, v)
         k_all, v_all = cache.view(layer_idx, start_pos + n)
 
-        alpha = None
         if explicit:
             z, alpha = attention_explicit(q, k_all, v_all)
             bos_records.append(float(alpha[:, -1, 0].max()))
         else:
             z = attention_fused(q, k_all, v_all)
 
-        for r in rows:
-            corr = hook.correction(layer_idx, z[r], v_all)
-            if corr is None:
-                continue
-            s, e = corr.span
-            g = np.asarray(corr.weights, dtype=np.float64)
-            scales = corr.head_scales()
-            if explicit:
-                # Reference route: splice into the weights, redo the reduction.
-                alpha[:, r, s:e] += scales[:, None] * g[None, :]
-                z[r] = np.einsum("hk,khd->hd", alpha[:, r, :], v_all)
-            else:
-                # Fused-compatible route: value-space correction, no weights.
-                z[r] = z[r] + scales[:, None] * np.einsum("k,khd->hd", g, v_all[s:e])
+        corr = hook.correction(layer_idx, z[-1], v_all) if guided else None
+        if corr is not None and explicit:
+            # Reference route: recompute the row with the boost in its weights.
+            z[-1] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
+        elif corr is not None:
+            z[-1] = corr.apply(z[-1], v_all)
 
         x = x + z.reshape(n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2

@@ -60,18 +60,29 @@ def sum_normalize(values, eps: float = DEGENERATE_EPS) -> tuple[np.ndarray, bool
     return arr / total, False
 
 
-def cosine_sim_clamped(a, b) -> float:
-    """Cosine similarity clamped to [0, 1]; zero vectors compare as 0."""
-    va = _as_float_array(a, "a", max_dim=1)
-    vb = _as_float_array(b, "b", max_dim=1)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # matmul's vector-vector path is the BLAS dot np.dot uses, so every row
+    # comes out bit-identical to the 1-d call on that row.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def cosine_sim_clamped(a, b) -> float | np.ndarray:
+    """Cosine similarity clamped to [0, 1]; zero vectors compare as 0.
+
+    Accepts two vectors (returns a float) or two matrices compared row by
+    row (returns one similarity per row).
+    """
+    va = _as_float_array(a, "a")
+    vb = _as_float_array(b, "b")
     if va.shape != vb.shape:
         raise ShapeError(f"length mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    sim = float(np.dot(va, vb) / (na * nb))
-    return min(1.0, max(0.0, sim))
+    na = np.sqrt(_row_dot(va, va))
+    nb = np.sqrt(_row_dot(vb, vb))
+    zero = (na == 0.0) | (nb == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = np.where(zero, 0.0, _row_dot(va, vb) / (na * nb))
+    sim = np.fmin(1.0, np.fmax(0.0, sim))
+    return float(sim) if va.ndim == 1 else sim
 
 
 def l0_fraction(values, eps: float = L0_EPS) -> float:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, ShapeError
 from .grounding import (
     DEFAULT_TOP_K,
-    EXIST_LOG_THRESHOLD,
     Grounding,
     MaskAnnotation,
     extract_objects,
@@ -33,13 +32,12 @@ from .grounding import (
     object_grounding,
     vss,
 )
-from .mllm import GuidanceRow, Model, PrefillResult, SequenceLayout, prefill
+from .mllm import GuidanceRow, Model, SequenceLayout, prefill
 from .numerics import cosine_sim_clamped, sum_normalize
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
 SOURCES = ("auto", "none", "even", "vsc", "vss", "reversed_vss", "ground_truth")
-VSS_SIGNS = ("raw", "flipped")
 
 
 @dataclass(frozen=True)
@@ -58,15 +56,11 @@ class VgaConfig:
     start_layer: int = 0
     end_layer: int | None = None
     top_k: int = DEFAULT_TOP_K
-    exist_threshold: float = EXIST_LOG_THRESHOLD
     mode: str = "vqa"
     guidance_source: str = "auto"
     head_balancing: bool = True
     early_termination: bool = True
     pvg_enabled: bool = True
-    vss_sign: str = "raw"
-    guide_all_rows: bool = False
-    pvg_content_only: bool = False
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0:
@@ -85,8 +79,6 @@ class VgaConfig:
             raise ConfigError(
                 f"guidance_source must be one of {SOURCES}, got {self.guidance_source!r}"
             )
-        if self.vss_sign not in VSS_SIGNS:
-            raise ConfigError(f"vss_sign must be one of {VSS_SIGNS}")
 
     def resolved_source(self) -> str:
         if self.guidance_source != "auto":
@@ -133,10 +125,7 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> HeadBalance:
     if z.shape != dz.shape or z.ndim != 2:
         raise ShapeError("z_row and dz_row must both be [heads, d_head]")
     n_heads = z.shape[0]
-    sims = np.asarray(
-        [cosine_sim_clamped(z[h], dz[h]) for h in range(n_heads)], dtype=np.float64
-    )
-    gamma_prime, _ = sum_normalize(sims)
+    gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
     gamma = np.maximum(0.0, 2.0 - n_heads * gamma_prime)
     return HeadBalance(gamma_prime=gamma_prime, gamma=gamma)
 
@@ -171,7 +160,6 @@ class VgaSession:
         self.config = config
         self.question = question
         self.gt_mask = gt_mask
-        self.guide_all_rows = config.guide_all_rows
         self.start_layer = start
         self.end_layer = end
         self.source = config.resolved_source()
@@ -226,10 +214,6 @@ class VgaSession:
         if self.grounding is None:
             return
         self._require_bound()
-        if cfg.pvg_content_only:
-            v = self.visual_probs.shape[1]
-            if float(self.visual_probs[:, token_id].max()) <= 2.0 / v:
-                return
         pvg_update(self, int(token_id))
 
     # -- internals ----------------------------------------------------------
@@ -269,10 +253,9 @@ class VgaSession:
                 [object_grounding(logits, vocab.id_of(w)) for w in words]
             )
         if source == "vss":
-            return vss(logits, k=self.config.top_k, sign=self.config.vss_sign)
+            return vss(logits, k=self.config.top_k)
         if source == "reversed_vss":
-            flipped = "flipped" if self.config.vss_sign == "raw" else "raw"
-            return vss(logits, k=self.config.top_k, sign=flipped)
+            return vss(logits, k=self.config.top_k, sign="flipped")
         if source == "ground_truth":
             return Grounding.from_values(self.gt_mask.overlaps)
         raise ConfigError(f"unresolvable guidance source {source!r}")
@@ -286,45 +269,6 @@ def new_session(
 ) -> VgaSession:
     """Unbound session, ready to be passed as the generation hook."""
     return VgaSession(model, config, question=question, gt_mask=gt_mask)
-
-
-def init_session(
-    model: Model,
-    layout: SequenceLayout,
-    prefill_result: PrefillResult,
-    question: str,
-    config: VgaConfig,
-    gt_mask: MaskAnnotation | None = None,
-) -> VgaSession:
-    """Session bound to an already-computed prefill's visual logits."""
-    session = new_session(model, config, question=question, gt_mask=gt_mask)
-    session.on_visual(prefill_result.visual_logits, layout, model.vocab)
-    return session
-
-
-def guided_output(
-    z_row: np.ndarray, v_visual: np.ndarray, session: VgaSession, layer: int
-) -> np.ndarray:
-    """Value-space guided attention output for one query row at one layer.
-
-    Outside the session's layer range (or at beta 0, or with a fully
-    drained grounding) the row passes through untouched.
-    """
-    cfg = session.config
-    z = np.asarray(z_row, dtype=np.float64)
-    if session.grounding is None or cfg.beta == 0.0:
-        return z
-    if not session.start_layer <= layer < session.end_layer:
-        return z
-    rho = session._effective_rho()
-    if rho == 0.0:
-        return z
-    dz = delta_z(session.grounding, v_visual)
-    if cfg.head_balancing:
-        gamma = head_balance(z, dz).gamma
-    else:
-        gamma = np.ones(z.shape[0], dtype=np.float64)
-    return z + cfg.beta * rho * gamma[:, None] * dz
 
 
 def pvg_update(session: VgaSession, generated: int) -> None:
@@ -341,6 +285,9 @@ def pvg_update(session: VgaSession, generated: int) -> None:
     session._require_bound()
     if session.grounding is None:
         return
+    n_vocab = session.visual_probs.shape[1]
+    if not 0 <= generated < n_vocab:
+        raise InvalidInput(f"token id {generated} out of range for vocab size {n_vocab}")
     g = session.grounding.weights
     column = session.visual_probs[:, generated]
     g_w, _ = sum_normalize(column)

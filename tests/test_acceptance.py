@@ -90,17 +90,22 @@ def test_fused_and_explicit_attention_agree():
         row = random_guidance(rng, tk, n_heads, beta=float(rng.choice(BETAS)))
         z_explicit, _ = attention_explicit(q, k, v, guidance=row)
         z_fused = attention_fused(q, k, v)
-        start, end = row.span
-        dz = np.einsum("i,ihd->hd", row.weights, v[start:end])
-        guided_last = z_fused[-1] + row.head_scales()[:, None] * dz
         np.testing.assert_allclose(
-            z_explicit[-1], guided_last, rtol=REL_TOL, atol=ATOL_FLOOR
+            z_explicit[-1], row.apply(z_fused[-1], v), rtol=REL_TOL, atol=ATOL_FLOOR
         )
         np.testing.assert_allclose(
             z_explicit[:-1], z_fused[:-1], rtol=REL_TOL, atol=ATOL_FLOOR
         )
         draws += 1
 
+    configs = [
+        VgaConfig(beta=beta, guidance_source="even", early_termination=False)
+        for beta in BETAS
+    ] + [  # non-uniform groundings; reversed salience drains a patch, so rho < 1
+        VgaConfig(mode="caption", guidance_source=source, early_termination=False)
+        for source in ("vss", "reversed_vss")
+    ]
+    partial_rho = 0
     for seed in range(16):  # whole forward passes on small random decoders
         model = build_random_model(seed)
         vocab = model.vocab
@@ -108,14 +113,12 @@ def test_fused_and_explicit_attention_agree():
         patches = [int(rng.choice(vocab.patch_token_ids)) for _ in range(n_patches)]
         ids = (vocab.bos_id, *patches, vocab.object_ids[0], vocab.qmark_id)
         layout = SequenceLayout(ids, 1, 1 + n_patches)
-        for beta in BETAS:
-            config = VgaConfig(
-                beta=beta, guidance_source="even", early_termination=False
-            )
-            explicit = prefill(
-                model, layout, hook=new_session(model, config), record_attention=True
-            )
+        for config in configs:
+            session = new_session(model, config)
+            explicit = prefill(model, layout, hook=session, record_attention=True)
             fused = prefill(model, layout, hook=new_session(model, config))
+            if session.grounding.rho < 1.0:
+                partial_rho += 1
             np.testing.assert_allclose(
                 explicit.last_logits, fused.last_logits, rtol=REL_TOL, atol=ATOL_FLOOR
             )
@@ -126,6 +129,7 @@ def test_fused_and_explicit_attention_agree():
             draws += 1
 
     assert draws >= 100
+    assert partial_rho > 0  # the rho < 1 case really ran
     assert time.perf_counter() - t0 < EQUIV_BUDGET_S
 
 

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from vgalab.errors import (
     FormatError,
@@ -24,7 +23,6 @@ from vgalab.evalkit import (
     load_scenes,
     make_scenes,
     partner_table,
-    point_biserial,
     ranking_auc,
     run_caption_eval,
     run_existence_eval,
@@ -204,29 +202,6 @@ def test_f1_score_values():
     assert f1_score(0.0, 0.0) == 0.0
     assert f1_score(1.0, 1.0) == 1.0
     assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
-
-
-def test_point_biserial_matches_scipy():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(6, 40))
-        labels = np.zeros(n, dtype=bool)
-        labels[: n // 2] = True
-        rng.shuffle(labels)
-        values = rng.normal(size=n) + labels * rng.uniform(0, 2)
-        want = scipy.stats.pointbiserialr(labels.astype(int), values).statistic
-        assert point_biserial(values, labels) == pytest.approx(want, abs=1e-10)
-
-
-def test_point_biserial_validation():
-    with pytest.raises(InvalidInput):
-        point_biserial(np.ones(4), np.array([1, 1, 1, 1]))
-    with pytest.raises(InvalidInput):
-        point_biserial(np.array([1.0, 1.0]), np.array([0, 1]))  # zero variance
-    with pytest.raises(InvalidInput):
-        point_biserial(np.array([1.0, 2.0]), np.array([0, 2]))
-    with pytest.raises(ShapeError):
-        point_biserial(np.ones(3), np.zeros(4))
 
 
 def auc_pair_oracle(values, labels):

@@ -18,7 +18,6 @@ from vgalab.grounding import (
     image_confidence,
     merge_groundings,
     object_grounding,
-    vsc_token,
     vsc_vector,
     vss,
     vss_values,
@@ -51,15 +50,14 @@ def test_vsc_vector_matches_per_patch_oracle(logits):
     want = [softmax_row(list(row))[word] for row in logits]
     assert np.allclose(got, want, rtol=0, atol=ORACLE_TOL)
     assert image_confidence(logits, word) == pytest.approx(max(want), abs=ORACLE_TOL)
-    assert vsc_token(logits, 0, word) == pytest.approx(want[0], abs=ORACLE_TOL)
 
 
 def test_vsc_bounds_checks():
     logits = np.zeros((2, 4))
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidInput):
         vsc_vector(logits, 4)
-    with pytest.raises(IndexError):
-        vsc_token(logits, 2, 0)
+    with pytest.raises(InvalidInput):
+        vsc_vector(logits, -1)
     with pytest.raises(ShapeError):
         vsc_vector(np.zeros(4), 0)
     with pytest.raises(InvalidInput):

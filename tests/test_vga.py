@@ -1,23 +1,26 @@
 """Guidance sessions: config rules, head balancing, corrections, decay, profiling."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import ConfigError, InvalidInput, ShapeError
 from vgalab.grounding import Grounding, MaskAnnotation
 from vgalab.mllm import SequenceLayout, prefill
+from vgalab.numerics import cosine_sim_clamped, sum_normalize
 from vgalab.vga import (
     VgaConfig,
     bos_profile,
     delta_z,
-    guided_output,
     head_balance,
-    init_session,
     new_session,
     pvg_update,
     suggest_start_layer,
 )
 
 HAND_TOL = 1e-9
+LOOP_TOL = 1e-12
 
 
 # -- configuration ------------------------------------------------------------
@@ -34,7 +37,6 @@ def test_config_validation():
         {"top_k": 1},
         {"mode": "chat"},
         {"guidance_source": "telepathy"},
-        {"vss_sign": "up"},
     ):
         with pytest.raises(ConfigError):
             VgaConfig(**kwargs)
@@ -97,6 +99,34 @@ def test_head_balance_symmetric_and_degenerate_give_unit_gamma():
     assert np.all(head_balance(z, np.zeros_like(z)).gamma == 1.0)
     with pytest.raises(ShapeError):
         head_balance(z, dz[:2])
+
+
+@st.composite
+def head_rows(draw):
+    """[heads, d_head] pairs with some zero rows and some anti-aligned rows."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 24)))
+    elements = st.floats(-1e3, 1e3, allow_nan=False)
+    z = draw(arrays(np.float64, shape, elements=elements)).copy()
+    dz = draw(arrays(np.float64, shape, elements=elements)).copy()
+    for h in range(shape[0]):
+        kind = draw(st.sampled_from(["free", "zero_z", "zero_dz", "anti"]))
+        if kind == "zero_z":
+            z[h] = 0.0
+        elif kind == "zero_dz":
+            dz[h] = 0.0
+        elif kind == "anti":
+            dz[h] = -draw(st.floats(0.1, 10.0)) * z[h]
+    return z, dz
+
+
+@given(head_rows())
+@settings(max_examples=200)
+def test_head_balance_matches_per_head_loop(pair):
+    z, dz = pair
+    sims = np.array([cosine_sim_clamped(z[h], dz[h]) for h in range(z.shape[0])])
+    gamma_prime, _ = sum_normalize(sims)
+    want = np.maximum(0.0, 2.0 - z.shape[0] * gamma_prime)
+    np.testing.assert_allclose(head_balance(z, dz).gamma, want, rtol=0, atol=LOOP_TOL)
 
 
 # -- session grounding sources ---------------------------------------------------
@@ -180,7 +210,7 @@ def test_unbound_session_refuses_to_correct(tiny_model):
         session.correction(0, np.zeros((2, 16)), np.zeros((4, 2, 16)))
 
 
-def test_guided_output_adds_scaled_value_mix(clean_model):
+def test_correction_apply_adds_scaled_value_mix(clean_model):
     layout = vqa_layout(clean_model)
     cfg = VgaConfig(guidance_source="even", beta=0.4, head_balancing=False)
     session = new_session(clean_model, cfg)
@@ -188,11 +218,12 @@ def test_guided_output_adds_scaled_value_mix(clean_model):
     heads, d_head = clean_model.config.n_heads, clean_model.config.d_head
     rng = np.random.default_rng(1)
     z = rng.normal(size=(heads, d_head))
-    v_vis = result.cache.v[0][layout.visual_start : layout.visual_end]
-    got = guided_output(z, v_vis, session, layer=0)
+    v = result.cache.v[0][: layout.length]
+    v_vis = v[layout.visual_start : layout.visual_end]
+    got = session.correction(0, z, v).apply(z, v)
     want = z + 0.4 * 1.0 * delta_z(session.grounding, v_vis)
     assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(guided_output(z, v_vis, session, layer=5), z)
+    assert session.correction(5, z, v) is None
 
 
 # -- per-token decay -------------------------------------------------------------
@@ -241,15 +272,14 @@ def test_pvg_ignores_vqa_mode_and_zero_lambda(clean_model):
     assert np.array_equal(off.grounding.weights, w)
 
 
-def test_pvg_content_only_skips_flat_tokens(clean_model):
-    session = bound_caption_session(
-        clean_model, VgaConfig(mode="caption", pvg_content_only=True)
-    )
+@pytest.mark.parametrize("bad", ["negative", "vocab_size"])
+def test_on_token_rejects_out_of_vocab_ids(clean_model, bad):
+    session = bound_caption_session(clean_model, VgaConfig(mode="caption"))
     w = session.grounding.weights.copy()
-    session.on_token(clean_model.vocab.eos_id)  # no patch elects EOS
+    token_id = -1 if bad == "negative" else clean_model.vocab.size
+    with pytest.raises(InvalidInput):
+        session.on_token(token_id)
     assert np.array_equal(session.grounding.weights, w)
-    session.on_token(clean_model.vocab.id_of("dog"))
-    assert not np.array_equal(session.grounding.weights, w)
 
 
 def test_pvg_update_requires_bound_session(tiny_model):
@@ -277,11 +307,10 @@ def test_bos_profile_and_start_layer_suggestion(clean_model):
         suggest_start_layer([])
 
 
-def test_init_session_binds_from_prefill(clean_model):
+def test_on_visual_binds_from_prefill(clean_model):
     layout = vqa_layout(clean_model)
     result = prefill(clean_model, layout)
-    session = init_session(
-        clean_model, layout, result, "is there a dog ?", VgaConfig()
-    )
+    session = new_session(clean_model, VgaConfig(), question="is there a dog ?")
+    session.on_visual(result.visual_logits, layout, clean_model.vocab)
     assert session.grounding is not None
     assert session.layout is layout
