@@ -5,6 +5,10 @@ greedy, scenes are immutable, and worker pools only parallelize across
 scenes with a single-threaded reduce in scene order. Paired comparisons
 (guided vs vanilla, one guidance source vs another) should therefore be
 run on the same scene list and will see identical prompts.
+
+The existence loop encodes each scene's visual prefix once and answers
+every question of the scene from a fork of it. The prefix is local to one
+scene's evaluation, so worker threads never share one.
 """
 from __future__ import annotations
 
@@ -26,11 +30,12 @@ from ..grounding import (
 from ..mllm import (
     Model,
     SequenceLayout,
+    VisualPrefix,
+    encode_prefix,
     forward_rows_count,
     generated_words,
     greedy_generate,
     prefill,
-    reset_forward_rows,
 )
 from ..vga import VgaConfig, new_session
 from .metrics import EvalReport, amber_metrics, chair_metrics, f1_score
@@ -53,16 +58,24 @@ def _gt_mask_for(scene: Scene, word: str) -> MaskAnnotation:
 
 
 def model_answer_fn(
-    model: Model, scene: Scene, question: Question, layout: SequenceLayout, config: VgaConfig
+    model: Model,
+    scene: Scene,
+    question: Question,
+    layout: SequenceLayout,
+    config: VgaConfig,
+    prefix: VisualPrefix | None = None,
 ) -> int:
-    """Default answerer: one guided greedy token."""
+    """Default answerer: the greedy first token of a guided prefill.
+
+    ``prefix``, the scene's encoded visual prefix, spares re-running it.
+    """
     gt_mask = None
     if config.resolved_source() == "ground_truth":
         gt_mask = _gt_mask_for(scene, question.word)
     session = new_session(
         model, config, question=question_text(question.word), gt_mask=gt_mask
     )
-    return greedy_generate(model, layout, vga=session, max_len=1)[0]
+    return int(np.argmax(prefill(model, layout, hook=session, prefix=prefix).last_logits))
 
 
 def _score_answer(model: Model, token_id: int, present: bool) -> tuple[bool, bool, bool]:
@@ -87,17 +100,23 @@ def run_existence_eval(
     ``answer_fn(model, scene, question, layout, config) -> token id`` can
     replace the model-driven answerer (e.g. a hard-coded oracle when
     testing the harness itself). Unmappable answers count as incorrect
-    and are logged.
+    and are logged. The default answerer shares one encoded visual prefix
+    across a scene's questions; a supplied ``answer_fn`` gets none.
     """
     if not scenes:
         raise InvalidParams("need at least one scene")
-    answer = answer_fn or model_answer_fn
 
     def eval_scene(scene: Scene) -> list[tuple[bool, bool, bool, bool]]:
         out = []
+        prefix = None
         for q in scene.questions:
             layout = build_vqa_layout(model, scene, q.word)
-            token = int(answer(model, scene, q, layout, config))
+            if answer_fn is not None:
+                token = int(answer_fn(model, scene, q, layout, config))
+            else:
+                if prefix is None:
+                    prefix = encode_prefix(model, layout)
+                token = model_answer_fn(model, scene, q, layout, config, prefix)
             correct, said_yes, mapped = _score_answer(model, token, q.present)
             if not mapped:
                 log.warning(
@@ -269,8 +288,8 @@ def collect_image_confidences(
 class TtftStats:
     """Wall-clock time to the first generated token, vanilla vs guided."""
 
-    vanilla_mean_s: float
-    guided_mean_s: float
+    vanilla_median_s: float
+    guided_median_s: float
     overhead_fraction: float
     n_prompts: int
     runs: int
@@ -284,20 +303,25 @@ class TtftStats:
 def bench_ttft(
     model: Model, scenes: list[Scene], config: VgaConfig, runs: int = 3
 ) -> TtftStats:
-    """Average prompt-to-first-token latency over ``runs`` repetitions.
+    """Median prompt-to-first-token latency over ``runs`` repetitions.
 
-    Strictly serial: timing runs share no pools. The forward-row counters
-    establish that guidance adds no extra forward passes; a run pair with
-    unequal counts would make the timing comparison meaningless.
+    Strictly serial: timing runs share no pools. Each prompt is timed
+    vanilla and guided back to back, in alternating order, so a burst of
+    load on the machine lands on both arms alike; medians keep a few slow
+    samples from setting the overhead. The forward-row counts establish
+    that guidance adds no extra forward passes; unequal counts would make
+    the timing comparison meaningless.
     """
     if runs < 1:
         raise InvalidParams("runs must be >= 1")
     if not scenes:
         raise InvalidParams("need at least one scene")
 
-    def first_token_latency(scene: Scene, guided: bool) -> float:
+    def first_token_latency(scene: Scene, guided: bool) -> tuple[float, int]:
+        """(seconds, forward rows) of one prefill and argmax."""
         q = scene.questions[0]
         layout = build_vqa_layout(model, scene, q.word)
+        rows_before = forward_rows_count()
         start = time.perf_counter()
         if guided:
             session = new_session(model, config, question=question_text(q.word))
@@ -305,33 +329,29 @@ def bench_ttft(
         else:
             result = prefill(model, layout)
         int(np.argmax(result.last_logits))
-        return time.perf_counter() - start
+        return time.perf_counter() - start, forward_rows_count() - rows_before
 
     first_token_latency(scenes[0], guided=False)  # warm caches before timing
     first_token_latency(scenes[0], guided=True)
 
-    vanilla_times: list[float] = []
-    guided_times: list[float] = []
-    reset_forward_rows()
-    for _ in range(runs):
-        for scene in scenes:
-            vanilla_times.append(first_token_latency(scene, guided=False))
-    rows_vanilla = forward_rows_count()
-    reset_forward_rows()
-    for _ in range(runs):
-        for scene in scenes:
-            guided_times.append(first_token_latency(scene, guided=True))
-    rows_guided = forward_rows_count()
+    times: dict[bool, list[float]] = {False: [], True: []}
+    rows = {False: 0, True: 0}
+    for i in range(runs * len(scenes)):
+        scene = scenes[i % len(scenes)]
+        for guided in (False, True) if i % 2 == 0 else (True, False):
+            seconds, n_rows = first_token_latency(scene, guided)
+            times[guided].append(seconds)
+            rows[guided] += n_rows
 
-    vanilla_mean = float(np.mean(vanilla_times))
-    guided_mean = float(np.mean(guided_times))
-    overhead = (guided_mean - vanilla_mean) / vanilla_mean if vanilla_mean > 0 else 0.0
+    vanilla_s = float(np.median(times[False]))
+    guided_s = float(np.median(times[True]))
+    overhead = (guided_s - vanilla_s) / vanilla_s if vanilla_s > 0 else 0.0
     return TtftStats(
-        vanilla_mean_s=vanilla_mean,
-        guided_mean_s=guided_mean,
+        vanilla_median_s=vanilla_s,
+        guided_median_s=guided_s,
         overhead_fraction=overhead,
         n_prompts=len(scenes),
         runs=runs,
-        rows_vanilla=rows_vanilla,
-        rows_guided=rows_guided,
+        rows_vanilla=rows[False],
+        rows_guided=rows[True],
     )

@@ -8,9 +8,14 @@ downstream op accumulates in f64.
 
 Prefill runs in two phases over a single pass of the prompt: the visual
 prefix first (yielding per-patch vocabulary logits), then the remaining
-text rows attending the cached prefix. A guidance hook, when attached,
-receives the visual logits between the phases and may correct the
-attention output of designated rows at each layer. The hook is duck-typed:
+text rows attending the cached prefix. The prefix runs without a hook, so
+its keys, values and logits depend on the prefix tokens alone: prefill may
+start from a shared prefix (``encode_prefix`` runs it once as a frozen
+``VisualPrefix``; ``prefill(..., prefix=...)`` forks its cache and runs
+only the text rows, bit for bit what a full prefill computes). A guidance
+hook, when attached, receives the visual logits between the phases and may
+correct the attention output of designated rows at each layer. The hook is
+duck-typed:
 
     on_visual(visual_logits, layout, vocab)  -> None
     correction(layer, z_row, v_cache)        -> GuidanceRow | None
@@ -119,6 +124,7 @@ class KvCache:
     """Preallocated per-layer key/value store, float64, append-only."""
 
     def __init__(self, config: ModelConfig) -> None:
+        self.config = config
         shape = (config.max_seq_len, config.n_heads, config.d_head)
         self.k = [np.zeros(shape) for _ in range(config.n_layers)]
         self.v = [np.zeros(shape) for _ in range(config.n_layers)]
@@ -142,6 +148,15 @@ class KvCache:
     def view(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
         return self.k[layer][:upto], self.v[layer][:upto]
 
+    def fork(self) -> KvCache:
+        """A fresh cache of the same capacity holding a copy of the valid rows."""
+        out = KvCache(self.config)
+        n = self._len
+        for dst, src in zip(out.k + out.v, self.k + self.v):
+            dst[:n] = src[:n]
+        out._len = n
+        return out
+
 
 @dataclass
 class PrefillResult:
@@ -152,6 +167,21 @@ class PrefillResult:
     last_logits: np.ndarray
     layout: SequenceLayout
     bos_attention: tuple[float, ...] | None = None
+
+
+@dataclass(frozen=True)
+class VisualPrefix:
+    """The prompt prefix ``[0, visual_end)`` run once, to be forked per prompt.
+
+    ``cache`` holds the prefix rows' keys and values and ``logits`` their
+    vocabulary logits; every array is write-protected, so one prefix can
+    serve any number of prompts that start with ``token_ids`` on ``model``.
+    """
+
+    token_ids: tuple[int, ...]
+    model: Model
+    cache: KvCache
+    logits: np.ndarray
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -225,19 +255,46 @@ def _forward_block(
     return x @ model.unembed, bos_records
 
 
+def _run_prefix(
+    model: Model, ids: np.ndarray, e: int, explicit: bool
+) -> tuple[KvCache, np.ndarray, list[float]]:
+    """Rows ``[0, e)`` of ``ids`` through all layers, unguided, into a new cache."""
+    cache = KvCache(model.config)
+    logits, bos = _forward_block(model, cache, ids[:e], 0, hook=None, explicit=explicit)
+    cache.advance(e)
+    return cache, logits, bos
+
+
+def encode_prefix(model: Model, layout: SequenceLayout) -> VisualPrefix:
+    """Run the prompt's visual prefix once, for prompts that share it."""
+    e = layout.visual_end
+    cache, logits, _ = _run_prefix(model, layout.ids_array(), e, explicit=False)
+    for arr in (*cache.k, *cache.v, logits):
+        arr.flags.writeable = False
+    return VisualPrefix(
+        token_ids=layout.token_ids[:e],
+        model=model,
+        cache=cache,
+        logits=logits,
+    )
+
+
 def prefill(
     model: Model,
     layout: SequenceLayout,
     hook=None,
     *,
     record_attention: bool = False,
+    prefix: VisualPrefix | None = None,
 ) -> PrefillResult:
     """One pass over the prompt; visual rows first, then the text tail.
 
     The split lets an attached hook ground itself on the visual logits
     before the text rows (the only guided ones) are processed, without a
     second pass. ``record_attention`` switches to the explicit kernel and
-    records each layer's last-row attention to position 0.
+    records each layer's last-row attention to position 0. A ``prefix``
+    from ``encode_prefix`` on the same model and prefix tokens stands in
+    for the visual rows; the explicit kernel always runs the whole prompt.
     """
     cfg = model.config
     if layout.length > cfg.max_seq_len:
@@ -246,12 +303,16 @@ def prefill(
         )
     ids = layout.ids_array()
     e = layout.visual_end
-    cache = KvCache(cfg)
-
-    logits_prefix, bos_prefix = _forward_block(
-        model, cache, ids[:e], 0, hook=None, explicit=record_attention
-    )
-    cache.advance(e)
+    if prefix is None:
+        cache, logits_prefix, bos_prefix = _run_prefix(model, ids, e, record_attention)
+    elif record_attention:
+        raise InvalidInput("record_attention runs the whole prompt; it takes no prefix")
+    elif prefix.model is not model:
+        raise InvalidInput("visual prefix was encoded with another model")
+    elif layout.token_ids[:e] != prefix.token_ids:
+        raise InvalidInput("visual prefix tokens differ from the prompt's")
+    else:
+        cache, logits_prefix, bos_prefix = prefix.cache.fork(), prefix.logits, []
     visual_logits = logits_prefix[layout.visual_start : e].copy()
     if hook is not None:
         hook.on_visual(visual_logits, layout, model.vocab)
@@ -319,15 +380,14 @@ def greedy_generate(
     logits = result.last_logits
     eos = model.vocab.eos_id
     out: list[int] = []
-    for _ in range(max_len):
+    while True:
         token = int(np.argmax(logits))
         out.append(token)
         if vga is not None:
             vga.on_token(token)
-        if token == eos or result.cache.length >= result.cache.capacity:
-            break
+        if token == eos or len(out) == max_len or result.cache.length >= result.cache.capacity:
+            return out
         logits = decode_step(model, result.cache, token, hook=vga)
-    return out
 
 
 def generated_words(model: Model, token_ids: Sequence[int]) -> list[str]:

@@ -33,6 +33,7 @@ from vgalab.mllm import (
     attention_fused,
     build_random_model,
     decode_step,
+    encode_prefix,
     full_logits,
     greedy_generate,
     prefill,
@@ -377,8 +378,9 @@ def test_first_token_latency_overhead_is_bounded(noisy_model, scenes125):
     assert stats.overhead_fraction <= TTFT_CEILING
 
 
-def test_incremental_decode_matches_full_recompute(clean_model, scenes125):
-    """KV-cached decoding reproduces the uncached forward pass exactly."""
+def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, scenes125):
+    """KV-cached decoding reproduces the uncached forward pass exactly, and
+    starting from a scene's shared visual prefix changes no bit of it."""
     prompts = [(s, q.word) for s in scenes125[:13] for q in s.questions]
     assert len(prompts) >= 50
     eos = clean_model.vocab.eos_id
@@ -411,6 +413,31 @@ def test_incremental_decode_matches_full_recompute(clean_model, scenes125):
         np.testing.assert_allclose(
             np.array(cached_logits), np.array(fresh_logits), rtol=0, atol=LOGIT_TOL
         )
+
+    for model in (clean_model, noisy_model):
+        for scene in scenes125[:3]:
+            layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
+            prefix = encode_prefix(model, layouts[0])
+            for layout, q in zip(layouts, scene.questions):
+                for source in ("none", "vsc", "even", "ground_truth"):
+                    config = VgaConfig(beta=GUIDED_BETA, guidance_source=source)
+                    full_hook, shared_hook = (
+                        new_session(
+                            model,
+                            config,
+                            question=question_text(q.word),
+                            gt_mask=scene.objects[0],
+                        )
+                        for _ in range(2)
+                    )
+                    full = prefill(model, layout, hook=full_hook)
+                    shared = prefill(model, layout, hook=shared_hook, prefix=prefix)
+                    assert shared.last_logits.tobytes() == full.last_logits.tobytes()
+                    assert shared.visual_logits.tobytes() == full.visual_logits.tobytes()
+                    token = int(np.argmax(full.last_logits))
+                    full_step = decode_step(model, full.cache, token, hook=full_hook)
+                    shared_step = decode_step(model, shared.cache, token, hook=shared_hook)
+                    assert shared_step.tobytes() == full_step.tobytes()
 
 
 def test_removing_components_degrades_in_the_expected_direction(

@@ -213,7 +213,7 @@ def test_bench_ttft_reports_timings(workdir, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["rows_vanilla"] == payload["rows_guided"]
     assert payload["config"]["beta"] == 0.2
-    assert payload["vanilla_mean_s"] > 0
+    assert payload["vanilla_median_s"] > 0
 
 
 def test_usage_errors_exit_one(capsys):

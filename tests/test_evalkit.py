@@ -15,6 +15,7 @@ from vgalab.evalkit import (
     SceneParams,
     amber_metrics,
     bench_ttft,
+    build_vqa_layout,
     chair_metrics,
     collect_image_confidences,
     export_heatmap,
@@ -22,6 +23,7 @@ from vgalab.evalkit import (
     grounding_quality_eval,
     load_scenes,
     make_scenes,
+    model_answer_fn,
     partner_table,
     ranking_auc,
     run_caption_eval,
@@ -34,6 +36,7 @@ from vgalab.evalkit import (
 )
 from vgalab.evalkit.metrics import EvalReport
 from vgalab.grounding import Grounding
+from vgalab.mllm import forward_rows_count, reset_forward_rows
 from vgalab.vga import VgaConfig
 from vgalab.vocab import DEFAULT_OBJECT_WORDS, make_vocab
 
@@ -281,6 +284,18 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
     serial = run_existence_eval(clean_model, scenes12[:4], cfg)
     parallel = run_existence_eval(clean_model, scenes12[:4], cfg, jobs=3)
     assert serial == parallel
+    # Each scene's prefix is encoded once and shared by its questions, in
+    # every worker, with the same reports as the unshared answerer.
+    guided = VgaConfig(guidance_source="vsc")
+    reset_forward_rows()
+    shared = run_existence_eval(clean_model, scenes12, guided)
+    layout = build_vqa_layout(clean_model, scenes12[0], scenes12[0].questions[0].word)
+    tail = layout.length - layout.visual_end
+    assert forward_rows_count() == sum(
+        layout.visual_end + tail * len(s.questions) for s in scenes12
+    )
+    assert shared == run_existence_eval(clean_model, scenes12, guided, jobs=2)
+    assert shared == run_existence_eval(clean_model, scenes12, guided, answer_fn=model_answer_fn)
     with pytest.raises(InvalidParams):
         run_existence_eval(clean_model, [], cfg)
 
@@ -334,9 +349,11 @@ def test_collect_image_confidences_separates_classes(clean_model, scenes12):
 
 def test_bench_ttft_counts_rows(clean_model, scenes12):
     stats = bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=1)
-    assert stats.vanilla_mean_s > 0
-    assert stats.guided_mean_s > 0
+    assert stats.vanilla_median_s > 0
+    assert stats.guided_median_s > 0
     assert stats.rows_vanilla == stats.rows_guided
+    layout = build_vqa_layout(clean_model, scenes12[0], scenes12[0].questions[0].word)
+    assert stats.rows_vanilla == 3 * layout.length
     assert stats.n_prompts == 3
     with pytest.raises(InvalidParams):
         bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=0)

@@ -11,6 +11,7 @@ from vgalab.mllm import (
     attention_fused,
     build_random_model,
     decode_step,
+    encode_prefix,
     forward_rows_count,
     full_logits,
     greedy_generate,
@@ -160,9 +161,16 @@ def test_greedy_is_deterministic_and_bounded(tiny_model):
     rng = np.random.default_rng(6)
     layout = scene_layout(tiny_model, rng)
     first = greedy_generate(tiny_model, layout, max_len=7)
+    reset_forward_rows()
     second = greedy_generate(tiny_model, layout, max_len=7)
     assert first == second
     assert 1 <= len(first) <= 7
+    # The token that fills max_len is not fed back: n tokens cost n - 1 steps.
+    assert tiny_model.vocab.eos_id not in first
+    assert forward_rows_count() == layout.length + len(first) - 1
+    reset_forward_rows()
+    greedy_generate(tiny_model, layout, max_len=1)
+    assert forward_rows_count() == layout.length
     with pytest.raises(InvalidInput):
         greedy_generate(tiny_model, layout, max_len=0)
 
@@ -185,6 +193,37 @@ def test_forward_row_counter_tracks_rows(tiny_model):
     assert forward_rows_count() == layout.length
     reset_forward_rows()
     assert forward_rows_count() == 0
+
+
+def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
+    rng = np.random.default_rng(9)
+    layout = scene_layout(tiny_model, rng)
+    prefix = encode_prefix(tiny_model, layout)
+    other = scene_layout(tiny_model, rng)
+    assert other.token_ids[: other.visual_end] != prefix.token_ids
+    shorter = SequenceLayout(layout.token_ids, layout.visual_start, layout.visual_end - 1)
+    twin = build_random_model(3)  # equal weights, another model object
+    for bad, model, record in (
+        (other, tiny_model, False),  # other patches
+        (shorter, tiny_model, False),  # other prefix length
+        (layout, twin, False),
+        (layout, tiny_model, True),  # the explicit kernel takes no prefix
+    ):
+        with pytest.raises(InvalidInput):
+            prefill(model, bad, prefix=prefix, record_attention=record)
+
+    before = [a.tobytes() for a in (*prefix.cache.k, *prefix.cache.v, prefix.logits)]
+    for arr in (prefix.cache.k[0], prefix.cache.v[-1], prefix.logits):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    forked = prefill(tiny_model, layout, prefix=prefix)
+    assert forked.cache.length == layout.length
+    forked.cache.k[0][0] = 1.0
+    forked.cache.v[-1][: layout.visual_end] = -1.0
+    forked.visual_logits[:] = 0.0
+    decode_step(tiny_model, forked.cache, int(np.argmax(forked.last_logits)))
+    after = [a.tobytes() for a in (*prefix.cache.k, *prefix.cache.v, prefix.logits)]
+    assert after == before
 
 
 def test_record_attention_profiles_every_layer(tiny_model):
