@@ -80,7 +80,7 @@ def _check_visual_logits(visual_logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(visual_logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"visual logits must be [m, V], got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise InvalidInput("visual logits must be finite")
     return logits
 

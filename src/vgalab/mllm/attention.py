@@ -6,8 +6,13 @@ profiling BOS attention.
 
 ``attention_fused`` streams over key blocks with an online softmax and
 never exposes weights, mimicking fused kernels whose internals are
-unavailable. Guidance for this path is applied *outside* the kernel by
-``GuidanceRow.apply``, the value-space form of the same splice
+unavailable. It works head-major ([H, T, dh], one batched ``matmul`` per
+block for the scores and one for the values) and masks only the blocks
+that hold keys past the first query row's position. Its online-softmax
+carry needs no guard against a row that has seen no key yet: key 0 is in
+the first block and visible to every row, so each row's running max is
+finite after that block. Guidance for this path is applied *outside* the
+kernel by ``GuidanceRow.apply``, the value-space form of the same splice
 (output + beta * gamma_h * rho * sum_i G_i V_i); equivalence of the two
 routes is a tested invariant.
 
@@ -50,7 +55,8 @@ class GuidanceRow:
         """
         s, e = self.span
         g = np.asarray(self.weights, dtype=np.float64)
-        return z_row + self.head_scales()[:, None] * np.einsum("k,khd->hd", g, v[s:e])
+        mix = g @ v[s:e].reshape(e - s, -1)  # one GEMV over the flattened heads
+        return z_row + self.head_scales()[:, None] * mix.reshape(z_row.shape)
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,36 +112,43 @@ def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
 
 
 def attention_fused(q, k, v) -> np.ndarray:
-    """Streaming attention; returns z only, weights are never materialized."""
+    """Streaming attention; returns z only, weights are never materialized.
+
+    Works head-major: each key block is one batched ``matmul`` over heads
+    for the scores and one for the value reduction, with the running max
+    and denominator kept as [H, Tq, 1].
+    """
     q, k, v = _check_qkv(q, k, v)
     tq, n_heads, d_head = q.shape
     tk = k.shape[0]
     offset = tk - tq
 
-    running_max = np.full((tq, n_heads), -np.inf)
-    denom = np.zeros((tq, n_heads))
-    acc = np.zeros((tq, n_heads, d_head))
-    scale = 1.0 / np.sqrt(d_head)
-    rows = np.arange(tq) + offset
+    qh = q.transpose(1, 0, 2) * (1.0 / np.sqrt(d_head))  # [H, Tq, dh]
+    kh = k.transpose(1, 2, 0)  # [H, dh, Tk]
+    vh = v.transpose(1, 0, 2)  # [H, Tk, dh]
+    rows = (np.arange(tq) + offset)[:, None]
 
+    running_max = denom = acc = None
     for start in range(0, tk, _KEY_BLOCK):
         stop = min(start + _KEY_BLOCK, tk)
-        kb = k[start:stop]
-        vb = v[start:stop]
-        scores = np.einsum("qhd,khd->qhk", q, kb) * scale
-        mask = np.arange(start, stop)[None, :] <= rows[:, None]
-        scores = np.where(mask[:, None, :], scores, -np.inf)
-
-        block_max = scores.max(axis=-1)
+        scores = qh @ kh[:, :, start:stop]  # [H, Tq, block]
+        if stop - 1 > offset:  # some key lies past row 0's position
+            scores = np.where(np.arange(start, stop) <= rows, scores, -np.inf)
+        block_max = scores.max(axis=-1, keepdims=True)
+        if acc is None:
+            # Key 0 sits in this block and every row sees it, so the running
+            # max is finite from here on: a later block that a row cannot see
+            # at all gives exp(-inf - finite) = 0, and no carry needs a guard.
+            running_max = block_max
+            weights = np.exp(scores - running_max)
+            denom = weights.sum(axis=-1, keepdims=True)
+            acc = weights @ vh[:, start:stop]
+            continue
         new_max = np.maximum(running_max, block_max)
-        # Rescale previous accumulators; exp(-inf - finite) underflows to 0 safely.
-        with np.errstate(invalid="ignore"):
-            carry = np.where(np.isneginf(running_max), 0.0, np.exp(running_max - new_max))
-        weights = np.exp(scores - new_max[:, :, None])
-        weights = np.where(mask[:, None, :], weights, 0.0)
-
-        denom = denom * carry + weights.sum(axis=-1)
-        acc = acc * carry[:, :, None] + np.einsum("qhk,khd->qhd", weights, vb)
+        carry = np.exp(running_max - new_max)
+        weights = np.exp(scores - new_max)
+        denom = denom * carry + weights.sum(axis=-1, keepdims=True)
+        acc = acc * carry + weights @ vh[:, start:stop]
         running_max = new_max
 
-    return acc / denom[:, :, None]
+    return (acc / denom).transpose(1, 0, 2)

@@ -121,13 +121,17 @@ class Model:
 
 
 class KvCache:
-    """Preallocated per-layer key/value store, float64, append-only."""
+    """Preallocated per-layer key/value store, float64, append-only.
+
+    Rows past ``length`` are uninitialized: every read goes through
+    ``view`` or ``fork``, which stop at the written rows.
+    """
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         shape = (config.max_seq_len, config.n_heads, config.d_head)
-        self.k = [np.zeros(shape) for _ in range(config.n_layers)]
-        self.v = [np.zeros(shape) for _ in range(config.n_layers)]
+        self.k = [np.empty(shape) for _ in range(config.n_layers)]
+        self.v = [np.empty(shape) for _ in range(config.n_layers)]
         self._len = 0
         self.capacity = config.max_seq_len
 
@@ -190,8 +194,9 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh-form GELU; exactness vs erf is irrelevant at toy scale.
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
+    # tanh-form GELU; exactness vs erf is irrelevant at toy scale. The cube
+    # is two multiplies: np.power(x, 3) costs ~14x as much for the same value.
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def _forward_block(
@@ -217,7 +222,7 @@ def _forward_block(
         raise CapacityError(
             f"sequence of length {start_pos + n} exceeds max_seq_len {cfg.max_seq_len}"
         )
-    if np.any(token_ids < 0) or np.any(token_ids >= cfg.vocab_size):
+    if (token_ids < 0).any() or (token_ids >= cfg.vocab_size).any():
         raise InvalidInput("token id out of vocabulary range")
 
     x = (

@@ -26,7 +26,7 @@ def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndar
         raise ShapeError(f"{name} must have {min_dim}..{max_dim} dims, got {arr.ndim}")
     if arr.size == 0:
         raise ShapeError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains NaN or Inf")
     return arr
 
@@ -52,7 +52,7 @@ def sum_normalize(values, eps: float = DEGENERATE_EPS) -> tuple[np.ndarray, bool
     raise InvalidInput.
     """
     arr = _as_float_array(values, "values", max_dim=1)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise InvalidInput("sum_normalize requires nonnegative entries")
     total = float(arr.sum())
     if total < eps:
@@ -78,7 +78,7 @@ def cosine_sim_clamped(a, b) -> float | np.ndarray:
         raise ShapeError(f"length mismatch: {va.shape} vs {vb.shape}")
     na = np.sqrt(_row_dot(va, va))
     nb = np.sqrt(_row_dot(vb, vb))
-    zero = (na == 0.0) | (nb == 0.0)
+    zero = np.minimum(na, nb) == 0.0  # norms are >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         sim = np.where(zero, 0.0, _row_dot(va, vb) / (na * nb))
     sim = np.fmin(1.0, np.fmax(0.0, sim))

@@ -29,11 +29,10 @@ from .grounding import (
     MaskAnnotation,
     extract_objects,
     merge_groundings,
-    object_grounding,
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import cosine_sim_clamped, sum_normalize
+from .numerics import DEGENERATE_EPS, cosine_sim_clamped, row_softmax, sum_normalize
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -102,14 +101,15 @@ def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarr
     weights are involved, which is what makes the correction compatible
     with kernels that never materialize them.
     """
-    g = np.asarray(grounding.weights if isinstance(grounding, Grounding) else grounding)
-    g = g.astype(np.float64)
+    g = grounding.weights if isinstance(grounding, Grounding) else grounding
+    g = np.asarray(g, dtype=np.float64)
     v = np.asarray(v_visual, dtype=np.float64)
     if g.ndim != 1 or v.ndim != 3:
         raise ShapeError("expected grounding [m] and values [m, heads, d_head]")
-    if g.shape[0] != v.shape[0]:
-        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {v.shape[0]}")
-    return np.einsum("i,ihd->hd", g, v)
+    m, n_heads, d_head = v.shape
+    if g.shape[0] != m:
+        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {m}")
+    return (g @ v.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
 
 
 def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> HeadBalance:
@@ -125,7 +125,14 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> HeadBalance:
     if z.shape != dz.shape or z.ndim != 2:
         raise ShapeError("z_row and dz_row must both be [heads, d_head]")
     n_heads = z.shape[0]
-    gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
+    sims = cosine_sim_clamped(z, dz)  # validates z and dz
+    # sum_normalize's arithmetic, without re-validating values that are
+    # finite and in [0, 1] by construction: this runs on every guided row.
+    total = float(sims.sum())
+    if total < DEGENERATE_EPS:
+        gamma_prime = np.full(n_heads, 1.0 / n_heads)
+    else:
+        gamma_prime = sims / total
     gamma = np.maximum(0.0, 2.0 - n_heads * gamma_prime)
     return HeadBalance(gamma_prime=gamma_prime, gamma=gamma)
 
@@ -135,8 +142,10 @@ class VgaSession:
 
     Construct unbound (via ``new_session``) and hand it to prefill or the
     greedy loop; it grounds itself when the visual logits arrive. The
-    session is single-owner: programmed suppression mutates the grounding
-    across decode steps in caption mode.
+    session is single-owner and single-use: programmed suppression mutates
+    the grounding across decode steps in caption mode, so binding it to a
+    second visual context raises ``ConfigError`` instead of handing the
+    next generation a decayed grounding.
     """
 
     def __init__(
@@ -173,13 +182,14 @@ class VgaSession:
     # -- hook protocol ------------------------------------------------------
 
     def on_visual(self, visual_logits: np.ndarray, layout: SequenceLayout, vocab: Vocabulary) -> None:
+        if self.layout is not None:
+            raise ConfigError("session is already bound; start a new session per generation")
         logits = np.asarray(visual_logits, dtype=np.float64)
-        if logits.shape[0] != layout.n_visual:
-            raise ShapeError("visual logits row count disagrees with layout")
-        # softmax rows cached once; programmed suppression looks up columns
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        self.visual_probs = expd / expd.sum(axis=1, keepdims=True)
+        if logits.ndim != 2 or logits.shape[0] != layout.n_visual:
+            raise ShapeError("visual logits must be [n_visual, V] for the layout")
+        # softmax rows computed once: vsc grounding and programmed
+        # suppression both read its columns
+        self.visual_probs = row_softmax(logits)
         self.layout = layout
         self.grounding = self._build_grounding(logits, layout, vocab)
 
@@ -249,9 +259,12 @@ class VgaSession:
                 )
                 self.fallback_uniform = True
                 return self._uniform(m)
-            return merge_groundings(
-                [object_grounding(logits, vocab.id_of(w)) for w in words]
-            )
+            # object_grounding per word, read from the cached softmax; one
+            # grounding is already normalized, so only several are merged
+            groundings = [
+                Grounding.from_values(self.visual_probs[:, vocab.id_of(w)]) for w in words
+            ]
+            return groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
         if source == "vss":
             return vss(logits, k=self.config.top_k)
         if source == "reversed_vss":

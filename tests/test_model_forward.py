@@ -1,6 +1,8 @@
 """Attention kernels and the forward pass: causality, caching, greedy loop."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vgalab.errors import CapacityError, InvalidInput, ShapeError
 from vgalab.mllm import (
@@ -18,9 +20,11 @@ from vgalab.mllm import (
     prefill,
     reset_forward_rows,
 )
+from vgalab.mllm.core import gelu
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
+GELU_TOL = 1e-15
 
 
 def random_qkv(rng, tq, tk, heads, d_head):
@@ -42,6 +46,44 @@ def test_fused_matches_explicit_without_guidance():
         z_fused = attention_fused(q, k, v)
         assert np.allclose(z_fused, z_ref, rtol=0, atol=KERNEL_TOL)
         assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
+
+
+@st.composite
+def attention_problems(draw):
+    """(tq, tk, heads, d_head, scale, seed) with 1 <= tq <= tk <= 200."""
+    tk = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]), st.integers(1, 200)))
+    tq = draw(st.one_of(st.just(tk), st.just(1), st.integers(1, tk)))
+    heads = draw(st.integers(1, 4))
+    d_head = draw(st.integers(1, 24))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    return tq, tk, heads, d_head, scale, draw(st.integers(0, 2**32 - 1))
+
+
+@given(attention_problems())
+@example((65, 65, 4, 24, 1.0, 0))  # the visual prefix of a vqa prompt
+@example((67, 67, 4, 24, 1.0, 1))  # a whole uncached prompt
+@example((2, 67, 4, 24, 1.0, 2))  # its text tail over the shared prefix
+@example((1, 64, 2, 8, 4.0, 3))
+@example((1, 65, 2, 8, 4.0, 4))
+@example((64, 128, 3, 5, 1.0, 5))
+@example((128, 128, 1, 3, 0.1, 6))
+@settings(max_examples=150, deadline=None)
+def test_fused_matches_explicit_on_any_shape(problem):
+    tq, tk, heads, d_head, scale, seed = problem
+    q, k, v = random_qkv(np.random.default_rng(seed), tq, tk, heads, d_head)
+    z_ref, _ = attention_explicit(scale * q, scale * k, v)
+    z_fused = attention_fused(scale * q, scale * k, v)
+    assert z_fused.shape == (tq, heads, d_head)
+    np.testing.assert_allclose(z_fused, z_ref, rtol=0, atol=KERNEL_TOL)
+
+
+def test_gelu_cube_matches_power_form():
+    x = np.linspace(-30.0, 30.0, 60001)
+    power_form = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
+    np.testing.assert_allclose(gelu(x), power_form, rtol=0, atol=GELU_TOL)
+    far = gelu(np.array([-1e3, 1e3]))
+    assert np.isfinite(far).all()
+    assert far.tolist() == [0.0, 1e3]
 
 
 def test_attention_is_causal():
@@ -140,6 +182,25 @@ def test_decode_step_extends_cache_consistently(tiny_model):
         visual_end=layout.visual_end,
     )
     assert np.allclose(stepped, full_logits(tiny_model, extended)[-1], atol=LOGIT_TOL)
+
+
+def test_decode_never_reads_cache_rows_past_length(tiny_model):
+    """Rows past ``length`` are uninitialized; NaN there must change no byte."""
+    rng = np.random.default_rng(10)
+    layout = scene_layout(tiny_model, rng)
+    result = prefill(tiny_model, layout)
+    shared = prefill(tiny_model, layout, prefix=encode_prefix(tiny_model, layout))
+    tokens = (int(np.argmax(result.last_logits)), tiny_model.vocab.eos_id)
+    for cache in (result.cache, result.cache.fork(), shared.cache):
+        clean = cache.fork()
+        for arr, fill in [(a, 0.0) for a in clean.k + clean.v] + [
+            (a, np.nan) for a in cache.k + cache.v
+        ]:
+            arr[cache.length :] = fill
+        for token in tokens:
+            poisoned_step = decode_step(tiny_model, cache, token)
+            clean_step = decode_step(tiny_model, clean, token)
+            assert poisoned_step.tobytes() == clean_step.tobytes()
 
 
 def test_prefill_rejects_overlong_prompt(tiny_model):

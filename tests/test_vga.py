@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import ConfigError, InvalidInput, ShapeError
-from vgalab.grounding import Grounding, MaskAnnotation
+from vgalab.grounding import Grounding, MaskAnnotation, merge_groundings, object_grounding
 from vgalab.mllm import SequenceLayout, prefill
 from vgalab.numerics import cosine_sim_clamped, sum_normalize
 from vgalab.vga import (
@@ -21,6 +21,7 @@ from vgalab.vga import (
 
 HAND_TOL = 1e-9
 LOOP_TOL = 1e-12
+GROUNDING_TOL = 1e-15
 
 
 # -- configuration ------------------------------------------------------------
@@ -151,6 +152,39 @@ def test_session_binds_on_prefill_and_grounds_on_question(clean_model):
     top2 = set(np.argsort(session.grounding.weights)[-2:])
     assert top2 == {0, 1}  # dog patches are cells 0 and 1
     assert not session.fallback_uniform
+
+
+@pytest.mark.parametrize("words", [("dog",), ("dog", "cat")])
+def test_vsc_grounding_matches_merged_object_groundings(clean_model, words):
+    """The session reads vsc columns off its one softmax; one word skips the merge."""
+    layout = vqa_layout(clean_model)
+    logits = prefill(clean_model, layout).visual_logits
+    question = "is there a " + " or a ".join(words) + " ?"
+    session = new_session(clean_model, VgaConfig(guidance_source="vsc"), question=question)
+    session.on_visual(logits, layout, clean_model.vocab)
+    want = merge_groundings(
+        [object_grounding(logits, clean_model.vocab.id_of(w)) for w in words]
+    )
+    np.testing.assert_allclose(
+        session.grounding.weights, want.weights, rtol=0, atol=GROUNDING_TOL
+    )
+    assert (session.grounding.rho, session.grounding.degenerate) == (
+        want.rho,
+        want.degenerate,
+    )
+
+
+def test_session_refuses_a_second_visual_context(clean_model):
+    layout = vqa_layout(clean_model)
+    session = new_session(clean_model, VgaConfig(mode="caption", guidance_source="vss"))
+    prefill(clean_model, layout, hook=session)
+    session.on_token(clean_model.vocab.id_of("dog"))  # PVG decays the grounding
+    decayed = session.grounding.weights.copy()
+    with pytest.raises(ConfigError):
+        prefill(clean_model, layout, hook=session)
+    with pytest.raises(ConfigError):
+        session.on_visual(prefill(clean_model, layout).visual_logits, layout, clean_model.vocab)
+    assert np.array_equal(session.grounding.weights, decayed)
 
 
 def test_vsc_without_object_words_falls_back_to_even(clean_model):
