@@ -7,8 +7,9 @@ scenes with a single-threaded reduce in scene order. Paired comparisons
 run on the same scene list and will see identical prompts.
 
 The existence loop encodes each scene's visual prefix once and answers
-every question of the scene from a fork of it. The prefix is local to one
-scene's evaluation, so worker threads never share one.
+all the scene's questions in one batched forward over it
+(``prefill_shared``). The prefix is local to one scene's evaluation, so
+worker threads never share one.
 """
 from __future__ import annotations
 
@@ -30,12 +31,12 @@ from ..grounding import (
 from ..mllm import (
     Model,
     SequenceLayout,
-    VisualPrefix,
     encode_prefix,
     forward_rows_count,
     generated_words,
     greedy_generate,
     prefill,
+    prefill_shared,
 )
 from ..vga import VgaConfig, new_session
 from .metrics import EvalReport, amber_metrics, chair_metrics, f1_score
@@ -57,25 +58,29 @@ def _gt_mask_for(scene: Scene, word: str) -> MaskAnnotation:
     return MaskAnnotation(word=word, overlaps=np.zeros(scene.n_patches))
 
 
+def _answer_session(model: Model, scene: Scene, question: Question, config: VgaConfig):
+    gt_mask = None
+    if config.resolved_source() == "ground_truth":
+        gt_mask = _gt_mask_for(scene, question.word)
+    return new_session(
+        model, config, question=question_text(question.word), gt_mask=gt_mask
+    )
+
+
 def model_answer_fn(
     model: Model,
     scene: Scene,
     question: Question,
     layout: SequenceLayout,
     config: VgaConfig,
-    prefix: VisualPrefix | None = None,
 ) -> int:
-    """Default answerer: the greedy first token of a guided prefill.
+    """Default answer to one question: the greedy first token of a guided prefill.
 
-    ``prefix``, the scene's encoded visual prefix, spares re-running it.
+    ``run_existence_eval`` answers a whole scene at once, bit for bit the
+    same tokens.
     """
-    gt_mask = None
-    if config.resolved_source() == "ground_truth":
-        gt_mask = _gt_mask_for(scene, question.word)
-    session = new_session(
-        model, config, question=question_text(question.word), gt_mask=gt_mask
-    )
-    return int(np.argmax(prefill(model, layout, hook=session, prefix=prefix).last_logits))
+    session = _answer_session(model, scene, question, config)
+    return int(np.argmax(prefill(model, layout, hook=session).last_logits))
 
 
 def _score_answer(model: Model, token_id: int, present: bool) -> tuple[bool, bool, bool]:
@@ -100,23 +105,29 @@ def run_existence_eval(
     ``answer_fn(model, scene, question, layout, config) -> token id`` can
     replace the model-driven answerer (e.g. a hard-coded oracle when
     testing the harness itself). Unmappable answers count as incorrect
-    and are logged. The default answerer shares one encoded visual prefix
-    across a scene's questions; a supplied ``answer_fn`` gets none.
+    and are logged. The default answerer encodes a scene's visual prefix
+    once and answers all its questions in one batched forward over it, the
+    tokens ``model_answer_fn`` gives one question at a time.
     """
     if not scenes:
         raise InvalidParams("need at least one scene")
 
     def eval_scene(scene: Scene) -> list[tuple[bool, bool, bool, bool]]:
+        if not scene.questions:
+            return []
+        layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
+        if answer_fn is not None:
+            tokens = [
+                int(answer_fn(model, scene, q, layout, config))
+                for q, layout in zip(scene.questions, layouts)
+            ]
+        else:
+            sessions = [_answer_session(model, scene, q, config) for q in scene.questions]
+            prefix = encode_prefix(model, layouts[0])
+            logits = prefill_shared(model, prefix, layouts, sessions)
+            tokens = [int(t) for t in np.argmax(logits, axis=-1)]
         out = []
-        prefix = None
-        for q in scene.questions:
-            layout = build_vqa_layout(model, scene, q.word)
-            if answer_fn is not None:
-                token = int(answer_fn(model, scene, q, layout, config))
-            else:
-                if prefix is None:
-                    prefix = encode_prefix(model, layout)
-                token = model_answer_fn(model, scene, q, layout, config, prefix)
+        for q, token in zip(scene.questions, tokens):
             correct, said_yes, mapped = _score_answer(model, token, q.present)
             if not mapped:
                 log.warning(

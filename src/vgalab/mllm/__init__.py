@@ -15,6 +15,7 @@ from .core import (
     generated_words,
     greedy_generate,
     prefill,
+    prefill_shared,
     reset_forward_rows,
 )
 from .planted import PlantedSpec, build_planted_model, build_random_model
@@ -41,6 +42,7 @@ __all__ = [
     "greedy_generate",
     "load_model",
     "prefill",
+    "prefill_shared",
     "reset_forward_rows",
     "save_model",
 ]

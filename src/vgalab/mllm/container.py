@@ -83,8 +83,13 @@ def _read_tensor(name: str, entry, blob: bytes) -> np.ndarray:
             raise FormatError(f"{name}: manifest entry missing {key!r}")
     if entry["dtype"] != "f32":
         raise FormatError(f"{name}: unsupported dtype {entry['dtype']!r}")
-    shape = tuple(int(d) for d in entry["shape"])
-    offset, length = int(entry["offset"]), int(entry["length"])
+    try:
+        shape = tuple(int(d) for d in entry["shape"])
+        offset, length = int(entry["offset"]), int(entry["length"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{name}: shape, offset and length must be integers ({exc})") from exc
+    if any(d < 0 for d in shape):
+        raise FormatError(f"{name}: negative dimension in shape {shape}")
     expected = int(np.prod(shape)) * 4
     if length != expected:
         raise FormatError(f"{name}: length {length} does not match shape {shape}")

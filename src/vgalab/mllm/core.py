@@ -9,13 +9,16 @@ downstream op accumulates in f64.
 Prefill runs in two phases over a single pass of the prompt: the visual
 prefix first (yielding per-patch vocabulary logits), then the remaining
 text rows attending the cached prefix. The prefix runs without a hook, so
-its keys, values and logits depend on the prefix tokens alone: prefill may
-start from a shared prefix (``encode_prefix`` runs it once as a frozen
-``VisualPrefix``; ``prefill(..., prefix=...)`` forks its cache and runs
-only the text rows, bit for bit what a full prefill computes). A guidance
-hook, when attached, receives the visual logits between the phases and may
-correct the attention output of designated rows at each layer. The hook is
-duck-typed:
+its keys, values and logits depend on the prefix tokens alone: prompts
+that share it may share one run of it. ``encode_prefix`` runs it once as a
+frozen ``VisualPrefix``, and ``prefill_shared`` runs the text tails of
+several prompts as one batched forward over its read-only rows, each batch
+entry what a ``prefill`` of that prompt alone computes, bit for bit on
+models with more than one head. The forward pass takes token ids [B, n];
+the attention kernel sees the batch entries' heads side by side on its
+head axis, since heads never mix. A guidance hook, when attached, receives
+the visual logits between the phases and corrects the attention output of
+its entry's last row at each layer. The hook is duck-typed:
 
     on_visual(visual_logits, layout, vocab)  -> None
     correction(layer, z_row, v_cache)        -> GuidanceRow | None
@@ -124,11 +127,10 @@ class KvCache:
     """Preallocated per-layer key/value store, float64, append-only.
 
     Rows past ``length`` are uninitialized: every read goes through
-    ``view`` or ``fork``, which stop at the written rows.
+    ``view``, which stops at the written rows.
     """
 
     def __init__(self, config: ModelConfig) -> None:
-        self.config = config
         shape = (config.max_seq_len, config.n_heads, config.d_head)
         self.k = [np.empty(shape) for _ in range(config.n_layers)]
         self.v = [np.empty(shape) for _ in range(config.n_layers)]
@@ -152,15 +154,6 @@ class KvCache:
     def view(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
         return self.k[layer][:upto], self.v[layer][:upto]
 
-    def fork(self) -> KvCache:
-        """A fresh cache of the same capacity holding a copy of the valid rows."""
-        out = KvCache(self.config)
-        n = self._len
-        for dst, src in zip(out.k + out.v, self.k + self.v):
-            dst[:n] = src[:n]
-        out._len = n
-        return out
-
 
 @dataclass
 class PrefillResult:
@@ -175,21 +168,25 @@ class PrefillResult:
 
 @dataclass(frozen=True)
 class VisualPrefix:
-    """The prompt prefix ``[0, visual_end)`` run once, to be forked per prompt.
+    """The prompt prefix ``[0, visual_end)`` run once, shared by prompts.
 
-    ``cache`` holds the prefix rows' keys and values and ``logits`` their
-    vocabulary logits; every array is write-protected, so one prefix can
-    serve any number of prompts that start with ``token_ids`` on ``model``.
+    ``k`` and ``v`` hold each layer's prefix keys and values
+    [visual_end, H, dh] and ``logits`` the prefix rows' vocabulary logits;
+    every array is write-protected, so one prefix can serve any number of
+    prompts that start with ``token_ids`` on ``model``.
     """
 
     token_ids: tuple[int, ...]
     model: Model
-    cache: KvCache
+    k: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
     logits: np.ndarray
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _NORM_EPS)
+    # np.mean's own arithmetic (sum, then divide by the count), without its
+    # Python wrapper: this runs twice per layer of every forward.
+    scale = np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
     return x / scale * gain
 
 
@@ -199,25 +196,48 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
+def _fold_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[B, n, d_model] -> [n, B*H, d_head]: the entries' heads side by side.
+
+    Attention treats every head on its own, so a batch rides on the
+    kernel's head axis; for B = 1 this is a view.
+    """
+    b, n, d = a.shape
+    return a.swapaxes(0, 1).reshape(n, b * n_heads, d // n_heads)
+
+
+def _join(shared: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Every entry's keys (or values): the shared rows [e, H, dh], then its own [n, B*H, dh]."""
+    e, h, dh = shared.shape
+    n, bh, _ = own.shape
+    out = np.empty((e + n, bh // h, h, dh))
+    out[:e] = shared[:, None]
+    out[e:] = own.reshape(n, bh // h, h, dh)
+    return out.reshape(e + n, bh, dh)
+
+
 def _forward_block(
     model: Model,
-    cache: KvCache,
     token_ids: np.ndarray,
     start_pos: int,
-    hook=None,
     *,
+    cache: KvCache | None = None,
+    prefix: VisualPrefix | None = None,
+    hooks: Sequence = (),
     explicit: bool = False,
-    guide_block_tail: bool = False,
 ) -> tuple[np.ndarray, list[float]]:
-    """Push ``token_ids`` (absolute positions start_pos..) through all layers.
+    """Push ``token_ids`` [B, n] (absolute positions start_pos..) through all layers.
 
-    Returns (logits for the block rows, per-layer BOS attention of the last
-    row when ``explicit``). Guidance corrections are applied to the block's
-    last row only when ``guide_block_tail`` is set.
+    Each layer's keys and values are appended to ``cache`` (B = 1), or read
+    as the read-only ``prefix`` rows followed by each entry's own rows, so
+    the entries never see each other. ``hooks`` holds a hook or None per
+    batch entry; a hook corrects its entry's last row. Returns (logits
+    [B, n, V], per-layer BOS attention of the last row when ``explicit``,
+    which runs on a cache only).
     """
     global _FORWARD_ROWS
     cfg = model.config
-    n = token_ids.shape[0]
+    b, n = token_ids.shape
     if start_pos + n > cfg.max_seq_len:
         raise CapacityError(
             f"sequence of length {start_pos + n} exceeds max_seq_len {cfg.max_seq_len}"
@@ -229,16 +249,19 @@ def _forward_block(
         model.embed_tok[token_ids].astype(np.float64)
         + model.embed_pos[start_pos : start_pos + n].astype(np.float64)
     )
-    guided = hook is not None and guide_block_tail
+    n_heads, d_head = cfg.n_heads, cfg.d_head
     bos_records: list[float] = []
 
     for layer_idx, lw in enumerate(model.layers):
         hn = rms_norm(x, lw.norm1)
-        q = (hn @ lw.wq).reshape(n, cfg.n_heads, cfg.d_head)
-        k = (hn @ lw.wk).reshape(n, cfg.n_heads, cfg.d_head)
-        v = (hn @ lw.wv).reshape(n, cfg.n_heads, cfg.d_head)
-        cache.write(layer_idx, start_pos, k, v)
-        k_all, v_all = cache.view(layer_idx, start_pos + n)
+        q = _fold_heads(hn @ lw.wq, n_heads)
+        k = _fold_heads(hn @ lw.wk, n_heads)
+        v = _fold_heads(hn @ lw.wv, n_heads)
+        if prefix is None:
+            cache.write(layer_idx, start_pos, k, v)
+            k_all, v_all = cache.view(layer_idx, start_pos + n)
+        else:
+            k_all, v_all = _join(prefix.k[layer_idx], k), _join(prefix.v[layer_idx], v)
 
         if explicit:
             z, alpha = attention_explicit(q, k_all, v_all)
@@ -246,17 +269,22 @@ def _forward_block(
         else:
             z = attention_fused(q, k_all, v_all)
 
-        corr = hook.correction(layer_idx, z[-1], v_all) if guided else None
-        if corr is not None and explicit:
-            # Reference route: recompute the row with the boost in its weights.
-            z[-1] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
-        elif corr is not None:
-            z[-1] = corr.apply(z[-1], v_all)
+        z = z.reshape(n, b, n_heads, d_head)
+        for i, hook in enumerate(hooks):
+            if hook is None:
+                continue
+            v_entry = v_all.reshape(-1, b, n_heads, d_head)[:, i]
+            corr = hook.correction(layer_idx, z[-1, i], v_entry)
+            if corr is not None and explicit:
+                # Reference route: recompute the row with the boost in its weights.
+                z[-1, i] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
+            elif corr is not None:
+                z[-1, i] = corr.apply(z[-1, i], v_entry)
 
-        x = x + z.reshape(n, cfg.d_model) @ lw.wo
+        x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
 
-    _FORWARD_ROWS += n
+    _FORWARD_ROWS += b * n
     return x @ model.unembed, bos_records
 
 
@@ -265,23 +293,20 @@ def _run_prefix(
 ) -> tuple[KvCache, np.ndarray, list[float]]:
     """Rows ``[0, e)`` of ``ids`` through all layers, unguided, into a new cache."""
     cache = KvCache(model.config)
-    logits, bos = _forward_block(model, cache, ids[:e], 0, hook=None, explicit=explicit)
+    logits, bos = _forward_block(model, ids[None, :e], 0, cache=cache, explicit=explicit)
     cache.advance(e)
-    return cache, logits, bos
+    return cache, logits[0], bos
 
 
 def encode_prefix(model: Model, layout: SequenceLayout) -> VisualPrefix:
     """Run the prompt's visual prefix once, for prompts that share it."""
     e = layout.visual_end
     cache, logits, _ = _run_prefix(model, layout.ids_array(), e, explicit=False)
-    for arr in (*cache.k, *cache.v, logits):
+    k = tuple(a[:e] for a in cache.k)
+    v = tuple(a[:e] for a in cache.v)
+    for arr in (*k, *v, logits):
         arr.flags.writeable = False
-    return VisualPrefix(
-        token_ids=layout.token_ids[:e],
-        model=model,
-        cache=cache,
-        logits=logits,
-    )
+    return VisualPrefix(token_ids=layout.token_ids[:e], model=model, k=k, v=v, logits=logits)
 
 
 def prefill(
@@ -290,16 +315,13 @@ def prefill(
     hook=None,
     *,
     record_attention: bool = False,
-    prefix: VisualPrefix | None = None,
 ) -> PrefillResult:
     """One pass over the prompt; visual rows first, then the text tail.
 
     The split lets an attached hook ground itself on the visual logits
     before the text rows (the only guided ones) are processed, without a
     second pass. ``record_attention`` switches to the explicit kernel and
-    records each layer's last-row attention to position 0. A ``prefix``
-    from ``encode_prefix`` on the same model and prefix tokens stands in
-    for the visual rows; the explicit kernel always runs the whole prompt.
+    records each layer's last-row attention to position 0.
     """
     cfg = model.config
     if layout.length > cfg.max_seq_len:
@@ -308,16 +330,7 @@ def prefill(
         )
     ids = layout.ids_array()
     e = layout.visual_end
-    if prefix is None:
-        cache, logits_prefix, bos_prefix = _run_prefix(model, ids, e, record_attention)
-    elif record_attention:
-        raise InvalidInput("record_attention runs the whole prompt; it takes no prefix")
-    elif prefix.model is not model:
-        raise InvalidInput("visual prefix was encoded with another model")
-    elif layout.token_ids[:e] != prefix.token_ids:
-        raise InvalidInput("visual prefix tokens differ from the prompt's")
-    else:
-        cache, logits_prefix, bos_prefix = prefix.cache.fork(), prefix.logits, []
+    cache, logits_prefix, bos_prefix = _run_prefix(model, ids, e, record_attention)
     visual_logits = logits_prefix[layout.visual_start : e].copy()
     if hook is not None:
         hook.on_visual(visual_logits, layout, model.vocab)
@@ -325,15 +338,14 @@ def prefill(
     if e < layout.length:
         logits_tail, bos_tail = _forward_block(
             model,
-            cache,
-            ids[e:],
+            ids[None, e:],
             e,
-            hook=hook,
+            cache=cache,
+            hooks=(hook,),
             explicit=record_attention,
-            guide_block_tail=True,
         )
         cache.advance(layout.length - e)
-        last_logits = logits_tail[-1].copy()
+        last_logits = logits_tail[0, -1].copy()
         bos = bos_tail
     else:
         last_logits = logits_prefix[-1].copy()
@@ -348,23 +360,58 @@ def prefill(
     )
 
 
+def prefill_shared(
+    model: Model,
+    prefix: VisualPrefix,
+    layouts: Sequence[SequenceLayout],
+    hooks: Sequence,
+) -> np.ndarray:
+    """Last-row logits [B, V] of prompts that start with ``prefix``, in one forward.
+
+    Every hook (one per layout, or None) gets the prefix's visual logits;
+    then the text tails, of equal length, run as one batch over the
+    read-only prefix rows. Row b is bit for bit
+    ``prefill(model, layouts[b], hook=hooks[b]).last_logits``, except that
+    one-row tails on a one-head model may differ in the last bits (BLAS
+    reduces a lone contiguous head by another path). No cache is kept, so
+    the prompts cannot be decoded further.
+    """
+    if prefix.model is not model:
+        raise InvalidInput("visual prefix was encoded with another model")
+    if not layouts or len(hooks) != len(layouts):
+        raise InvalidInput("need one or more prompts and one hook (or None) per prompt")
+    e = len(prefix.token_ids)
+    length = layouts[0].length
+    for layout in layouts:
+        if layout.visual_end != e or layout.token_ids[:e] != prefix.token_ids:
+            raise InvalidInput("visual prefix tokens differ from the prompt's")
+        if layout.length != length:
+            raise InvalidInput("text tails of unequal length cannot share one forward")
+    if length == e:
+        raise InvalidInput("prompts have no text tail after the prefix")
+    for layout, hook in zip(layouts, hooks):
+        if hook is not None:
+            hook.on_visual(prefix.logits[layout.visual_start : e], layout, model.vocab)
+    ids = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
+    logits, _ = _forward_block(model, ids, e, prefix=prefix, hooks=hooks)
+    return logits[:, -1].copy()
+
+
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
     """Append one token and return the next-token logits."""
     if cache.length >= cache.capacity:
         raise CapacityError(f"cache full at capacity {cache.capacity}")
-    ids = np.asarray([int(token_id)], dtype=np.int64)
-    logits, _ = _forward_block(
-        model, cache, ids, cache.length, hook=hook, guide_block_tail=True
-    )
+    ids = np.asarray([[int(token_id)]], dtype=np.int64)
+    logits, _ = _forward_block(model, ids, cache.length, cache=cache, hooks=(hook,))
     cache.advance(1)
-    return logits[0]
+    return logits[0, 0]
 
 
 def full_logits(model: Model, layout: SequenceLayout) -> np.ndarray:
     """Logits for every prompt position in one uncached pass (oracle path)."""
     cache = KvCache(model.config)
-    logits, _ = _forward_block(model, cache, layout.ids_array(), 0)
-    return logits
+    logits, _ = _forward_block(model, layout.ids_array()[None], 0, cache=cache)
+    return logits[0]
 
 
 def greedy_generate(

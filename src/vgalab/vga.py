@@ -32,7 +32,13 @@ from .grounding import (
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import DEGENERATE_EPS, cosine_sim_clamped, row_softmax, sum_normalize
+from .numerics import (
+    DEGENERATE_EPS,
+    L0_EPS,
+    cosine_sim_clamped,
+    row_softmax,
+    sum_normalize,
+)
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -304,8 +310,18 @@ def pvg_update(session: VgaSession, generated: int) -> None:
     g = session.grounding.weights
     column = session.visual_probs[:, generated]
     g_w, _ = sum_normalize(column)
-    raw = (1.0 + lam) * g - lam * g_w
-    session.grounding = Grounding.from_values(np.maximum(0.0, raw))
+    raw = np.maximum(0.0, (1.0 + lam) * g - lam * g_w)
+    # Grounding.from_values' arithmetic without re-validating values that
+    # are finite and nonnegative by construction: this runs on every token.
+    total = float(raw.sum())
+    if total < DEGENERATE_EPS:
+        session.grounding = Grounding(
+            weights=np.full(raw.shape, 1.0 / raw.size), rho=0.0, degenerate=True
+        )
+        return
+    weights = raw / total
+    rho = float(np.count_nonzero(weights > L0_EPS)) / weights.size
+    session.grounding = Grounding(weights=weights, rho=rho, degenerate=False)
 
 
 def bos_profile(model: Model, layout: SequenceLayout) -> list[float]:

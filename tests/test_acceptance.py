@@ -37,6 +37,7 @@ from vgalab.mllm import (
     full_logits,
     greedy_generate,
     prefill,
+    prefill_shared,
 )
 from vgalab.numerics import sum_normalize
 from vgalab.vga import VgaConfig, head_balance, new_session, pvg_update
@@ -252,8 +253,16 @@ def test_programmed_suppression_algebra(tiny_model):
         tiny_model, 0.05, probs, rng.uniform(0.1, 1.0, size=m)
     )
     for step in range(512):
-        pvg_update(session, int(rng.integers(0, v)))
+        token = int(rng.integers(0, v))
+        # the update spelled out with the validating constructor
+        g_w, _ = sum_normalize(probs[:, token])
+        validated = Grounding.from_values(
+            np.maximum(0.0, (1.0 + 0.05) * session.grounding.weights - 0.05 * g_w)
+        )
+        pvg_update(session, token)
         g = session.grounding
+        assert g.weights.tobytes() == validated.weights.tobytes()
+        assert (g.rho, g.degenerate) == (validated.rho, validated.degenerate)
         assert np.all(g.weights >= 0.0)
         assert 0.0 <= g.rho <= 1.0
         if g.degenerate:
@@ -418,26 +427,20 @@ def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, sce
         for scene in scenes125[:3]:
             layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
             prefix = encode_prefix(model, layouts[0])
-            for layout, q in zip(layouts, scene.questions):
-                for source in ("none", "vsc", "even", "ground_truth"):
-                    config = VgaConfig(beta=GUIDED_BETA, guidance_source=source)
-                    full_hook, shared_hook = (
-                        new_session(
-                            model,
-                            config,
-                            question=question_text(q.word),
-                            gt_mask=scene.objects[0],
-                        )
-                        for _ in range(2)
+            for source in ("none", "vsc", "even", "ground_truth"):
+                config = VgaConfig(beta=GUIDED_BETA, guidance_source=source)
+
+                def session(q):
+                    return new_session(
+                        model, config, question=question_text(q.word), gt_mask=scene.objects[0]
                     )
-                    full = prefill(model, layout, hook=full_hook)
-                    shared = prefill(model, layout, hook=shared_hook, prefix=prefix)
-                    assert shared.last_logits.tobytes() == full.last_logits.tobytes()
-                    assert shared.visual_logits.tobytes() == full.visual_logits.tobytes()
-                    token = int(np.argmax(full.last_logits))
-                    full_step = decode_step(model, full.cache, token, hook=full_hook)
-                    shared_step = decode_step(model, shared.cache, token, hook=shared_hook)
-                    assert shared_step.tobytes() == full_step.tobytes()
+
+                shared = prefill_shared(
+                    model, prefix, layouts, [session(q) for q in scene.questions]
+                )
+                for row, layout, q in zip(shared, layouts, scene.questions):
+                    alone = prefill(model, layout, hook=session(q))
+                    assert row.tobytes() == alone.last_logits.tobytes()
 
 
 def test_removing_components_degrades_in_the_expected_direction(

@@ -18,9 +18,11 @@ from vgalab.mllm import (
     full_logits,
     greedy_generate,
     prefill,
+    prefill_shared,
     reset_forward_rows,
 )
-from vgalab.mllm.core import gelu
+from vgalab.mllm.core import gelu, rms_norm
+from vgalab.vga import VgaConfig, new_session
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
@@ -70,11 +72,29 @@ def attention_problems(draw):
 @settings(max_examples=150, deadline=None)
 def test_fused_matches_explicit_on_any_shape(problem):
     tq, tk, heads, d_head, scale, seed = problem
-    q, k, v = random_qkv(np.random.default_rng(seed), tq, tk, heads, d_head)
+    rng = np.random.default_rng(seed)
+    q, k, v = random_qkv(rng, tq, tk, heads, d_head)
     z_ref, _ = attention_explicit(scale * q, scale * k, v)
     z_fused = attention_fused(scale * q, scale * k, v)
     assert z_fused.shape == (tq, heads, d_head)
     np.testing.assert_allclose(z_fused, z_ref, rtol=0, atol=KERNEL_TOL)
+    # A batch rides on the head axis (the forward pass folds B prompts'
+    # heads side by side): each entry's slice is the unbatched call's bytes.
+    # One query row against one head reads that head's values as a single
+    # contiguous matrix, which OpenBLAS's gemv may reduce by another path
+    # for widths under 4, so only that case is held to KERNEL_TOL.
+    batch = [(scale * q, scale * k, v)] + [
+        (scale * qi, scale * ki, vi)
+        for qi, ki, vi in (random_qkv(rng, tq, tk, heads, d_head) for _ in range(2))
+    ]
+    z_batch = attention_fused(*(np.concatenate(arrays, axis=1) for arrays in zip(*batch)))
+    for i, entry in enumerate(batch):
+        alone = attention_fused(*entry)
+        sliced = z_batch[:, i * heads : (i + 1) * heads]
+        if heads == 1 and tq == 1:
+            np.testing.assert_allclose(sliced, alone, rtol=0, atol=KERNEL_TOL)
+        else:
+            assert sliced.tobytes() == alone.tobytes()
 
 
 def test_gelu_cube_matches_power_form():
@@ -84,6 +104,23 @@ def test_gelu_cube_matches_power_form():
     far = gelu(np.array([-1e3, 1e3]))
     assert np.isfinite(far).all()
     assert far.tolist() == [0.0, 1e3]
+
+
+@given(
+    st.integers(1, 200),
+    st.integers(1, 128),
+    st.sampled_from([1e-3, 1.0, 1e5]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_rms_norm_matches_mean_form(rows, width, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(rows, width))
+    gain = rng.normal(size=width).astype(np.float32)
+    mean_form = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-6) * gain
+    assert rms_norm(x, gain).tobytes() == mean_form.tobytes()
+    batched = rms_norm(x.reshape(1, rows, width), gain)
+    assert batched.tobytes() == mean_form.tobytes()
 
 
 def test_attention_is_causal():
@@ -189,18 +226,17 @@ def test_decode_never_reads_cache_rows_past_length(tiny_model):
     rng = np.random.default_rng(10)
     layout = scene_layout(tiny_model, rng)
     result = prefill(tiny_model, layout)
-    shared = prefill(tiny_model, layout, prefix=encode_prefix(tiny_model, layout))
-    tokens = (int(np.argmax(result.last_logits)), tiny_model.vocab.eos_id)
-    for cache in (result.cache, result.cache.fork(), shared.cache):
-        clean = cache.fork()
-        for arr, fill in [(a, 0.0) for a in clean.k + clean.v] + [
-            (a, np.nan) for a in cache.k + cache.v
-        ]:
-            arr[cache.length :] = fill
-        for token in tokens:
-            poisoned_step = decode_step(tiny_model, cache, token)
-            clean_step = decode_step(tiny_model, clean, token)
-            assert poisoned_step.tobytes() == clean_step.tobytes()
+    cache = result.cache
+    clean = KvCache(tiny_model.config)
+    for dst, src in zip(clean.k + clean.v, cache.k + cache.v):
+        dst[:] = 0.0
+        dst[: cache.length] = src[: cache.length]
+        src[cache.length :] = np.nan
+    clean.advance(cache.length)
+    for token in (int(np.argmax(result.last_logits)), tiny_model.vocab.eos_id):
+        poisoned_step = decode_step(tiny_model, cache, token)
+        clean_step = decode_step(tiny_model, clean, token)
+        assert poisoned_step.tobytes() == clean_step.tobytes()
 
 
 def test_prefill_rejects_overlong_prompt(tiny_model):
@@ -263,27 +299,51 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
     other = scene_layout(tiny_model, rng)
     assert other.token_ids[: other.visual_end] != prefix.token_ids
     shorter = SequenceLayout(layout.token_ids, layout.visual_start, layout.visual_end - 1)
+    longer_tail = SequenceLayout(
+        layout.token_ids + (tiny_model.vocab.eos_id,), layout.visual_start, layout.visual_end
+    )
     twin = build_random_model(3)  # equal weights, another model object
-    for bad, model, record in (
-        (other, tiny_model, False),  # other patches
-        (shorter, tiny_model, False),  # other prefix length
-        (layout, twin, False),
-        (layout, tiny_model, True),  # the explicit kernel takes no prefix
+    for model, layouts in (
+        (tiny_model, [layout, other]),  # other patches
+        (tiny_model, [shorter]),  # other prefix length
+        (twin, [layout]),
+        (tiny_model, [layout, longer_tail]),  # unequal tails
+        (tiny_model, []),
     ):
         with pytest.raises(InvalidInput):
-            prefill(model, bad, prefix=prefix, record_attention=record)
+            prefill_shared(model, prefix, layouts, [None] * len(layouts))
+    with pytest.raises(InvalidInput):
+        prefill_shared(tiny_model, prefix, [layout], [])  # one hook per prompt
 
-    before = [a.tobytes() for a in (*prefix.cache.k, *prefix.cache.v, prefix.logits)]
-    for arr in (prefix.cache.k[0], prefix.cache.v[-1], prefix.logits):
+    before = [a.tobytes() for a in (*prefix.k, *prefix.v, prefix.logits)]
+    for arr in (prefix.k[0], prefix.v[-1], prefix.logits):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    forked = prefill(tiny_model, layout, prefix=prefix)
-    assert forked.cache.length == layout.length
-    forked.cache.k[0][0] = 1.0
-    forked.cache.v[-1][: layout.visual_end] = -1.0
-    forked.visual_logits[:] = 0.0
-    decode_step(tiny_model, forked.cache, int(np.argmax(forked.last_logits)))
-    after = [a.tobytes() for a in (*prefix.cache.k, *prefix.cache.v, prefix.logits)]
+
+    class Scribbler:
+        """A hook that writes into everything it is handed."""
+
+        def on_visual(self, visual_logits, layout, vocab):
+            with pytest.raises(ValueError):
+                visual_logits[:] = 0.0
+
+        def correction(self, layer, z_row, v_cache):
+            v_cache[:] = -1.0
+            return None
+
+    configs = [VgaConfig(guidance_source=source) for source in ("even", "vss")]
+    rows = prefill_shared(
+        tiny_model,
+        prefix,
+        [layout] * 3,
+        [new_session(tiny_model, c) for c in configs] + [Scribbler()],
+    )
+    assert rows.shape == (3, tiny_model.config.vocab_size)
+    for row, config in zip(rows, configs):
+        alone = prefill(tiny_model, layout, hook=new_session(tiny_model, config))
+        assert row.tobytes() == alone.last_logits.tobytes()
+    assert rows[0].tobytes() != rows[1].tobytes()  # each entry got its own hook
+    after = [a.tobytes() for a in (*prefix.k, *prefix.v, prefix.logits)]
     assert after == before
 
 

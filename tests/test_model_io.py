@@ -104,6 +104,29 @@ def test_shape_length_mismatch_raises_format_error(tmp_path, tiny_model):
         load_model(bad)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"shape": 5},
+        {"offset": None},
+        {"shape": ["a", 2]},
+        {"offset": "x"},
+        {"length": [1]},
+        {"shape": [-1, -1], "length": 4},  # a length that matches the shape
+    ],
+)
+def test_malformed_tensor_entry_raises_format_error(tmp_path, tiny_model, fields):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    manifest, blob = _manifest_of(path)
+    manifest["embed.pos"].update(fields)
+    encoded = json.dumps(manifest).encode()
+    bad = tmp_path / "entry.bin"
+    bad.write_bytes(struct.pack("<Q", len(encoded)) + encoded + blob)
+    with pytest.raises(FormatError, match="embed.pos"):
+        load_model(bad)
+
+
 def test_unwritable_path_raises_io_error(tmp_path, tiny_model):
     with pytest.raises(IoError):
         save_model(tiny_model, tmp_path / "no" / "such" / "dir" / "m.bin")
