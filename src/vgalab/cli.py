@@ -61,8 +61,6 @@ def _add_vga_flags(p: argparse.ArgumentParser, default_beta: float = 0.2) -> Non
     p.add_argument("--guidance", choices=SOURCES, default="auto",
                    help="grounding source; auto picks by mode")
     p.add_argument("--no-head-balance", action="store_true")
-    p.add_argument("--no-early-term", action="store_true",
-                   help="extend guidance through the last layer")
 
 
 def _config_from(args: argparse.Namespace, mode: str | None = None) -> VgaConfig:
@@ -75,7 +73,6 @@ def _config_from(args: argparse.Namespace, mode: str | None = None) -> VgaConfig
         mode=mode if mode is not None else args.mode,
         guidance_source=args.guidance,
         head_balancing=not args.no_head_balance,
-        early_termination=not args.no_early_term,
     )
 
 

@@ -6,10 +6,10 @@ scenes with a single-threaded reduce in scene order. Paired comparisons
 (guided vs vanilla, one guidance source vs another) should therefore be
 run on the same scene list and will see identical prompts.
 
-The existence loop encodes each scene's visual prefix once and answers
-all the scene's questions in one batched forward over it
-(``prefill_shared``). The prefix is local to one scene's evaluation, so
-worker threads never share one.
+The existence loop answers all of a scene's questions with one
+``prefill_shared`` call: the scene's visual prefix runs once and the
+questions' text tails run as one batched forward over it. Nothing of it
+outlives the call, so worker threads share no model state.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from ..grounding import (
 from ..mllm import (
     Model,
     SequenceLayout,
-    encode_prefix,
     forward_rows_count,
     generated_words,
     greedy_generate,
@@ -105,12 +104,14 @@ def run_existence_eval(
     ``answer_fn(model, scene, question, layout, config) -> token id`` can
     replace the model-driven answerer (e.g. a hard-coded oracle when
     testing the harness itself). Unmappable answers count as incorrect
-    and are logged. The default answerer encodes a scene's visual prefix
-    once and answers all its questions in one batched forward over it, the
+    and are logged. The default answerer runs a scene's visual prefix once
+    and answers all its questions in one batched forward over it, the
     tokens ``model_answer_fn`` gives one question at a time.
     """
     if not scenes:
         raise InvalidParams("need at least one scene")
+    if not any(scene.questions for scene in scenes):
+        raise InvalidParams("no scene has a question to ask")
 
     def eval_scene(scene: Scene) -> list[tuple[bool, bool, bool, bool]]:
         if not scene.questions:
@@ -123,8 +124,7 @@ def run_existence_eval(
             ]
         else:
             sessions = [_answer_session(model, scene, q, config) for q in scene.questions]
-            prefix = encode_prefix(model, layouts[0])
-            logits = prefill_shared(model, prefix, layouts, sessions)
+            logits = prefill_shared(model, layouts, sessions)
             tokens = [int(t) for t in np.argmax(logits, axis=-1)]
         out = []
         for q, token in zip(scene.questions, tokens):
@@ -327,6 +327,8 @@ def bench_ttft(
         raise InvalidParams("runs must be >= 1")
     if not scenes:
         raise InvalidParams("need at least one scene")
+    if not all(scene.questions for scene in scenes):
+        raise InvalidParams("every scene needs a question to time")
 
     def first_token_latency(scene: Scene, guided: bool) -> tuple[float, int]:
         """(seconds, forward rows) of one prefill and argmax."""

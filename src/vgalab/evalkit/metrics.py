@@ -187,8 +187,6 @@ class EvalReport:
     unmapped: int = 0
     mean_caption_len: float | None = None
     config: dict | None = None
-    seed: int | None = None
-    timings: dict | None = None
 
     def __post_init__(self) -> None:
         if self.n_items < 0:

@@ -108,12 +108,6 @@ class Scene:
     def n_patches(self) -> int:
         return len(self.patches)
 
-    def mask_of(self, word: str) -> MaskAnnotation:
-        for m in self.objects:
-            if m.word == word:
-                return m
-        raise InvalidParams(f"no mask for word {word!r}")
-
 
 def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     """Normalized popularity weights: rank r gets mass proportional to 1/(r+1)^a."""

@@ -7,9 +7,7 @@ from .core import (
     LayerWeights,
     Model,
     PrefillResult,
-    VisualPrefix,
     decode_step,
-    encode_prefix,
     forward_rows_count,
     full_logits,
     generated_words,
@@ -29,13 +27,11 @@ __all__ = [
     "PlantedSpec",
     "PrefillResult",
     "SequenceLayout",
-    "VisualPrefix",
     "attention_explicit",
     "attention_fused",
     "build_planted_model",
     "build_random_model",
     "decode_step",
-    "encode_prefix",
     "forward_rows_count",
     "full_logits",
     "generated_words",

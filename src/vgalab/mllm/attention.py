@@ -36,27 +36,19 @@ class GuidanceRow:
     """Additive guidance for the last query row's visual columns.
 
     ``weights`` is a unit-mass vector over the visual span ``span``; head h
-    receives weights scaled by ``beta * gamma[h] * rho``.
+    receives weights scaled by ``scales[h]`` (beta * rho * gamma_h).
+    ``delta`` [H, dh] is the value mix those weights select,
+    ``sum_i weights[i] * v[span[0] + i]`` per head.
     """
 
     weights: np.ndarray
-    beta: float
-    gamma: np.ndarray
-    rho: float
+    scales: np.ndarray
     span: tuple[int, int]
+    delta: np.ndarray
 
-    def head_scales(self) -> np.ndarray:
-        return self.beta * self.rho * np.asarray(self.gamma, dtype=np.float64)
-
-    def apply(self, z_row: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Guided output of one row: ``z_row`` [H, dh] plus the scaled value mix.
-
-        ``v`` is the value cache [Tk, H, dh]; only the span's rows are read.
-        """
-        s, e = self.span
-        g = np.asarray(self.weights, dtype=np.float64)
-        mix = g @ v[s:e].reshape(e - s, -1)  # one GEMV over the flattened heads
-        return z_row + self.head_scales()[:, None] * mix.reshape(z_row.shape)
+    def apply(self, z_row: np.ndarray) -> np.ndarray:
+        """Guided output of one row: ``z_row`` [H, dh] plus the scaled value mix."""
+        return z_row + self.scales[:, None] * self.delta
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,7 +72,7 @@ def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
 
     With ``guidance``, the last query row's weights over the visual span get
     the additive boost before the value reduction, so the returned alpha is
-    the guided matrix (its guided row sums to 1 + beta*gamma_h*rho).
+    the guided matrix (its guided row sums to 1 + scales[h]).
     """
     q, k, v = _check_qkv(q, k, v)
     tq, n_heads, d_head = q.shape
@@ -105,7 +97,7 @@ def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
         if e - 1 > offset + tq - 1:
             raise InvalidInput("guidance span is not visible to the last query row")
         alpha = alpha.copy()
-        alpha[:, -1, s:e] += guidance.head_scales()[:, None] * g[None, :]
+        alpha[:, -1, s:e] += guidance.scales[:, None] * g[None, :]
 
     z = np.einsum("hqk,khd->qhd", alpha, v)
     return z, alpha

@@ -9,16 +9,16 @@ downstream op accumulates in f64.
 Prefill runs in two phases over a single pass of the prompt: the visual
 prefix first (yielding per-patch vocabulary logits), then the remaining
 text rows attending the cached prefix. The prefix runs without a hook, so
-its keys, values and logits depend on the prefix tokens alone: prompts
-that share it may share one run of it. ``encode_prefix`` runs it once as a
-frozen ``VisualPrefix``, and ``prefill_shared`` runs the text tails of
-several prompts as one batched forward over its read-only rows, each batch
-entry what a ``prefill`` of that prompt alone computes, bit for bit on
-models with more than one head. The forward pass takes token ids [B, n];
-the attention kernel sees the batch entries' heads side by side on its
-head axis, since heads never mix. A guidance hook, when attached, receives
-the visual logits between the phases and corrects the attention output of
-its entry's last row at each layer. The hook is duck-typed:
+its keys, values and logits depend on the prefix tokens alone, and prompts
+that share it share one run of it: ``prefill_shared`` runs the prefix once
+and the text tails of all its prompts as one batched forward over its
+cached rows, each batch entry what a ``prefill`` of that prompt alone
+computes, bit for bit on models with more than one head. The forward pass
+takes token ids [B, n]; the attention kernel sees the batch entries' heads
+side by side on its head axis, since heads never mix. A guidance hook,
+when attached, receives the read-only visual logits between the phases
+and corrects the attention output of its entry's last row at each layer.
+The hook is duck-typed:
 
     on_visual(visual_logits, layout, vocab)  -> None
     correction(layer, z_row, v_cache)        -> GuidanceRow | None
@@ -166,23 +166,6 @@ class PrefillResult:
     bos_attention: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class VisualPrefix:
-    """The prompt prefix ``[0, visual_end)`` run once, shared by prompts.
-
-    ``k`` and ``v`` hold each layer's prefix keys and values
-    [visual_end, H, dh] and ``logits`` the prefix rows' vocabulary logits;
-    every array is write-protected, so one prefix can serve any number of
-    prompts that start with ``token_ids`` on ``model``.
-    """
-
-    token_ids: tuple[int, ...]
-    model: Model
-    k: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
-    logits: np.ndarray
-
-
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     # np.mean's own arithmetic (sum, then divide by the count), without its
     # Python wrapper: this runs twice per layer of every forward.
@@ -220,20 +203,20 @@ def _forward_block(
     model: Model,
     token_ids: np.ndarray,
     start_pos: int,
+    cache: KvCache,
     *,
-    cache: KvCache | None = None,
-    prefix: VisualPrefix | None = None,
     hooks: Sequence = (),
     explicit: bool = False,
 ) -> tuple[np.ndarray, list[float]]:
     """Push ``token_ids`` [B, n] (absolute positions start_pos..) through all layers.
 
-    Each layer's keys and values are appended to ``cache`` (B = 1), or read
-    as the read-only ``prefix`` rows followed by each entry's own rows, so
-    the entries never see each other. ``hooks`` holds a hook or None per
-    batch entry; a hook corrects its entry's last row. Returns (logits
-    [B, n, V], per-layer BOS attention of the last row when ``explicit``,
-    which runs on a cache only).
+    One row (B = 1) appends its keys and values to ``cache``. A batch
+    (B > 1) reads the cache's first ``start_pos`` rows, shared by every
+    entry, followed by each entry's own rows, so the entries never see each
+    other, and writes nothing. ``hooks`` holds a hook or None per batch
+    entry; a hook corrects its entry's last row. Returns (logits [B, n, V],
+    per-layer BOS attention of the last row when ``explicit``, which runs
+    for B = 1 only).
     """
     global _FORWARD_ROWS
     cfg = model.config
@@ -257,11 +240,12 @@ def _forward_block(
         q = _fold_heads(hn @ lw.wq, n_heads)
         k = _fold_heads(hn @ lw.wk, n_heads)
         v = _fold_heads(hn @ lw.wv, n_heads)
-        if prefix is None:
+        if b == 1:
             cache.write(layer_idx, start_pos, k, v)
             k_all, v_all = cache.view(layer_idx, start_pos + n)
         else:
-            k_all, v_all = _join(prefix.k[layer_idx], k), _join(prefix.v[layer_idx], v)
+            k_shared, v_shared = cache.view(layer_idx, start_pos)
+            k_all, v_all = _join(k_shared, k), _join(v_shared, v)
 
         if explicit:
             z, alpha = attention_explicit(q, k_all, v_all)
@@ -279,7 +263,7 @@ def _forward_block(
                 # Reference route: recompute the row with the boost in its weights.
                 z[-1, i] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
             elif corr is not None:
-                z[-1, i] = corr.apply(z[-1, i], v_entry)
+                z[-1, i] = corr.apply(z[-1, i])
 
         x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
@@ -288,25 +272,38 @@ def _forward_block(
     return x @ model.unembed, bos_records
 
 
-def _run_prefix(
-    model: Model, ids: np.ndarray, e: int, explicit: bool
-) -> tuple[KvCache, np.ndarray, list[float]]:
-    """Rows ``[0, e)`` of ``ids`` through all layers, unguided, into a new cache."""
+def _prefill(
+    model: Model, layouts: Sequence[SequenceLayout], hooks: Sequence, explicit: bool
+) -> tuple[KvCache, np.ndarray, np.ndarray, list[float]]:
+    """Run the prompts' shared visual prefix once, then their text tails as one batch.
+
+    The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
+    a new cache; every hook gets the same read-only visual logits; then the
+    tails, of equal length, run as one [B, n] forward, which extends the
+    cache only for B = 1. Returns (cache, visual logits, last-row logits
+    [B, V], per-layer BOS attention when ``explicit``).
+    """
+    first = layouts[0]
+    if first.length > model.config.max_seq_len:
+        raise CapacityError(
+            f"prompt of length {first.length} exceeds max_seq_len {model.config.max_seq_len}"
+        )
+    e = first.visual_end
     cache = KvCache(model.config)
-    logits, bos = _forward_block(model, ids[None, :e], 0, cache=cache, explicit=explicit)
+    logits, bos = _forward_block(model, first.ids_array()[None, :e], 0, cache, explicit=explicit)
     cache.advance(e)
-    return cache, logits[0], bos
+    visual_logits = logits[0, first.visual_start : e]
+    visual_logits.flags.writeable = False
+    for layout, hook in zip(layouts, hooks):
+        if hook is not None:
+            hook.on_visual(visual_logits, layout, model.vocab)
 
-
-def encode_prefix(model: Model, layout: SequenceLayout) -> VisualPrefix:
-    """Run the prompt's visual prefix once, for prompts that share it."""
-    e = layout.visual_end
-    cache, logits, _ = _run_prefix(model, layout.ids_array(), e, explicit=False)
-    k = tuple(a[:e] for a in cache.k)
-    v = tuple(a[:e] for a in cache.v)
-    for arr in (*k, *v, logits):
-        arr.flags.writeable = False
-    return VisualPrefix(token_ids=layout.token_ids[:e], model=model, k=k, v=v, logits=logits)
+    if e < first.length:
+        tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
+        logits, bos = _forward_block(model, tails, e, cache, hooks=hooks, explicit=explicit)
+        if len(layouts) == 1:
+            cache.advance(first.length - e)
+    return cache, visual_logits, logits[:, -1].copy(), bos
 
 
 def prefill(
@@ -323,78 +320,42 @@ def prefill(
     second pass. ``record_attention`` switches to the explicit kernel and
     records each layer's last-row attention to position 0.
     """
-    cfg = model.config
-    if layout.length > cfg.max_seq_len:
-        raise CapacityError(
-            f"prompt of length {layout.length} exceeds max_seq_len {cfg.max_seq_len}"
-        )
-    ids = layout.ids_array()
-    e = layout.visual_end
-    cache, logits_prefix, bos_prefix = _run_prefix(model, ids, e, record_attention)
-    visual_logits = logits_prefix[layout.visual_start : e].copy()
-    if hook is not None:
-        hook.on_visual(visual_logits, layout, model.vocab)
-
-    if e < layout.length:
-        logits_tail, bos_tail = _forward_block(
-            model,
-            ids[None, e:],
-            e,
-            cache=cache,
-            hooks=(hook,),
-            explicit=record_attention,
-        )
-        cache.advance(layout.length - e)
-        last_logits = logits_tail[0, -1].copy()
-        bos = bos_tail
-    else:
-        last_logits = logits_prefix[-1].copy()
-        bos = bos_prefix
-
+    cache, visual_logits, last_logits, bos = _prefill(model, [layout], [hook], record_attention)
     return PrefillResult(
         cache=cache,
         visual_logits=visual_logits,
-        last_logits=last_logits,
+        last_logits=last_logits[0],
         layout=layout,
         bos_attention=tuple(bos) if record_attention else None,
     )
 
 
 def prefill_shared(
-    model: Model,
-    prefix: VisualPrefix,
-    layouts: Sequence[SequenceLayout],
-    hooks: Sequence,
+    model: Model, layouts: Sequence[SequenceLayout], hooks: Sequence
 ) -> np.ndarray:
-    """Last-row logits [B, V] of prompts that start with ``prefix``, in one forward.
+    """Last-row logits [B, V] of prompts that share one visual prefix, in one forward.
 
-    Every hook (one per layout, or None) gets the prefix's visual logits;
-    then the text tails, of equal length, run as one batch over the
-    read-only prefix rows. Row b is bit for bit
-    ``prefill(model, layouts[b], hook=hooks[b]).last_logits``, except that
-    one-row tails on a one-head model may differ in the last bits (BLAS
-    reduces a lone contiguous head by another path). No cache is kept, so
-    the prompts cannot be decoded further.
+    The prompts must match ``layouts[0]`` in ``visual_end``, in the tokens
+    before it and in length, and have a text tail. The prefix runs once;
+    every hook (one per layout, or None) gets its read-only visual logits;
+    then the text tails run as one batch over its rows. Row b is bit for
+    bit ``prefill(model, layouts[b], hook=hooks[b]).last_logits``, except
+    that one-row tails on a one-head model may differ in the last bits
+    (BLAS reduces a lone contiguous head by another path). No cache is
+    kept, so the prompts cannot be decoded further.
     """
-    if prefix.model is not model:
-        raise InvalidInput("visual prefix was encoded with another model")
     if not layouts or len(hooks) != len(layouts):
         raise InvalidInput("need one or more prompts and one hook (or None) per prompt")
-    e = len(prefix.token_ids)
-    length = layouts[0].length
+    first = layouts[0]
+    e = first.visual_end
     for layout in layouts:
-        if layout.visual_end != e or layout.token_ids[:e] != prefix.token_ids:
-            raise InvalidInput("visual prefix tokens differ from the prompt's")
-        if layout.length != length:
+        if layout.visual_end != e or layout.token_ids[:e] != first.token_ids[:e]:
+            raise InvalidInput("prompts do not share one visual prefix")
+        if layout.length != first.length:
             raise InvalidInput("text tails of unequal length cannot share one forward")
-    if length == e:
+    if first.length == e:
         raise InvalidInput("prompts have no text tail after the prefix")
-    for layout, hook in zip(layouts, hooks):
-        if hook is not None:
-            hook.on_visual(prefix.logits[layout.visual_start : e], layout, model.vocab)
-    ids = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
-    logits, _ = _forward_block(model, ids, e, prefix=prefix, hooks=hooks)
-    return logits[:, -1].copy()
+    return _prefill(model, layouts, hooks, explicit=False)[2]
 
 
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
@@ -402,7 +363,7 @@ def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.nd
     if cache.length >= cache.capacity:
         raise CapacityError(f"cache full at capacity {cache.capacity}")
     ids = np.asarray([[int(token_id)]], dtype=np.int64)
-    logits, _ = _forward_block(model, ids, cache.length, cache=cache, hooks=(hook,))
+    logits, _ = _forward_block(model, ids, cache.length, cache, hooks=(hook,))
     cache.advance(1)
     return logits[0, 0]
 
@@ -410,7 +371,7 @@ def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.nd
 def full_logits(model: Model, layout: SequenceLayout) -> np.ndarray:
     """Logits for every prompt position in one uncached pass (oracle path)."""
     cache = KvCache(model.config)
-    logits, _ = _forward_block(model, layout.ids_array()[None], 0, cache=cache)
+    logits, _ = _forward_block(model, layout.ids_array()[None], 0, cache)
     return logits[0]
 
 

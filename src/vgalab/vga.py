@@ -50,10 +50,9 @@ class VgaConfig:
     """Knobs for one guidance session.
 
     ``end_layer=None`` resolves to half the model's depth when the session
-    binds to a model; ``early_termination=False`` extends guidance through
-    the last layer instead. ``guidance_source="auto"`` picks the
-    object-directed source in vqa mode and the salience source in caption
-    mode.
+    binds to a model; ``end_layer=n_layers`` guides through the last layer.
+    ``guidance_source="auto"`` picks the object-directed source in vqa mode
+    and the salience source in caption mode.
     """
 
     beta: float = 0.2
@@ -64,7 +63,6 @@ class VgaConfig:
     mode: str = "vqa"
     guidance_source: str = "auto"
     head_balancing: bool = True
-    early_termination: bool = True
     pvg_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -163,10 +161,7 @@ class VgaSession:
     ) -> None:
         n_layers = model.config.n_layers
         start = config.start_layer
-        if config.early_termination:
-            end = config.end_layer if config.end_layer is not None else n_layers // 2
-        else:
-            end = n_layers
+        end = config.end_layer if config.end_layer is not None else n_layers // 2
         if not 0 <= start <= end <= n_layers:
             raise ConfigError(
                 f"guidance range [{start}, {end}) invalid for {n_layers} layers"
@@ -210,17 +205,16 @@ class VgaSession:
         if rho == 0.0:
             return None
         s, e = self.layout.visual_start, self.layout.visual_end
+        delta = delta_z(self.grounding, v_cache[s:e])
         if cfg.head_balancing:
-            dz = delta_z(self.grounding, v_cache[s:e])
-            gamma = head_balance(z_row, dz).gamma
+            gamma = head_balance(z_row, delta).gamma
         else:
             gamma = np.ones(z_row.shape[0], dtype=np.float64)
         return GuidanceRow(
             weights=self.grounding.weights,
-            beta=cfg.beta,
-            gamma=gamma,
-            rho=rho,
+            scales=cfg.beta * rho * gamma,
             span=(s, e),
+            delta=delta,
         )
 
     def on_token(self, token_id: int) -> None:

@@ -33,14 +33,13 @@ from vgalab.mllm import (
     attention_fused,
     build_random_model,
     decode_step,
-    encode_prefix,
     full_logits,
     greedy_generate,
     prefill,
     prefill_shared,
 )
 from vgalab.numerics import sum_normalize
-from vgalab.vga import VgaConfig, head_balance, new_session, pvg_update
+from vgalab.vga import VgaConfig, delta_z, head_balance, new_session, pvg_update
 
 REL_TOL = 1e-5
 ATOL_FLOOR = 1e-8
@@ -65,16 +64,19 @@ def random_qkv(rng, tq, tk, n_heads, d_head):
     return q, k, v
 
 
-def random_guidance(rng, tk, n_heads, beta):
+def random_guidance(rng, v, beta):
+    """A row over a random span of ``v`` [Tk, H, dh], its mix from ``delta_z``."""
+    tk, n_heads, _ = v.shape
     start = int(rng.integers(0, tk - 2))
     end = int(rng.integers(start + 1, tk))
     weights, _ = sum_normalize(rng.uniform(0.1, 1.0, size=end - start))
+    gamma = rng.uniform(0.0, 2.0, size=n_heads)
+    rho = float(rng.uniform(0.1, 1.0))
     return GuidanceRow(
         weights=weights,
-        beta=beta,
-        gamma=rng.uniform(0.0, 2.0, size=n_heads),
-        rho=float(rng.uniform(0.1, 1.0)),
+        scales=beta * rho * gamma,
         span=(start, end),
+        delta=delta_z(weights, v[start:end]),
     )
 
 
@@ -89,22 +91,23 @@ def test_fused_and_explicit_attention_agree():
         d_head = int(rng.choice([4, 8, 16]))
         tk = int(rng.integers(4, 80))
         q, k, v = random_qkv(rng, tk, tk, n_heads, d_head)
-        row = random_guidance(rng, tk, n_heads, beta=float(rng.choice(BETAS)))
+        row = random_guidance(rng, v, beta=float(rng.choice(BETAS)))
         z_explicit, _ = attention_explicit(q, k, v, guidance=row)
         z_fused = attention_fused(q, k, v)
         np.testing.assert_allclose(
-            z_explicit[-1], row.apply(z_fused[-1], v), rtol=REL_TOL, atol=ATOL_FLOOR
+            z_explicit[-1], row.apply(z_fused[-1]), rtol=REL_TOL, atol=ATOL_FLOOR
         )
         np.testing.assert_allclose(
             z_explicit[:-1], z_fused[:-1], rtol=REL_TOL, atol=ATOL_FLOOR
         )
         draws += 1
 
+    every_layer = build_random_model(0).config.n_layers  # the depth of every seed
     configs = [
-        VgaConfig(beta=beta, guidance_source="even", early_termination=False)
+        VgaConfig(beta=beta, guidance_source="even", end_layer=every_layer)
         for beta in BETAS
     ] + [  # non-uniform groundings; reversed salience drains a patch, so rho < 1
-        VgaConfig(mode="caption", guidance_source=source, early_termination=False)
+        VgaConfig(mode="caption", guidance_source=source, end_layer=every_layer)
         for source in ("vss", "reversed_vss")
     ]
     partial_rho = 0
@@ -159,11 +162,11 @@ def test_guided_attention_rows_carry_injected_mass():
         d_head = int(rng.choice([4, 8]))
         tk = int(rng.integers(4, 40))
         q, k, v = random_qkv(rng, tk, tk, n_heads, d_head)
-        row = random_guidance(rng, tk, n_heads, beta=float(rng.choice(BETAS)))
+        row = random_guidance(rng, v, beta=float(rng.choice(BETAS)))
         _, alpha = attention_explicit(q, k, v, guidance=row)
         guided_sums = alpha[:, -1, :].sum(axis=1)
         np.testing.assert_allclose(
-            guided_sums, 1.0 + row.head_scales(), rtol=0, atol=ROW_SUM_TOL
+            guided_sums, 1.0 + row.scales, rtol=0, atol=ROW_SUM_TOL
         )
         plain_sums = alpha[:, :-1, :].sum(axis=2)
         np.testing.assert_allclose(
@@ -426,7 +429,6 @@ def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, sce
     for model in (clean_model, noisy_model):
         for scene in scenes125[:3]:
             layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
-            prefix = encode_prefix(model, layouts[0])
             for source in ("none", "vsc", "even", "ground_truth"):
                 config = VgaConfig(beta=GUIDED_BETA, guidance_source=source)
 
@@ -435,9 +437,7 @@ def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, sce
                         model, config, question=question_text(q.word), gt_mask=scene.objects[0]
                     )
 
-                shared = prefill_shared(
-                    model, prefix, layouts, [session(q) for q in scene.questions]
-                )
+                shared = prefill_shared(model, layouts, [session(q) for q in scene.questions])
                 for row, layout, q in zip(shared, layouts, scene.questions):
                     alone = prefill(model, layout, hook=session(q))
                     assert row.tobytes() == alone.last_logits.tobytes()

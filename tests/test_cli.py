@@ -216,6 +216,18 @@ def test_bench_ttft_reports_timings(workdir, tmp_path, capsys):
     assert payload["vanilla_median_s"] > 0
 
 
+@pytest.mark.parametrize("command", ["eval-exist", "bench-ttft"])
+def test_scenes_without_questions_exit_two(workdir, tmp_path, capsys, command):
+    payload = json.loads((workdir / "scenes.json").read_text())
+    for scene in payload["scenes"]:
+        scene["questions"] = []
+    scenes = tmp_path / "no-questions.json"
+    scenes.write_text(json.dumps(payload))
+    rc = run([command, "--model", model_path(workdir), "--scenes", str(scenes)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run([]) == 1
     assert run(["no-such-command"]) == 1

@@ -284,8 +284,8 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
     serial = run_existence_eval(clean_model, scenes12[:4], cfg)
     parallel = run_existence_eval(clean_model, scenes12[:4], cfg, jobs=3)
     assert serial == parallel
-    # Each scene's prefix is encoded once and its questions' tails run as
-    # one batch over it, in every worker, with the same reports as the
+    # Each scene's prefix runs once and its questions' tails run as one
+    # batch over it, in every worker, with the same reports as the
     # one-question answerer.
     guided = VgaConfig(guidance_source="vsc")
     reset_forward_rows()

@@ -13,7 +13,6 @@ from vgalab.mllm import (
     attention_fused,
     build_random_model,
     decode_step,
-    encode_prefix,
     forward_rows_count,
     full_logits,
     greedy_generate,
@@ -22,7 +21,7 @@ from vgalab.mllm import (
     reset_forward_rows,
 )
 from vgalab.mllm.core import gelu, rms_norm
-from vgalab.vga import VgaConfig, new_session
+from vgalab.vga import VgaConfig, delta_z, new_session
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
@@ -151,23 +150,23 @@ def test_attention_shape_errors():
 def test_guidance_row_splice_and_span_checks():
     rng = np.random.default_rng(3)
     q, k, v = random_qkv(rng, 2, 8, 2, 4)
+    weights = np.full(4, 0.25)
     g = GuidanceRow(
-        weights=np.full(4, 0.25),
-        beta=0.5,
-        gamma=np.array([1.0, 0.5]),
-        rho=1.0,
+        weights=weights,
+        scales=np.array([0.5, 0.25]),
         span=(1, 5),
+        delta=delta_z(weights, v[1:5]),
     )
     _, alpha = attention_explicit(q, k, v, guidance=g)
     sums = alpha[:, -1, :].sum(axis=-1)
-    assert np.allclose(sums, 1.0 + g.head_scales(), atol=1e-12)
+    assert np.allclose(sums, 1.0 + g.scales, atol=1e-12)
     with pytest.raises(ShapeError):
         attention_explicit(q, k, v, guidance=GuidanceRow(
-            weights=np.full(3, 1 / 3), beta=0.5, gamma=np.ones(2), rho=1.0, span=(1, 5)
+            weights=np.full(3, 1 / 3), scales=np.ones(2), span=(1, 5), delta=g.delta
         ))
     with pytest.raises(ShapeError):
         attention_explicit(q, k, v, guidance=GuidanceRow(
-            weights=np.full(4, 0.25), beta=0.5, gamma=np.ones(2), rho=1.0, span=(5, 9)
+            weights=weights, scales=np.ones(2), span=(5, 9), delta=g.delta
         ))
 
 
@@ -295,30 +294,24 @@ def test_forward_row_counter_tracks_rows(tiny_model):
 def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
     rng = np.random.default_rng(9)
     layout = scene_layout(tiny_model, rng)
-    prefix = encode_prefix(tiny_model, layout)
     other = scene_layout(tiny_model, rng)
-    assert other.token_ids[: other.visual_end] != prefix.token_ids
+    assert other.token_ids[: other.visual_end] != layout.token_ids[: layout.visual_end]
     shorter = SequenceLayout(layout.token_ids, layout.visual_start, layout.visual_end - 1)
     longer_tail = SequenceLayout(
         layout.token_ids + (tiny_model.vocab.eos_id,), layout.visual_start, layout.visual_end
     )
-    twin = build_random_model(3)  # equal weights, another model object
-    for model, layouts in (
-        (tiny_model, [layout, other]),  # other patches
-        (tiny_model, [shorter]),  # other prefix length
-        (twin, [layout]),
-        (tiny_model, [layout, longer_tail]),  # unequal tails
-        (tiny_model, []),
+    for layouts in (
+        [layout, other],  # other patches
+        [layout, shorter],  # other prefix length
+        [layout, longer_tail],  # unequal tails
+        [],
     ):
         with pytest.raises(InvalidInput):
-            prefill_shared(model, prefix, layouts, [None] * len(layouts))
+            prefill_shared(tiny_model, layouts, [None] * len(layouts))
     with pytest.raises(InvalidInput):
-        prefill_shared(tiny_model, prefix, [layout], [])  # one hook per prompt
-
-    before = [a.tobytes() for a in (*prefix.k, *prefix.v, prefix.logits)]
-    for arr in (prefix.k[0], prefix.v[-1], prefix.logits):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+        prefill_shared(tiny_model, [layout], [])  # one hook per prompt
+    with pytest.raises(ValueError):
+        prefill(tiny_model, layout).visual_logits[0] = 1.0
 
     class Scribbler:
         """A hook that writes into everything it is handed."""
@@ -332,19 +325,16 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
             return None
 
     configs = [VgaConfig(guidance_source=source) for source in ("even", "vss")]
-    rows = prefill_shared(
-        tiny_model,
-        prefix,
-        [layout] * 3,
-        [new_session(tiny_model, c) for c in configs] + [Scribbler()],
-    )
-    assert rows.shape == (3, tiny_model.config.vocab_size)
-    for row, config in zip(rows, configs):
-        alone = prefill(tiny_model, layout, hook=new_session(tiny_model, config))
-        assert row.tobytes() == alone.last_logits.tobytes()
-    assert rows[0].tobytes() != rows[1].tobytes()  # each entry got its own hook
-    after = [a.tobytes() for a in (*prefix.k, *prefix.v, prefix.logits)]
-    assert after == before
+    for scribbler_at in (0, 2):
+        hooks = [new_session(tiny_model, c) for c in configs]
+        hooks.insert(scribbler_at, Scribbler())
+        rows = prefill_shared(tiny_model, [layout] * 3, hooks)
+        assert rows.shape == (3, tiny_model.config.vocab_size)
+        rows = np.delete(rows, scribbler_at, axis=0)
+        for row, config in zip(rows, configs):
+            alone = prefill(tiny_model, layout, hook=new_session(tiny_model, config))
+            assert row.tobytes() == alone.last_logits.tobytes()
+        assert rows[0].tobytes() != rows[1].tobytes()  # each entry got its own hook
 
 
 def test_record_attention_profiles_every_layer(tiny_model):

@@ -53,12 +53,12 @@ def test_session_layer_range_resolution(tiny_model):
     n = tiny_model.config.n_layers
     s = new_session(tiny_model, VgaConfig())
     assert (s.start_layer, s.end_layer) == (0, n // 2)
-    s = new_session(tiny_model, VgaConfig(early_termination=False))
+    s = new_session(tiny_model, VgaConfig(end_layer=n))
     assert (s.start_layer, s.end_layer) == (0, n)
     s = new_session(tiny_model, VgaConfig(start_layer=1, end_layer=1))
     assert (s.start_layer, s.end_layer) == (1, 1)
     with pytest.raises(ConfigError):
-        new_session(tiny_model, VgaConfig(start_layer=n + 1, early_termination=False))
+        new_session(tiny_model, VgaConfig(start_layer=n + 1, end_layer=n + 1))
     with pytest.raises(ConfigError):
         new_session(tiny_model, VgaConfig(guidance_source="ground_truth"))
 
@@ -231,7 +231,8 @@ def test_correction_respects_layer_range_and_beta(clean_model):
     assert row is not None
     assert row.span == (layout.visual_start, layout.visual_end)
     assert abs(row.weights.sum() - 1.0) < 1e-9
-    assert row.rho == 1.0  # vqa mode pins the decay factor
+    gamma = head_balance(z, row.delta).gamma
+    assert row.scales.tobytes() == (cfg.beta * gamma).tobytes()  # vqa mode pins rho to 1
 
     zero_beta = new_session(clean_model, VgaConfig(guidance_source="even", beta=0.0))
     prefill(clean_model, layout, hook=zero_beta)
@@ -254,7 +255,7 @@ def test_correction_apply_adds_scaled_value_mix(clean_model):
     z = rng.normal(size=(heads, d_head))
     v = result.cache.v[0][: layout.length]
     v_vis = v[layout.visual_start : layout.visual_end]
-    got = session.correction(0, z, v).apply(z, v)
+    got = session.correction(0, z, v).apply(z)
     want = z + 0.4 * 1.0 * delta_z(session.grounding, v_vis)
     assert np.allclose(got, want, atol=1e-12)
     assert session.correction(5, z, v) is None
@@ -283,6 +284,20 @@ def test_pvg_suppresses_described_regions(clean_model):
     after = session.grounding.weights[:4].sum()
     assert after < before
     assert abs(session.grounding.weights.sum() - 1.0) < 1e-9
+
+
+def test_caption_correction_scales_by_rho(clean_model):
+    config = VgaConfig(
+        mode="caption", guidance_source="reversed_vss", beta=0.4, head_balancing=False
+    )
+    session = bound_caption_session(clean_model, config)
+    rho = session.grounding.rho
+    assert 0.0 < rho < 1.0  # reversed salience drains a patch
+    heads, d_head = clean_model.config.n_heads, clean_model.config.d_head
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=(session.layout.length, heads, d_head))
+    row = session.correction(0, rng.normal(size=(heads, d_head)), v)
+    assert row.scales.tobytes() == (0.4 * rho * np.ones(heads)).tobytes()
 
 
 def test_pvg_ignores_vqa_mode_and_zero_lambda(clean_model):
