@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
 
 def _cmd_make_model(args) -> int:
     if args.kind == "planted":
-        model = build_planted_model(PlantedSpec().with_sigma(args.sigma), seed=args.seed)
+        model = build_planted_model(PlantedSpec(sigma=args.sigma), seed=args.seed)
     else:
         model = build_random_model(args.seed)
     save_model(model, args.out)

@@ -1,11 +1,11 @@
 """Model hyperparameters and prompt layout types."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import InvalidParams, ShapeError
+from ..errors import FormatError, InvalidParams, ShapeError
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,21 @@ class ModelConfig:
         return self.grid[0] * self.grid[1]
 
     def to_manifest(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "grid": list(self.grid),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "ModelConfig":
-        return cls(
-            n_layers=int(payload["n_layers"]),
-            n_heads=int(payload["n_heads"]),
-            d_model=int(payload["d_model"]),
-            d_ff=int(payload["d_ff"]),
-            vocab_size=int(payload["vocab_size"]),
-            max_seq_len=int(payload["max_seq_len"]),
-            grid=tuple(payload["grid"]),
-        )
+        """Inverse of ``to_manifest``: every dimension must be a JSON integer."""
+        values = {f.name: payload[f.name] for f in fields(cls)}
+        for name, value in values.items():
+            ints = value if name == "grid" else [value]
+            if not (
+                isinstance(ints, (list, tuple))
+                and len(ints) == (2 if name == "grid" else 1)
+                and all(type(d) is int for d in ints)
+            ):
+                raise FormatError(f"config field {name!r}: expected JSON integers, got {value!r}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,16 @@
 Layout: 8 bytes little-endian unsigned manifest byte length, the UTF-8
 JSON manifest, then one contiguous blob of little-endian float32 data.
 Manifest entries map tensor names to {shape, dtype, offset, length} with
-offsets/lengths in bytes relative to the blob start. One reserved entry,
-"__config__", carries the model dimensions, grid, and the vocabulary word
-table, since those are not recoverable from tensor shapes alone.
+offsets/lengths in bytes relative to the blob start; the names, their blob
+order and their shapes are the model's tensor table (``core.tensor_table``).
+One reserved entry, "__config__", carries the model dimensions, grid, and
+the vocabulary word table, since those are not recoverable from tensor
+shapes alone. Loading checks both against the code, not the file:
+
+* every model dimension is a JSON integer, and ``grid`` a list of two;
+* the vocabulary must equal ``make_vocab(object_words, n_background)``, with
+  ``n_background`` a JSON integer, so the stored ``words`` cannot reorder
+  or rename the ids the code derives from the layout.
 """
 from __future__ import annotations
 
@@ -15,35 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError, IoError
+from ..errors import FormatError, IoError, VgalabError
 from ..vocab import Vocabulary
 from .config import ModelConfig
-from .core import LayerWeights, Model
+from .core import Model, tensor_table
 
 _CONFIG_KEY = "__config__"
 _LEN_STRUCT = struct.Struct("<Q")
 
 
-def _tensor_names(n_layers: int) -> list[str]:
-    names = ["embed.tok", "embed.pos"]
-    for i in range(n_layers):
-        names += [
-            f"layers.{i}.wq",
-            f"layers.{i}.wk",
-            f"layers.{i}.wv",
-            f"layers.{i}.wo",
-            f"layers.{i}.norm1",
-            f"layers.{i}.norm2",
-            f"layers.{i}.mlp.w1",
-            f"layers.{i}.mlp.w2",
-        ]
-    names.append("unembed")
-    return names
-
-
 def save_model(model: Model, path) -> None:
     """Write the model; same model always produces identical bytes."""
-    tensors = model.named_tensors()
     manifest: dict = {
         _CONFIG_KEY: {
             "model": model.config.to_manifest(),
@@ -52,8 +41,8 @@ def save_model(model: Model, path) -> None:
     }
     blobs: list[bytes] = []
     offset = 0
-    for name in _tensor_names(model.config.n_layers):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+    for name, tensor in model.named_tensors().items():
+        arr = np.ascontiguousarray(tensor, dtype="<f4")
         raw = arr.tobytes()
         manifest[name] = {
             "shape": list(arr.shape),
@@ -77,7 +66,7 @@ def save_model(model: Model, path) -> None:
 
 def _read_tensor(name: str, entry, blob: bytes) -> np.ndarray:
     if not isinstance(entry, dict):
-        raise FormatError(f"{name}: manifest entry is not an object")
+        raise FormatError(f"{name}: manifest entry missing or not an object")
     for key in ("shape", "dtype", "offset", "length"):
         if key not in entry:
             raise FormatError(f"{name}: manifest entry missing {key!r}")
@@ -124,36 +113,13 @@ def load_model(path) -> Model:
     try:
         config = ModelConfig.from_manifest(manifest[_CONFIG_KEY]["model"])
         vocab = Vocabulary.from_manifest(manifest[_CONFIG_KEY]["vocab"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, VgalabError) as exc:
         raise FormatError(f"malformed {_CONFIG_KEY!r} entry: {exc}") from exc
 
-    tensors: dict[str, np.ndarray] = {}
-    for name in _tensor_names(config.n_layers):
-        if name not in manifest:
-            raise FormatError(f"manifest missing tensor {name!r}")
-        tensors[name] = _read_tensor(name, manifest[name], blob)
-
-    layers = tuple(
-        LayerWeights(
-            wq=tensors[f"layers.{i}.wq"],
-            wk=tensors[f"layers.{i}.wk"],
-            wv=tensors[f"layers.{i}.wv"],
-            wo=tensors[f"layers.{i}.wo"],
-            norm1=tensors[f"layers.{i}.norm1"],
-            norm2=tensors[f"layers.{i}.norm2"],
-            mlp_w1=tensors[f"layers.{i}.mlp.w1"],
-            mlp_w2=tensors[f"layers.{i}.mlp.w2"],
-        )
-        for i in range(config.n_layers)
-    )
+    tensors = {
+        name: _read_tensor(name, manifest.get(name), blob) for name, *_ in tensor_table(config)
+    }
     try:
-        return Model(
-            config=config,
-            vocab=vocab,
-            embed_tok=tensors["embed.tok"],
-            embed_pos=tensors["embed.pos"],
-            layers=layers,
-            unembed=tensors["unembed"],
-        )
-    except Exception as exc:
+        return Model.from_tensors(config, vocab, tensors)
+    except VgalabError as exc:
         raise FormatError(f"container tensors violate model invariants: {exc}") from exc

@@ -31,7 +31,8 @@ weights spliced into its attention matrix, and the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +69,33 @@ class LayerWeights:
     mlp_w2: np.ndarray
 
 
+# The model's tensor set in container file order: container name, the field
+# holding it, and its shape as ModelConfig attributes. Rows named
+# "layers.{i}.*" are LayerWeights fields; their block repeats per layer.
+_TENSORS = (
+    ("embed.tok", "embed_tok", ("vocab_size", "d_model")),
+    ("embed.pos", "embed_pos", ("max_seq_len", "d_model")),
+    ("layers.{i}.wq", "wq", ("d_model", "d_model")),
+    ("layers.{i}.wk", "wk", ("d_model", "d_model")),
+    ("layers.{i}.wv", "wv", ("d_model", "d_model")),
+    ("layers.{i}.wo", "wo", ("d_model", "d_model")),
+    ("layers.{i}.norm1", "norm1", ("d_model",)),
+    ("layers.{i}.norm2", "norm2", ("d_model",)),
+    ("layers.{i}.mlp.w1", "mlp_w1", ("d_model", "d_ff")),
+    ("layers.{i}.mlp.w2", "mlp_w2", ("d_ff", "d_model")),
+    ("unembed", "unembed", ("d_model", "vocab_size")),
+)
+
+
+def tensor_table(config: ModelConfig) -> Iterator[tuple[str, int | None, str, tuple[int, ...]]]:
+    """(container name, layer index or None, field, shape) of each tensor, in file order."""
+    for per_layer, rows in groupby(_TENSORS, key=lambda row: "{i}" in row[0]):
+        rows = tuple(rows)
+        for i in range(config.n_layers) if per_layer else (None,):
+            for name, field, dims in rows:
+                yield name.format(i=i), i, field, tuple(getattr(config, d) for d in dims)
+
+
 @dataclass(frozen=True)
 class Model:
     """Immutable weight bundle; arrays are float32 and write-protected."""
@@ -83,23 +111,10 @@ class Model:
         cfg = self.config
         if self.vocab.size != cfg.vocab_size:
             raise ShapeError("vocabulary size disagrees with config")
-        checks = {
-            "embed.tok": (self.embed_tok, (cfg.vocab_size, cfg.d_model)),
-            "embed.pos": (self.embed_pos, (cfg.max_seq_len, cfg.d_model)),
-            "unembed": (self.unembed, (cfg.d_model, cfg.vocab_size)),
-        }
         if len(self.layers) != cfg.n_layers:
             raise ShapeError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
-        for i, lw in enumerate(self.layers):
-            checks[f"layers.{i}.wq"] = (lw.wq, (cfg.d_model, cfg.d_model))
-            checks[f"layers.{i}.wk"] = (lw.wk, (cfg.d_model, cfg.d_model))
-            checks[f"layers.{i}.wv"] = (lw.wv, (cfg.d_model, cfg.d_model))
-            checks[f"layers.{i}.wo"] = (lw.wo, (cfg.d_model, cfg.d_model))
-            checks[f"layers.{i}.norm1"] = (lw.norm1, (cfg.d_model,))
-            checks[f"layers.{i}.norm2"] = (lw.norm2, (cfg.d_model,))
-            checks[f"layers.{i}.mlp.w1"] = (lw.mlp_w1, (cfg.d_model, cfg.d_ff))
-            checks[f"layers.{i}.mlp.w2"] = (lw.mlp_w2, (cfg.d_ff, cfg.d_model))
-        for name, (arr, shape) in checks.items():
+        for name, i, field, shape in tensor_table(cfg):
+            arr = getattr(self if i is None else self.layers[i], field)
             if arr.shape != shape:
                 raise ShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
             if arr.dtype != np.float32:
@@ -109,18 +124,22 @@ class Model:
             arr.flags.writeable = False
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {"embed.tok": self.embed_tok, "embed.pos": self.embed_pos}
-        for i, lw in enumerate(self.layers):
-            out[f"layers.{i}.wq"] = lw.wq
-            out[f"layers.{i}.wk"] = lw.wk
-            out[f"layers.{i}.wv"] = lw.wv
-            out[f"layers.{i}.wo"] = lw.wo
-            out[f"layers.{i}.norm1"] = lw.norm1
-            out[f"layers.{i}.norm2"] = lw.norm2
-            out[f"layers.{i}.mlp.w1"] = lw.mlp_w1
-            out[f"layers.{i}.mlp.w2"] = lw.mlp_w2
-        out["unembed"] = self.unembed
-        return out
+        """Every tensor by container name, in file order."""
+        return {
+            name: getattr(self if i is None else self.layers[i], field)
+            for name, i, field, _ in tensor_table(self.config)
+        }
+
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, vocab: Vocabulary, tensors) -> "Model":
+        """The inverse of ``named_tensors``: a model from its tensors by container name."""
+        top: dict = {}
+        layers: list[dict] = [{} for _ in range(config.n_layers)]
+        for name, i, field, _ in tensor_table(config):
+            if name not in tensors:
+                raise ShapeError(f"missing tensor {name!r}")
+            (top if i is None else layers[i])[field] = tensors[name]
+        return cls(config, vocab, layers=tuple(LayerWeights(**kw) for kw in layers), **top)
 
 
 class KvCache:
@@ -162,7 +181,6 @@ class PrefillResult:
     cache: KvCache
     visual_logits: np.ndarray
     last_logits: np.ndarray
-    layout: SequenceLayout
     bos_attention: tuple[float, ...] | None = None
 
 
@@ -325,7 +343,6 @@ def prefill(
         cache=cache,
         visual_logits=visual_logits,
         last_logits=last_logits[0],
-        layout=layout,
         bos_attention=tuple(bos) if record_attention else None,
     )
 

@@ -37,7 +37,7 @@ actual embedding coefficients at build time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class PlantedSpec:
     d_model: int = 96
     d_ff: int = 192
     max_seq_len: int = 256
-
-    def with_sigma(self, sigma: float) -> "PlantedSpec":
-        return replace(self, sigma=float(sigma))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import InvalidInput, ShapeError
 
-# Tolerances used by consumers when checking kernel invariants.
-ROW_SUM_TOL = 1e-6
-NORM_SUM_TOL = 1e-6
 DEGENERATE_EPS = 1e-12
 L0_EPS = 1e-12
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput, InvalidSpec
+from .errors import FormatError, InvalidInput, InvalidSpec
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -113,12 +113,6 @@ class Vocabulary:
             raise InvalidInput(f"not an object word: {word!r}")
         return self.patch_token_ids[self.object_words.index(word)]
 
-    def object_of_patch_token(self, token_id: int) -> str:
-        ids = self.patch_token_ids
-        if token_id not in ids:
-            raise InvalidInput(f"not a patch token id: {token_id}")
-        return self.object_words[ids.index(token_id)]
-
     # -- persistence ----------------------------------------------------------
     def to_manifest(self) -> dict:
         return {
@@ -129,11 +123,14 @@ class Vocabulary:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "Vocabulary":
-        return cls(
-            words=tuple(payload["words"]),
-            object_words=tuple(payload["object_words"]),
-            n_background=int(payload["n_background"]),
-        )
+        """Rebuild with ``make_vocab``; the stored ``words`` must be its table."""
+        n_background = payload["n_background"]
+        if type(n_background) is not int:
+            raise FormatError(f"vocabulary n_background must be integer, got {n_background!r}")
+        vocab = make_vocab(payload["object_words"], n_background)
+        if payload["words"] != list(vocab.words):
+            raise FormatError("vocabulary words differ from make_vocab(object_words, n_background)")
+        return vocab
 
 
 def make_vocab(object_words=DEFAULT_OBJECT_WORDS, n_background: int = 12) -> Vocabulary:

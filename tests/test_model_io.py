@@ -1,12 +1,13 @@
 """Weight container round trips and corruption handling."""
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from vgalab.errors import FormatError, IoError
-from vgalab.mllm import build_random_model, full_logits, load_model, save_model
+from vgalab.errors import FormatError, IoError, ShapeError
+from vgalab.mllm import Model, build_random_model, full_logits, load_model, save_model
 from vgalab.mllm.config import SequenceLayout
 
 
@@ -69,6 +70,19 @@ def _manifest_of(path):
     return json.loads(raw[8 : 8 + n]), raw[8 + n :]
 
 
+def _save_edited(tmp_path, model, edit):
+    """Save ``model``, let ``edit(manifest, blob)`` change both in place, return the new file."""
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    manifest, blob = _manifest_of(path)
+    blob = bytearray(blob)
+    edit(manifest, blob)
+    encoded = json.dumps(manifest).encode()
+    bad = tmp_path / "edited.bin"
+    bad.write_bytes(struct.pack("<Q", len(encoded)) + encoded + blob)
+    return bad
+
+
 def test_manifest_carries_config_and_all_tensors(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
@@ -80,28 +94,38 @@ def test_manifest_carries_config_and_all_tensors(tmp_path, tiny_model):
     assert total == len(blob)
 
 
-def test_missing_tensor_raises_format_error(tmp_path, tiny_model):
+def test_file_order_and_fields_are_fixed(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
-    manifest, blob = _manifest_of(path)
-    del manifest["unembed"]
-    encoded = json.dumps(manifest).encode()
-    bad = tmp_path / "missing.bin"
-    bad.write_bytes(struct.pack("<Q", len(encoded)) + encoded + blob)
+    manifest, _ = _manifest_of(path)
+    per_layer = ("wq", "wk", "wv", "wo", "norm1", "norm2", "mlp.w1", "mlp.w2")
+    expected = ["embed.tok", "embed.pos"]
+    expected += [f"layers.{i}.{s}" for i in range(tiny_model.config.n_layers) for s in per_layer]
+    expected.append("unembed")
+    by_offset = sorted((e["offset"], k) for k, e in manifest.items() if k != "__config__")
+    assert [k for _, k in by_offset] == expected
+    named = tiny_model.named_tensors()
+    for field in ("embed_tok", "embed_pos", "unembed"):
+        assert named[field.replace("_", ".")] is getattr(tiny_model, field)
+    for i, lw in enumerate(tiny_model.layers):
+        for f in dataclasses.fields(lw):
+            assert named[f"layers.{i}.{f.name.replace('_', '.')}"] is getattr(lw, f.name)
+
+
+def test_missing_tensor_raises_format_error(tmp_path, tiny_model):
+    def edit(manifest, blob):
+        del manifest["unembed"]
+
     with pytest.raises(FormatError, match="unembed"):
-        load_model(bad)
+        load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
 def test_shape_length_mismatch_raises_format_error(tmp_path, tiny_model):
-    path = tmp_path / "model.bin"
-    save_model(tiny_model, path)
-    manifest, blob = _manifest_of(path)
-    manifest["embed.tok"]["shape"][0] += 1
-    encoded = json.dumps(manifest).encode()
-    bad = tmp_path / "shape.bin"
-    bad.write_bytes(struct.pack("<Q", len(encoded)) + encoded + blob)
+    def edit(manifest, blob):
+        manifest["embed.tok"]["shape"][0] += 1
+
     with pytest.raises(FormatError, match="embed.tok"):
-        load_model(bad)
+        load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
 @pytest.mark.parametrize(
@@ -116,15 +140,11 @@ def test_shape_length_mismatch_raises_format_error(tmp_path, tiny_model):
     ],
 )
 def test_malformed_tensor_entry_raises_format_error(tmp_path, tiny_model, fields):
-    path = tmp_path / "model.bin"
-    save_model(tiny_model, path)
-    manifest, blob = _manifest_of(path)
-    manifest["embed.pos"].update(fields)
-    encoded = json.dumps(manifest).encode()
-    bad = tmp_path / "entry.bin"
-    bad.write_bytes(struct.pack("<Q", len(encoded)) + encoded + blob)
+    def edit(manifest, blob):
+        manifest["embed.pos"].update(fields)
+
     with pytest.raises(FormatError, match="embed.pos"):
-        load_model(bad)
+        load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
 def test_unwritable_path_raises_io_error(tmp_path, tiny_model):
@@ -137,3 +157,95 @@ def test_different_models_differ_on_disk(tmp_path):
     save_model(build_random_model(1), p1)
     save_model(build_random_model(2), p2)
     assert p1.read_bytes() != p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_heads", True), ("n_layers", 2.7), ("max_seq_len", "64"), ("grid", [2.9, 2])],
+    ids=["n_heads", "n_layers", "max_seq_len", "grid"],
+)
+def test_non_integer_config_dimension_raises_format_error(tmp_path, tiny_model, field, value):
+    def edit(manifest, blob):
+        manifest["__config__"]["model"][field] = value
+
+    with pytest.raises(FormatError, match=field):
+        load_model(_save_edited(tmp_path, tiny_model, edit))
+
+
+def _swap_dog_cat(words):
+    return [{"dog": "cat", "cat": "dog"}.get(w, w) for w in words]
+
+
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("object_words", _swap_dog_cat),  # would map "dog" to the patch token <p:cat>
+        ("n_background", lambda n: 2.5),  # would drop a texture id
+        ("words", _swap_dog_cat),  # would remap id_of
+    ],
+    ids=["object_words", "n_background", "words"],
+)
+def test_vocabulary_disagreeing_with_make_vocab_raises_format_error(
+    tmp_path, tiny_model, key, change
+):
+    assert {"dog", "cat"} <= set(tiny_model.vocab.object_words)
+
+    def edit(manifest, blob):
+        vocab = manifest["__config__"]["vocab"]
+        vocab[key] = change(vocab[key])
+
+    with pytest.raises(FormatError, match="vocabulary"):
+        load_model(_save_edited(tmp_path, tiny_model, edit))
+
+
+def _transpose_mlp_w1(manifest, blob):
+    manifest["layers.0.mlp.w1"]["shape"].reverse()  # same byte length
+
+
+def _nan_into_wv(manifest, blob):
+    start = manifest["layers.1.wv"]["offset"]
+    blob[start : start + 4] = np.float32(np.nan).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_transpose_mlp_w1, r"layers\.0\.mlp\.w1: expected shape"),
+        (_nan_into_wv, r"layers\.1\.wv contains NaN"),
+    ],
+    ids=["transposed", "nan"],
+)
+def test_tensor_failing_model_checks_raises_format_error(tmp_path, tiny_model, edit, message):
+    with pytest.raises(FormatError, match=message):
+        load_model(_save_edited(tmp_path, tiny_model, edit))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda a: a.astype(np.float64), lambda a: a.T],
+    ids=["float64", "transposed"],
+)
+def test_model_rejects_wrong_dtype_or_shape(tiny_model, corrupt):
+    tensors = tiny_model.named_tensors()
+    tensors["layers.0.mlp.w1"] = corrupt(tensors["layers.0.mlp.w1"])
+    with pytest.raises(ShapeError, match=r"layers\.0\.mlp\.w1"):
+        Model.from_tensors(tiny_model.config, tiny_model.vocab, tensors)
+
+
+def test_loaded_model_arrays_are_read_only(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    for name, tensor in load_model(path).named_tensors().items():
+        assert not tensor.flags.writeable, name
+
+
+def test_from_tensors_inverts_named_tensors(tiny_model):
+    tensors = tiny_model.named_tensors()
+    rebuilt = Model.from_tensors(tiny_model.config, tiny_model.vocab, tensors)
+    assert rebuilt.config == tiny_model.config and rebuilt.vocab == tiny_model.vocab
+    assert list(rebuilt.named_tensors()) == list(tensors)
+    for name, tensor in rebuilt.named_tensors().items():
+        assert np.array_equal(tensor, tensors[name]), name
+    del tensors["unembed"]
+    with pytest.raises(ShapeError, match="unembed"):
+        Model.from_tensors(tiny_model.config, tiny_model.vocab, tensors)

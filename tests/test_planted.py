@@ -33,7 +33,6 @@ def test_vocab_role_ranges_are_disjoint():
         seen |= g
     assert seen == set(range(vocab.size))
     assert vocab.patch_token_of("cat") != vocab.id_of("cat")
-    assert vocab.object_of_patch_token(vocab.patch_token_of("cat")) == "cat"
     with pytest.raises(InvalidInput):
         vocab.id_of("unicorn")
     with pytest.raises(InvalidInput):
