@@ -41,7 +41,14 @@ RUNTIME_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors instead of 2."""
+    """argparse that exits 1 on usage errors instead of 2.
+
+    Flags must be spelled out: with abbreviations, ``--mode`` would be read
+    as ``--model`` by the subcommands that take no ``--mode``.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -49,28 +56,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _add_vga_flags(p: argparse.ArgumentParser, default_beta: float = 0.2) -> None:
+def _add_vga_flags(
+    p: argparse.ArgumentParser, default_beta: float = 0.2, decay: bool = False
+) -> None:
+    """Guidance flags; ``--lambda`` only where captions are decoded (``decay``)."""
     p.add_argument("--beta", type=float, default=default_beta,
                    help="guidance strength (0 disables)")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.02,
-                   help="per-token suppression rate in caption mode")
+    if decay:
+        p.add_argument("--lambda", dest="lambda_", type=float, default=VgaConfig.lambda_,
+                       help="per-token suppression rate in caption mode")
     p.add_argument("--start-layer", type=int, default=0)
     p.add_argument("--end-layer", type=int, default=None)
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--mode", choices=MODES, default="vqa")
     p.add_argument("--guidance", choices=SOURCES, default="auto",
                    help="grounding source; auto picks by mode")
     p.add_argument("--no-head-balance", action="store_true")
 
 
-def _config_from(args: argparse.Namespace, mode: str | None = None) -> VgaConfig:
+def _config_from(args: argparse.Namespace, mode: str) -> VgaConfig:
     return VgaConfig(
         beta=args.beta,
-        lambda_=args.lambda_,
+        lambda_=getattr(args, "lambda_", VgaConfig.lambda_),
         start_layer=args.start_layer,
         end_layer=args.end_layer,
         top_k=args.top_k,
-        mode=mode if mode is not None else args.mode,
+        mode=mode,
         guidance_source=args.guidance,
         head_balancing=not args.no_head_balance,
     )
@@ -120,7 +130,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", type=int, default=0, help="scene index")
     p.add_argument("--word", default=None, help="question word (vqa mode)")
     p.add_argument("--max-len", type=int, default=512)
-    _add_vga_flags(p)
+    p.add_argument("--mode", choices=MODES, default="vqa")
+    _add_vga_flags(p, decay=True)
 
     p = sub.add_parser("ground", help="emit a grounding JSON and PGM heatmap")
     p.add_argument("--model", required=True)
@@ -152,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-len", type=int, default=64)
-    _add_vga_flags(p)
+    _add_vga_flags(p, decay=True)
 
     p = sub.add_parser("eval-ground", help="grounding-quality Dice evaluation")
     p.add_argument("--model", required=True)
@@ -200,7 +211,7 @@ def _cmd_make_scenes(args) -> int:
 def _cmd_generate(args) -> int:
     model = load_model(args.model)
     scene = _load_scene(args)
-    config = _config_from(args)
+    config = _config_from(args, mode=args.mode)
     if config.mode == "vqa":
         if not args.word:
             raise VgalabError("vqa generation needs --word")

@@ -11,35 +11,39 @@ steering attention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .numerics import l0_fraction, row_softmax, sum_normalize
+from .numerics import row_softmax, sum_normalize, unit_mass
 from .vocab import Vocabulary
 
 EXIST_LOG_THRESHOLD = -2.5
 DEFAULT_TOP_K = 10
+L0_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class Grounding:
     """A normalized distribution over visual positions.
 
-    ``rho`` is the fraction of positions carrying non-negligible mass; a
-    degenerate source (all mass suppressed) yields uniform weights with
-    ``rho = 0`` so that downstream guidance scales itself to a no-op.
+    ``rho`` is derived, never passed: the fraction of positions whose
+    weight is strictly above ``L0_EPS``. A degenerate source (all mass
+    suppressed) yields uniform weights with ``rho = 0`` so that
+    downstream guidance scales itself to a no-op.
     """
 
     weights: np.ndarray
-    rho: float
     degenerate: bool
+    rho: float = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
         w.flags.writeable = False
+        rho = 0.0 if self.degenerate else float(np.count_nonzero(w > L0_EPS)) / w.size
+        object.__setattr__(self, "rho", rho)
 
     @property
     def size(self) -> int:
@@ -48,9 +52,13 @@ class Grounding:
     @staticmethod
     def from_values(values: np.ndarray) -> "Grounding":
         """Sum-normalize nonnegative per-patch values into a Grounding."""
-        weights, degenerate = sum_normalize(np.asarray(values, dtype=np.float64))
-        rho = 0.0 if degenerate else l0_fraction(weights)
-        return Grounding(weights=weights, rho=rho, degenerate=degenerate)
+        return Grounding(*sum_normalize(np.asarray(values, dtype=np.float64)))
+
+    @staticmethod
+    def from_nonnegative(values: np.ndarray) -> "Grounding":
+        """``from_values`` without its checks, for a float64 vector that is
+        finite and nonnegative by construction."""
+        return Grounding(*unit_mass(values))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Model hyperparameters and prompt layout types."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import FormatError, InvalidParams, ShapeError
+from ..errors import InvalidParams, ShapeError
 
 
 @dataclass(frozen=True)
@@ -13,7 +14,9 @@ class ModelConfig:
     """Static shape information for a decoder.
 
     ``grid`` is (rows, cols) of the visual patch grid; rows*cols is the
-    number of visual tokens a prompt's visual span must contain.
+    number of visual tokens a prompt's visual span must contain. Every
+    dimension must be a Python or numpy integer (not a bool, float or
+    string) and is stored as a Python int.
     """
 
     n_layers: int
@@ -25,16 +28,25 @@ class ModelConfig:
     grid: tuple[int, int]
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            dims = value if f.name == "grid" else (value,)
+            if not (
+                isinstance(dims, (tuple, list))
+                and len(dims) == (2 if f.name == "grid" else 1)
+                and all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims)
+            ):
+                raise InvalidParams(f"config field {f.name!r}: expected integers, got {value!r}")
+            dims = tuple(int(d) for d in dims)
+            object.__setattr__(self, f.name, dims if f.name == "grid" else dims[0])
         if self.n_layers < 1 or self.n_heads < 1:
             raise InvalidParams("n_layers and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise InvalidParams("d_model must be divisible by n_heads")
         if self.d_ff < 1 or self.vocab_size < 4 or self.max_seq_len < 2:
             raise InvalidParams("d_ff, vocab_size, or max_seq_len too small")
-        rows, cols = self.grid
-        if rows < 1 or cols < 1:
+        if min(self.grid) < 1:
             raise InvalidParams("grid dims must be >= 1")
-        object.__setattr__(self, "grid", (int(rows), int(cols)))
 
     @property
     def d_head(self) -> int:
@@ -49,17 +61,8 @@ class ModelConfig:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "ModelConfig":
-        """Inverse of ``to_manifest``: every dimension must be a JSON integer."""
-        values = {f.name: payload[f.name] for f in fields(cls)}
-        for name, value in values.items():
-            ints = value if name == "grid" else [value]
-            if not (
-                isinstance(ints, (list, tuple))
-                and len(ints) == (2 if name == "grid" else 1)
-                and all(type(d) is int for d in ints)
-            ):
-                raise FormatError(f"config field {name!r}: expected JSON integers, got {value!r}")
-        return cls(**values)
+        """Inverse of ``to_manifest``."""
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

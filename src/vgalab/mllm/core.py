@@ -115,6 +115,8 @@ class Model:
             raise ShapeError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
         for name, i, field, shape in tensor_table(cfg):
             arr = getattr(self if i is None else self.layers[i], field)
+            if not isinstance(arr, np.ndarray):
+                raise ShapeError(f"{name}: expected a numpy array, got {type(arr).__name__}")
             if arr.shape != shape:
                 raise ShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
             if arr.dtype != np.float32:

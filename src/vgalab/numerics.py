@@ -1,9 +1,12 @@
 """Pure numeric kernels: stabilized softmax, mass normalization, clamped cosine.
 
-Every kernel validates for NaN/Inf and raises InvalidInput instead of
-propagating poison. Kernels are dtype-preserving for float inputs and
-compute in float64 otherwise; callers that need tight tolerances pass
-float64 arrays.
+``row_softmax``, ``sum_normalize`` and ``cosine_sim_clamped`` are the
+entry points for arrays from outside the program: they check shapes,
+raise InvalidInput on NaN/Inf (and on negative mass) instead of
+propagating poison, preserve float dtypes and compute in float64
+otherwise. ``unit_mass`` and ``clamped_row_cosine`` are their unchecked
+cores, the only statement of each formula; the guidance hook calls them
+directly on arrays the forward pass built from checked inputs.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import numpy as np
 from .errors import InvalidInput, ShapeError
 
 DEGENERATE_EPS = 1e-12
-L0_EPS = 1e-12
 
 
 def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndarray:
@@ -40,27 +42,44 @@ def row_softmax(logits) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def sum_normalize(values, eps: float = DEGENERATE_EPS) -> tuple[np.ndarray, bool]:
+def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Unchecked core of ``sum_normalize``; ``values`` is a finite,
+    nonnegative float vector."""
+    total = float(values.sum())
+    if total < DEGENERATE_EPS:
+        return np.full(values.shape, 1.0 / values.size, dtype=values.dtype), True
+    return values / total, False
+
+
+def sum_normalize(values) -> tuple[np.ndarray, bool]:
     """Scale a nonnegative vector to unit sum.
 
-    Returns (normalized, degenerate). When the input mass is below ``eps``
-    the result is the uniform distribution and ``degenerate`` is True;
-    downstream guidance treats that as "no information". Negative entries
-    raise InvalidInput.
+    Returns (normalized, degenerate). When the input mass is below
+    ``DEGENERATE_EPS`` the result is the uniform distribution and
+    ``degenerate`` is True; downstream guidance treats that as "no
+    information". Negative entries raise InvalidInput.
     """
     arr = _as_float_array(values, "values", max_dim=1)
     if (arr < 0).any():
         raise InvalidInput("sum_normalize requires nonnegative entries")
-    total = float(arr.sum())
-    if total < eps:
-        return np.full(arr.shape, 1.0 / arr.size, dtype=arr.dtype), True
-    return arr / total, False
+    return unit_mass(arr)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # matmul's vector-vector path is the BLAS dot np.dot uses, so every row
     # comes out bit-identical to the 1-d call on that row.
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked core of ``cosine_sim_clamped``; ``a`` and ``b`` are finite
+    float arrays of one shape."""
+    na = np.sqrt(_row_dot(a, a))
+    nb = np.sqrt(_row_dot(b, b))
+    zero = np.minimum(na, nb) == 0.0  # norms are >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = np.where(zero, 0.0, _row_dot(a, b) / (na * nb))
+    return np.fmin(1.0, np.fmax(0.0, sim))
 
 
 def cosine_sim_clamped(a, b) -> float | np.ndarray:
@@ -73,16 +92,5 @@ def cosine_sim_clamped(a, b) -> float | np.ndarray:
     vb = _as_float_array(b, "b")
     if va.shape != vb.shape:
         raise ShapeError(f"length mismatch: {va.shape} vs {vb.shape}")
-    na = np.sqrt(_row_dot(va, va))
-    nb = np.sqrt(_row_dot(vb, vb))
-    zero = np.minimum(na, nb) == 0.0  # norms are >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sim = np.where(zero, 0.0, _row_dot(va, vb) / (na * nb))
-    sim = np.fmin(1.0, np.fmax(0.0, sim))
+    sim = clamped_row_cosine(va, vb)
     return float(sim) if va.ndim == 1 else sim
-
-
-def l0_fraction(values, eps: float = L0_EPS) -> float:
-    """Fraction of entries with magnitude strictly above ``eps``."""
-    arr = _as_float_array(values, "values", max_dim=1)
-    return float(np.count_nonzero(np.abs(arr) > eps)) / arr.size

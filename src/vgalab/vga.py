@@ -14,6 +14,11 @@ weight matrix itself, so it composes with fused attention kernels. The
 per-head factors gamma_h rebalance guidance toward heads whose output
 already tracks the visual values; rho decays guidance as programmed
 suppression drains the grounding during captioning.
+
+The correction runs on arrays the forward pass computed from checked
+inputs (token ids, the model's finite weights, the visual logits, masks
+and the config), so it calls the unchecked cores of the numeric kernels
+and checks only shapes.
 """
 from __future__ import annotations
 
@@ -32,13 +37,7 @@ from .grounding import (
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import (
-    DEGENERATE_EPS,
-    L0_EPS,
-    cosine_sim_clamped,
-    row_softmax,
-    sum_normalize,
-)
+from .numerics import clamped_row_cosine, row_softmax, sum_normalize, unit_mass
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -89,14 +88,6 @@ class VgaConfig:
         return "vsc" if self.mode == "vqa" else "vss"
 
 
-@dataclass(frozen=True)
-class HeadBalance:
-    """Per-head guidance rebalancing derived from output/value similarity."""
-
-    gamma_prime: np.ndarray
-    gamma: np.ndarray
-
-
 def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarray:
     """Grounding-weighted sum of visual value rows, per head.
 
@@ -116,8 +107,8 @@ def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarr
     return (g @ v.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
 
 
-def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> HeadBalance:
-    """gamma' = Norm(clamped cos(z_h, dz_h)); gamma = ReLU(2 - H * gamma').
+def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
+    """gamma = ReLU(2 - H * gamma'), gamma' = Norm(clamped cos(z_h, dz_h)).
 
     Heads whose output already points along the visual correction get
     gamma below 1 (they need less help), the rest get more; the mean stays
@@ -128,17 +119,8 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> HeadBalance:
     dz = np.asarray(dz_row, dtype=np.float64)
     if z.shape != dz.shape or z.ndim != 2:
         raise ShapeError("z_row and dz_row must both be [heads, d_head]")
-    n_heads = z.shape[0]
-    sims = cosine_sim_clamped(z, dz)  # validates z and dz
-    # sum_normalize's arithmetic, without re-validating values that are
-    # finite and in [0, 1] by construction: this runs on every guided row.
-    total = float(sims.sum())
-    if total < DEGENERATE_EPS:
-        gamma_prime = np.full(n_heads, 1.0 / n_heads)
-    else:
-        gamma_prime = sims / total
-    gamma = np.maximum(0.0, 2.0 - n_heads * gamma_prime)
-    return HeadBalance(gamma_prime=gamma_prime, gamma=gamma)
+    gamma_prime, _ = unit_mass(clamped_row_cosine(z, dz))
+    return np.maximum(0.0, 2.0 - z.shape[0] * gamma_prime)
 
 
 class VgaSession:
@@ -166,7 +148,6 @@ class VgaSession:
             raise ConfigError(
                 f"guidance range [{start}, {end}) invalid for {n_layers} layers"
             )
-        self.model = model
         self.config = config
         self.question = question
         self.gt_mask = gt_mask
@@ -207,7 +188,7 @@ class VgaSession:
         s, e = self.layout.visual_start, self.layout.visual_end
         delta = delta_z(self.grounding, v_cache[s:e])
         if cfg.head_balancing:
-            gamma = head_balance(z_row, delta).gamma
+            gamma = head_balance(z_row, delta)
         else:
             gamma = np.ones(z_row.shape[0], dtype=np.float64)
         return GuidanceRow(
@@ -218,13 +199,29 @@ class VgaSession:
         )
 
     def on_token(self, token_id: int) -> None:
+        """Programmed visual guidance: decay the grounding where the token was seen.
+
+        In caption mode with PVG on and lambda > 0, G_w is the token's
+        per-patch probability column, sum-normalized, and the update
+        G <- Norm(ReLU((1+lambda) G - lambda G_w)) lifts everything
+        slightly and subtracts where the token was seen, so the next
+        word's guidance looks away from what is already described.
+        """
         cfg = self.config
         if cfg.mode != "caption" or not cfg.pvg_enabled or cfg.lambda_ == 0.0:
             return
         if self.grounding is None:
             return
         self._require_bound()
-        pvg_update(self, int(token_id))
+        token_id = int(token_id)
+        n_vocab = self.visual_probs.shape[1]
+        if not 0 <= token_id < n_vocab:
+            raise InvalidInput(f"token id {token_id} out of range for vocab size {n_vocab}")
+        g_w, _ = sum_normalize(self.visual_probs[:, token_id])
+        lam = cfg.lambda_
+        self.grounding = Grounding.from_nonnegative(
+            np.maximum(0.0, (1.0 + lam) * self.grounding.weights - lam * g_w)
+        )
 
     # -- internals ----------------------------------------------------------
 
@@ -282,40 +279,6 @@ def new_session(
 ) -> VgaSession:
     """Unbound session, ready to be passed as the generation hook."""
     return VgaSession(model, config, question=question, gt_mask=gt_mask)
-
-
-def pvg_update(session: VgaSession, generated: int) -> None:
-    """Suppress the just-described region of the grounding (caption mode).
-
-    G_w is the normalized per-patch probability column of the generated
-    token; the update G <- Norm(ReLU((1+lambda) G - lambda G_w)) lifts
-    everything slightly and subtracts where the token was seen, so the
-    next word's guidance looks away from what is already described.
-    """
-    lam = session.config.lambda_
-    if lam == 0.0:
-        return
-    session._require_bound()
-    if session.grounding is None:
-        return
-    n_vocab = session.visual_probs.shape[1]
-    if not 0 <= generated < n_vocab:
-        raise InvalidInput(f"token id {generated} out of range for vocab size {n_vocab}")
-    g = session.grounding.weights
-    column = session.visual_probs[:, generated]
-    g_w, _ = sum_normalize(column)
-    raw = np.maximum(0.0, (1.0 + lam) * g - lam * g_w)
-    # Grounding.from_values' arithmetic without re-validating values that
-    # are finite and nonnegative by construction: this runs on every token.
-    total = float(raw.sum())
-    if total < DEGENERATE_EPS:
-        session.grounding = Grounding(
-            weights=np.full(raw.shape, 1.0 / raw.size), rho=0.0, degenerate=True
-        )
-        return
-    weights = raw / total
-    rho = float(np.count_nonzero(weights > L0_EPS)) / weights.size
-    session.grounding = Grounding(weights=weights, rho=rho, degenerate=False)
 
 
 def bos_profile(model: Model, layout: SequenceLayout) -> list[float]:

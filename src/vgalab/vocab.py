@@ -12,6 +12,7 @@ Patch tokens and text words are distinct ids on purpose: a patch carrying
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import FormatError, InvalidInput, InvalidSpec
@@ -124,10 +125,7 @@ class Vocabulary:
     @classmethod
     def from_manifest(cls, payload: dict) -> "Vocabulary":
         """Rebuild with ``make_vocab``; the stored ``words`` must be its table."""
-        n_background = payload["n_background"]
-        if type(n_background) is not int:
-            raise FormatError(f"vocabulary n_background must be integer, got {n_background!r}")
-        vocab = make_vocab(payload["object_words"], n_background)
+        vocab = make_vocab(payload["object_words"], payload["n_background"])
         if payload["words"] != list(vocab.words):
             raise FormatError("vocabulary words differ from make_vocab(object_words, n_background)")
         return vocab
@@ -143,6 +141,9 @@ def make_vocab(object_words=DEFAULT_OBJECT_WORDS, n_background: int = 12) -> Voc
     clashes = set(object_words) & set(SPECIALS)
     if clashes:
         raise InvalidSpec(f"object words collide with reserved tokens: {sorted(clashes)}")
+    if not isinstance(n_background, numbers.Integral) or isinstance(n_background, bool):
+        raise InvalidSpec(f"vocabulary n_background must be an integer, got {n_background!r}")
+    n_background = int(n_background)
     if n_background < 1:
         raise InvalidSpec("need at least one background token")
     patch_tokens = tuple(f"<p:{w}>" for w in object_words)

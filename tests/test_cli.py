@@ -179,11 +179,13 @@ def test_eval_caption_reports_set_metrics(workdir, capsys):
         "--model", model_path(workdir),
         "--scenes", scenes_path(workdir),
         "--max-len", "24",
+        "--lambda", "0.05",
     ])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["task"] == "caption"
     assert report["config"]["mode"] == "caption"
+    assert report["config"]["lambda_"] == 0.05
     assert 0.0 <= report["amber"] <= 1.0
 
 
@@ -226,6 +228,24 @@ def test_scenes_without_questions_exit_two(workdir, tmp_path, capsys, command):
     rc = run([command, "--model", model_path(workdir), "--scenes", str(scenes)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("eval-exist", "--mode", "caption"),
+        ("eval-exist", "--lambda", "0.7"),
+        ("bench-ttft", "--mode", "caption"),
+        ("bench-ttft", "--lambda", "0.7"),
+        ("eval-caption", "--mode", "vqa"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(workdir, capsys, command, flag, value):
+    rc = run([
+        command, "--model", model_path(workdir), "--scenes", scenes_path(workdir), flag, value,
+    ])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

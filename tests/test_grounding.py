@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from vgalab.errors import InvalidInput, ShapeError
 from vgalab.grounding import (
     EXIST_LOG_THRESHOLD,
+    L0_EPS,
     Grounding,
     MaskAnnotation,
     dice,
@@ -22,6 +23,7 @@ from vgalab.grounding import (
     vss,
     vss_values,
 )
+from vgalab.numerics import DEGENERATE_EPS
 from vgalab.vocab import make_vocab
 
 ORACLE_TOL = 1e-10
@@ -140,6 +142,42 @@ def test_grounding_from_values_and_degeneracy():
     assert np.allclose(flat.weights, 0.25)
     with pytest.raises(ValueError):
         g.weights[0] = 1.0  # frozen buffer
+
+
+def test_grounding_rho_counts_weights_strictly_above_eps():
+    assert Grounding.from_values([0.0, 0.0, 1.0, 2.0]).rho == 0.5
+    assert Grounding.from_values([0.0, 0.0]).rho == 0.0
+    assert Grounding.from_values([1e-13, 1.0]).rho == 0.5
+    assert Grounding(np.array([L0_EPS, 1.0 - L0_EPS]), degenerate=False).rho == 0.5
+    assert Grounding(np.array([0.5, 0.0, 0.5]), degenerate=False).rho == pytest.approx(2.0 / 3.0)
+    assert Grounding(np.full(4, 0.25), degenerate=True).rho == 0.0
+
+
+@st.composite
+def nonnegative_vectors(draw):
+    """Finite nonnegative vectors, some all-zero, some below the degenerate
+    mass, some with entries at exactly ``L0_EPS``."""
+    n = draw(st.integers(1, 16))
+    values = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e6))).copy()
+    kind = draw(st.sampled_from(["free", "zero", "tiny", "at_eps"]))
+    if kind == "zero":
+        values[:] = 0.0
+    elif kind == "tiny":
+        values *= 0.5 * DEGENERATE_EPS / (values.sum() + 1.0)
+    elif kind == "at_eps":
+        at_eps = draw(arrays(np.bool_, n))
+        values[at_eps] = L0_EPS
+        values[0] = 1.0 - L0_EPS * np.count_nonzero(at_eps[1:])
+    return values
+
+
+@given(nonnegative_vectors())
+@settings(max_examples=200)
+def test_unchecked_grounding_equals_from_values(values):
+    want = Grounding.from_values(values)
+    got = Grounding.from_nonnegative(values)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.rho, got.degenerate) == (want.rho, want.degenerate)
 
 
 def test_mask_annotation_validation():

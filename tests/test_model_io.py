@@ -6,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from vgalab.errors import FormatError, IoError, ShapeError
+from vgalab.errors import FormatError, InvalidParams, IoError, ShapeError
 from vgalab.mllm import Model, build_random_model, full_logits, load_model, save_model
-from vgalab.mllm.config import SequenceLayout
+from vgalab.mllm.config import ModelConfig, SequenceLayout
 
 
 def test_round_trip_is_bit_exact(tmp_path, tiny_model):
@@ -172,6 +172,31 @@ def test_non_integer_config_dimension_raises_format_error(tmp_path, tiny_model, 
         load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d_model", 32.0),
+        ("n_layers", True),
+        ("max_seq_len", "64"),
+        ("grid", (2, 2, 2)),
+        ("grid", (2.0, 2)),
+    ],
+    ids=["float", "bool", "str", "grid_of_three", "grid_float"],
+)
+def test_config_rejects_non_integer_dimension(tiny_model, field, value):
+    with pytest.raises(InvalidParams, match=field):
+        dataclasses.replace(tiny_model.config, **{field: value})
+
+
+def test_config_stores_numpy_integers_as_int(tiny_model):
+    cfg = tiny_model.config
+    rebuilt = dataclasses.replace(
+        cfg, n_heads=np.int32(cfg.n_heads), d_model=np.int64(cfg.d_model), grid=tuple(np.array(cfg.grid))
+    )
+    assert rebuilt == cfg
+    assert all(type(d) is int for d in (rebuilt.n_heads, rebuilt.d_model, rebuilt.d_head, *rebuilt.grid))
+
+
 def _swap_dog_cat(words):
     return [{"dog": "cat", "cat": "dog"}.get(w, w) for w in words]
 
@@ -222,8 +247,8 @@ def test_tensor_failing_model_checks_raises_format_error(tmp_path, tiny_model, e
 
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda a: a.astype(np.float64), lambda a: a.T],
-    ids=["float64", "transposed"],
+    [lambda a: a.astype(np.float64), lambda a: a.T, lambda a: a.tolist()],
+    ids=["float64", "transposed", "list"],
 )
 def test_model_rejects_wrong_dtype_or_shape(tiny_model, corrupt):
     tensors = tiny_model.named_tensors()

@@ -1,4 +1,4 @@
-"""Numeric kernels: softmax, mass normalization, clamped cosine, sparsity."""
+"""Numeric kernels: softmax, mass normalization, clamped cosine."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from vgalab.errors import InvalidInput, ShapeError
 from vgalab.numerics import (
     DEGENERATE_EPS,
     cosine_sim_clamped,
-    l0_fraction,
     row_softmax,
     sum_normalize,
 )
@@ -103,9 +102,3 @@ def test_cosine_shape_mismatch():
     with pytest.raises(ShapeError):
         cosine_sim_clamped([1.0, 2.0], [1.0, 2.0, 3.0])
 
-
-def test_l0_fraction_counts_strictly_above_eps():
-    assert l0_fraction([0.0, 0.0, 1.0, 2.0]) == 0.5
-    assert l0_fraction([0.0, 0.0]) == 0.0
-    assert l0_fraction([1e-13, 1.0], eps=1e-12) == 0.5
-    assert l0_fraction([-3.0, 0.0, 3.0]) == pytest.approx(2.0 / 3.0)

@@ -39,6 +39,17 @@ def test_vocab_role_ranges_are_disjoint():
         vocab.patch_token_of("<bos>")
 
 
+@pytest.mark.parametrize("n_background", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_make_vocab_rejects_non_integer_background(n_background):
+    with pytest.raises(InvalidSpec, match="n_background"):
+        make_vocab(("dog", "cat"), n_background=n_background)
+
+
+def test_make_vocab_stores_numpy_integer_background_as_int():
+    vocab = make_vocab(("dog", "cat"), n_background=np.int64(3))
+    assert type(vocab.n_background) is int and len(vocab.background_ids) == 3
+
+
 def test_build_is_deterministic():
     a = build_planted_model(PlantedSpec(), seed=7)
     b = build_planted_model(PlantedSpec(), seed=7)
