@@ -191,10 +191,14 @@ def test_config_rejects_non_integer_dimension(tiny_model, field, value):
 def test_config_stores_numpy_integers_as_int(tiny_model):
     cfg = tiny_model.config
     rebuilt = dataclasses.replace(
-        cfg, n_heads=np.int32(cfg.n_heads), d_model=np.int64(cfg.d_model), grid=tuple(np.array(cfg.grid))
+        cfg,
+        n_heads=np.int32(cfg.n_heads),
+        d_model=np.int64(cfg.d_model),
+        grid=tuple(np.array(cfg.grid)),
     )
     assert rebuilt == cfg
-    assert all(type(d) is int for d in (rebuilt.n_heads, rebuilt.d_model, rebuilt.d_head, *rebuilt.grid))
+    dims = (rebuilt.n_heads, rebuilt.d_model, rebuilt.d_head, *rebuilt.grid)
+    assert all(type(d) is int for d in dims)
 
 
 def _swap_dog_cat(words):
