@@ -13,10 +13,9 @@ from vgalab.vga import bos_profile
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
-spec = PlantedSpec()
-model = build_planted_model(spec, seed=7)
+model = build_planted_model(PlantedSpec(), seed=7)
 vocab = model.vocab
-m = spec.grid[0] * spec.grid[1]
+m = model.config.n_patches
 
 # scene: dog occupies patches 0..5, cat patches 20..23, rest background
 patches = [vocab.background_ids[i % len(vocab.background_ids)] for i in range(m)]

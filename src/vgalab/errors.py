@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all vgalab modules."""
+"""Exception taxonomy shared by all vgalab modules, and the scalar type
+checks that raise it."""
+import numbers
 
 
 class VgalabError(Exception):
@@ -35,3 +37,27 @@ class InvalidSpec(VgalabError, ValueError):
 
 class ConfigError(VgalabError, ValueError):
     """A guidance config violates its invariants or lacks required inputs."""
+
+
+def require_int(value, name: str, error: type[VgalabError]) -> int:
+    """``value`` as a Python int. Python and numpy integers pass; anything
+    else (bool, float, str) raises ``error`` naming ``name``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_grid(value, name: str, error: type[VgalabError]) -> tuple[int, int]:
+    """``value`` as a (rows, cols) pair of Python ints, per ``require_int``."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise error(f"{name} must be a pair of integers, got {value!r}")
+    return (require_int(value[0], name, error), require_int(value[1], name, error))
+
+
+def require_real(value, name: str, error: type[VgalabError]) -> float:
+    """``value`` as a Python float. Python and numpy reals pass; anything
+    else (bool, str, None) raises ``error`` naming ``name``. Finiteness is
+    the caller's check."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{name} must be a real number, got {value!r}")

@@ -237,15 +237,13 @@ def _minmax_scale(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def grounding_quality_eval(
-    model: Model, scenes: list[Scene], source: str = "vsc", top_k: int = 10
-) -> EvalReport:
+def grounding_quality_eval(model: Model, scenes: list[Scene], source: str = "vsc") -> EvalReport:
     """Mean soft Dice between per-patch scores and planted masks.
 
     ``vsc`` scores each (scene, object) pair with that object's per-patch
     confidence vector; ``vss`` scores every pair with the scene's
-    min-max-scaled salience (object-agnostic, so the same vector serves
-    all objects in the scene).
+    min-max-scaled salience over the top ``DEFAULT_TOP_K`` logits
+    (object-agnostic, so the same vector serves all objects in the scene).
     """
     if source not in ("vsc", "vss"):
         raise InvalidParams(f"source must be vsc or vss, got {source!r}")
@@ -258,7 +256,7 @@ def grounding_quality_eval(
         logits = prefill(model, layout).visual_logits
         salience = None
         if source == "vss":
-            salience = _minmax_scale(vss_values(logits, k=top_k))
+            salience = _minmax_scale(vss_values(logits))
         for mask in scene.objects:
             if source == "vsc":
                 vec = vsc_vector(logits, model.vocab.id_of(mask.word))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FormatError, InvalidParams, IoError
+from ..errors import FormatError, InvalidParams, IoError, require_grid, require_int
 from ..grounding import MaskAnnotation
 from ..mllm import Model, SequenceLayout
 from ..vocab import DEFAULT_OBJECT_WORDS, make_vocab
@@ -33,7 +33,11 @@ LARGE_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class SceneParams:
-    """Scene-sampling knobs; all sampling is deterministic in the seed."""
+    """Scene-sampling knobs; all sampling is deterministic in the seed.
+
+    Scenes draw from ``make_vocab()``'s default table, the vocabulary the
+    planted model embeds.
+    """
 
     n_scenes: int = 10
     grid: tuple[int, int] = (8, 8)
@@ -41,27 +45,25 @@ class SceneParams:
     max_objects: int = 3
     questions_per_scene: int = 4
     negative_mode: str = "random"
-    object_words: tuple[str, ...] = DEFAULT_OBJECT_WORDS
-    n_background: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("n_scenes", "min_objects", "max_objects", "questions_per_scene"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, InvalidParams))
+        object.__setattr__(self, "grid", require_grid(self.grid, "grid", InvalidParams))
         rows, cols = self.grid
-        n_patches = rows * cols
         if self.n_scenes < 1:
             raise InvalidParams("n_scenes must be >= 1")
         if rows < 1 or cols < 1:
             raise InvalidParams("grid dims must be positive")
         if not 1 <= self.min_objects <= self.max_objects:
             raise InvalidParams("need 1 <= min_objects <= max_objects")
-        if self.max_objects > len(self.object_words):
-            raise InvalidParams("more objects per scene than object words")
-        if self.max_objects > n_patches:
+        if self.max_objects >= len(DEFAULT_OBJECT_WORDS):
+            # every word could be present at once, leaving nothing absent
+            raise InvalidParams("need at least one object word that can stay absent")
+        if self.max_objects > rows * cols:
             raise InvalidParams("more objects than grid patches")
         if self.questions_per_scene < 2 or self.questions_per_scene % 2 != 0:
             raise InvalidParams("questions_per_scene must be even and >= 2")
-        if self.max_objects >= len(self.object_words):
-            # every word could be present at once, leaving nothing absent
-            raise InvalidParams("need at least one word that can stay absent")
         if self.negative_mode not in NEGATIVE_MODES:
             raise InvalidParams(
                 f"negative_mode must be one of {NEGATIVE_MODES}, got {self.negative_mode!r}"
@@ -109,9 +111,9 @@ class Scene:
         return len(self.patches)
 
 
-def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
-    """Normalized popularity weights: rank r gets mass proportional to 1/(r+1)^a."""
-    w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
+def zipf_weights(n: int) -> np.ndarray:
+    """Normalized popularity weights: rank r gets mass proportional to 1/(r+1)."""
+    w = 1.0 / np.arange(1, n + 1, dtype=np.float64)
     return w / w.sum()
 
 
@@ -153,22 +155,23 @@ def _sample_patch_count(rng: np.random.Generator, n_patches: int) -> int:
 def _sample_negatives(
     rng: np.random.Generator,
     present: list[str],
-    params: SceneParams,
+    words: tuple[str, ...],
+    mode: str,
     popularity: np.ndarray,
     partners: dict[str, str],
     count: int,
 ) -> list[str]:
-    absent = [w for w in params.object_words if w not in present]
-    ranked = absent  # object_words is already popularity-ordered
+    absent = [w for w in words if w not in present]
+    ranked = absent  # words are already popularity-ordered
     chosen: list[str] = []
-    if params.negative_mode == "adversarial":
+    if mode == "adversarial":
         for w in present:
             p = partners[w]
             if p in absent and p not in chosen:
                 chosen.append(p)
             if len(chosen) == count:
                 return chosen
-    if params.negative_mode in ("popular", "adversarial"):
+    if mode in ("popular", "adversarial"):
         # popular fill; adversarial falls back here when partners run out
         for w in ranked:
             if w not in chosen:
@@ -176,7 +179,7 @@ def _sample_negatives(
             if len(chosen) == count:
                 return chosen
         return chosen
-    weights = np.asarray([popularity[params.object_words.index(w)] for w in absent])
+    weights = np.asarray([popularity[words.index(w)] for w in absent])
     weights = weights / weights.sum()
     picks = rng.choice(len(absent), size=min(count, len(absent)), replace=False, p=weights)
     return [absent[int(i)] for i in picks]
@@ -185,19 +188,18 @@ def _sample_negatives(
 def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
     """Sample ``params.n_scenes`` scenes, deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
-    vocab = make_vocab(params.object_words, params.n_background)
+    vocab = make_vocab()
+    words = vocab.object_words
     rows, cols = params.grid
     n_patches = rows * cols
-    popularity = zipf_weights(len(params.object_words))
-    partners = partner_table(params.object_words)
+    popularity = zipf_weights(len(words))
+    partners = partner_table(words)
     scenes: list[Scene] = []
 
     for _ in range(params.n_scenes):
         k = int(rng.integers(params.min_objects, params.max_objects + 1))
-        word_idx = rng.choice(
-            len(params.object_words), size=k, replace=False, p=popularity
-        )
-        present = [params.object_words[int(i)] for i in word_idx]
+        word_idx = rng.choice(len(words), size=k, replace=False, p=popularity)
+        present = [words[int(i)] for i in word_idx]
 
         counts = [_sample_patch_count(rng, n_patches) for _ in present]
         while sum(counts) > n_patches - 1:  # keep at least one background cell
@@ -222,9 +224,11 @@ def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
         half = params.questions_per_scene // 2
         pres_order = rng.permutation(len(present))
         pos_words = [present[int(pres_order[i % k])] for i in range(half)]
-        neg_words = _sample_negatives(rng, present, params, popularity, partners, half)
+        neg_words = _sample_negatives(
+            rng, present, words, params.negative_mode, popularity, partners, half
+        )
         base = list(neg_words)
-        while len(neg_words) < half:  # tiny vocabularies: reuse negatives
+        while len(neg_words) < half:  # more questions than absent words: reuse negatives
             neg_words.append(base[len(neg_words) % len(base)])
         questions = tuple(
             [Question(w, True) for w in pos_words]

@@ -1,12 +1,11 @@
 """Model hyperparameters and prompt layout types."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import InvalidParams, ShapeError
+from ..errors import InvalidParams, ShapeError, require_grid, require_int
 
 
 @dataclass(frozen=True)
@@ -29,16 +28,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            dims = value if f.name == "grid" else (value,)
-            if not (
-                isinstance(dims, (tuple, list))
-                and len(dims) == (2 if f.name == "grid" else 1)
-                and all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims)
-            ):
-                raise InvalidParams(f"config field {f.name!r}: expected integers, got {value!r}")
-            dims = tuple(int(d) for d in dims)
-            object.__setattr__(self, f.name, dims if f.name == "grid" else dims[0])
+            check = require_grid if f.name == "grid" else require_int
+            value = check(getattr(self, f.name), f"config field {f.name!r}", InvalidParams)
+            object.__setattr__(self, f.name, value)
         if self.n_layers < 1 or self.n_heads < 1:
             raise InvalidParams("n_layers and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import CapacityError, InvalidInput, ShapeError
+from ..errors import CapacityError, InvalidInput, ShapeError, require_int
 from ..vocab import Vocabulary
 from .attention import attention_explicit, attention_fused
 from .config import ModelConfig, SequenceLayout
@@ -406,7 +406,7 @@ def greedy_generate(
     it is attached as the prefill/decode hook and notified of every
     generated token (which is what drives per-token guidance updates).
     """
-    if max_len < 1:
+    if require_int(max_len, "max_len", InvalidInput) < 1:
         raise InvalidInput("max_len must be >= 1")
     result = prefill(model, layout, hook=vga)
     logits = result.last_logits

@@ -34,6 +34,11 @@ All structure lives on an orthonormal basis (QR of a seeded Gaussian), so
 couplings are exact at sigma = 0 up to the deliberate noise floor; scale
 constants below are score/logit targets, converted to weights using the
 actual embedding coefficients at build time.
+
+The shape is fixed, because the constants are tuned for it: 6 layers,
+4 heads, d_model 96, d_ff 192, 256 positions and an 8x8 patch grid, on
+``make_vocab()``'s default table (the one ``make_scenes`` samples from).
+``sigma`` is the only knob.
 """
 from __future__ import annotations
 
@@ -41,25 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec
-from ..vocab import DEFAULT_OBJECT_WORDS, Vocabulary, make_vocab
+from ..errors import InvalidSpec, require_real
+from ..vocab import DEFAULT_OBJECT_WORDS, make_vocab
 from .config import ModelConfig
 from .core import LayerWeights, Model
 
 
 @dataclass(frozen=True)
 class PlantedSpec:
-    """What to plant: the object words, grid, and key-noise level sigma."""
+    """What to plant: the key-noise level sigma (a finite real >= 0)."""
 
-    object_words: tuple[str, ...] = DEFAULT_OBJECT_WORDS
-    n_background: int = 12
-    grid: tuple[int, int] = (8, 8)
     sigma: float = 0.0
-    n_layers: int = 6
-    n_heads: int = 4
-    d_model: int = 96
-    d_ff: int = 192
-    max_seq_len: int = 256
 
 
 @dataclass(frozen=True)
@@ -106,49 +103,30 @@ def _orthonormal_basis(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _validate(spec: PlantedSpec, vocab: Vocabulary) -> None:
-    n_obj = vocab.n_objects
-    d, h = spec.d_model, spec.n_heads
-    if d % h != 0:
-        raise InvalidSpec("d_model must be divisible by n_heads")
-    d_head = d // h
-    if d_head < n_obj + 3:
-        raise InvalidSpec(
-            f"d_head {d_head} too small for {n_obj} object probes (+3 channels)"
-        )
-    if d < vocab.size + 2 * n_obj + 8:
-        raise InvalidSpec(
-            f"d_model {d} cannot host {vocab.size} vocab directions plus routing subspaces"
-        )
-    if spec.n_layers < 4:
-        raise InvalidSpec("need at least 4 layers: pre, copy, route, sink")
-    rows, cols = spec.grid
-    if rows < 1 or cols < 1:
-        raise InvalidSpec("grid dims must be positive")
-    if rows * cols + 4 > spec.max_seq_len:
-        raise InvalidSpec("grid does not leave room for prompt scaffolding")
-    if spec.sigma < 0:
-        raise InvalidSpec("sigma must be >= 0")
-    if spec.d_ff < 2:
-        raise InvalidSpec("d_ff too small")
-    if len(spec.object_words) > 26:
-        raise InvalidSpec("too many object words for the probe budget")
+def _validate(spec: PlantedSpec) -> None:
+    sigma = require_real(spec.sigma, "sigma", InvalidSpec)
+    if not np.isfinite(sigma) or sigma < 0:
+        raise InvalidSpec(f"sigma must be finite and >= 0, got {sigma!r}")
 
 
-def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = None) -> Model:
+def build_planted_model(spec: PlantedSpec, seed: int) -> Model:
     """Deterministically construct a planted model; same inputs, same bits."""
-    g = gains or _Gains()
-    vocab = make_vocab(spec.object_words, spec.n_background)
-    _validate(spec, vocab)
+    _validate(spec)
+    g = _Gains()
+    vocab = make_vocab()
+    config = ModelConfig(
+        n_layers=6, n_heads=4, d_model=96, d_ff=192,
+        vocab_size=vocab.size, max_seq_len=256, grid=(8, 8),
+    )
 
     rng = np.random.default_rng(seed)
     # Key noise comes from its own stream so a noisy build shares every
     # tensor except the key projections with the sigma=0 build bit for bit.
     key_noise_rng = np.random.default_rng([seed, 0x5EED])
-    d = spec.d_model
+    d = config.d_model
     n_obj = vocab.n_objects
-    n_heads = spec.n_heads
-    d_head = d // n_heads
+    n_heads = config.n_heads
+    d_head = config.d_head
     v_size = vocab.size
     sqrt_d = np.sqrt(d)
     sqrt_dh = np.sqrt(d_head)
@@ -171,7 +149,7 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
     yes_row = v_anchor + 5
     no_row = v_anchor + 6
 
-    skew = np.asarray(g.head_skew[:n_heads], dtype=np.float64)
+    skew = np.asarray(g.head_skew, dtype=np.float64)  # one share per head
     skew = skew - skew.mean()  # zero-mean so per-head sums calibrate exactly
 
     # ---- embeddings ---------------------------------------------------------
@@ -183,8 +161,6 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
         for direction, mix in parts:
             out += mix * basis[:, direction]
             budget -= mix * mix
-        if budget <= 0:
-            raise InvalidSpec("embedding mix budget exceeded; reduce gain mixes")
         out += np.sqrt(budget) * basis[:, main_dir]
         return out
 
@@ -258,7 +234,7 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
             + leak
         )
 
-    embed_pos = rng.normal(scale=g.pos_norm / sqrt_d, size=(spec.max_seq_len, d))
+    embed_pos = rng.normal(scale=g.pos_norm / sqrt_d, size=(config.max_seq_len, d))
 
     unembed = g.u_gain * basis[:, :v_size]
 
@@ -326,9 +302,9 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
     pres_slot = n_obj
     nn_slot = n_obj + 1
 
-    sink_targets = np.linspace(g.sink_lo, g.sink_hi, max(1, spec.n_layers - 3))
+    sink_targets = np.linspace(g.sink_lo, g.sink_hi, config.n_layers - 3)
 
-    for layer_idx in range(spec.n_layers):
+    for layer_idx in range(config.n_layers):
         cq = np.zeros((d, d))
         ck = np.zeros((d, d))
         cv = np.zeros((d, d))
@@ -397,20 +373,11 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
                 wo=wo.astype(np.float32),
                 norm1=(1.0 + rng.normal(scale=0.01, size=d)).astype(np.float32),
                 norm2=(1.0 + rng.normal(scale=0.01, size=d)).astype(np.float32),
-                mlp_w1=fresh((d, spec.d_ff)).astype(np.float32),
-                mlp_w2=fresh((spec.d_ff, d)).astype(np.float32),
+                mlp_w1=fresh((d, config.d_ff)).astype(np.float32),
+                mlp_w2=fresh((config.d_ff, d)).astype(np.float32),
             )
         )
 
-    config = ModelConfig(
-        n_layers=spec.n_layers,
-        n_heads=n_heads,
-        d_model=d,
-        d_ff=spec.d_ff,
-        vocab_size=v_size,
-        max_seq_len=spec.max_seq_len,
-        grid=spec.grid,
-    )
     return Model(
         config=config,
         vocab=vocab,
@@ -421,52 +388,42 @@ def build_planted_model(spec: PlantedSpec, seed: int, gains: _Gains | None = Non
     )
 
 
-def build_random_model(
-    seed: int,
-    *,
-    n_layers: int = 2,
-    n_heads: int = 2,
-    d_model: int = 32,
-    d_ff: int = 64,
-    max_seq_len: int = 64,
-    grid: tuple[int, int] = (2, 2),
-    n_objects: int = 3,
-) -> Model:
-    """Small unstructured model for fuzzing the machinery (no semantics)."""
+def build_random_model(seed: int) -> Model:
+    """Small unstructured model for fuzzing the machinery (no semantics).
+
+    Fixed shape: 2 layers, 2 heads, d_model 32, d_ff 64, 64 positions and
+    a 2x2 grid, on the first 3 object words with 3 background textures.
+    """
     rng = np.random.default_rng(seed)
-    vocab = make_vocab(tuple(DEFAULT_OBJECT_WORDS[:n_objects]), n_background=3)
-    scale = 0.5 / np.sqrt(d_model)
+    vocab = make_vocab(DEFAULT_OBJECT_WORDS[:3], n_background=3)
+    config = ModelConfig(
+        n_layers=2, n_heads=2, d_model=32, d_ff=64,
+        vocab_size=vocab.size, max_seq_len=64, grid=(2, 2),
+    )
+    d = config.d_model
+    scale = 0.5 / np.sqrt(d)
 
     def w(shape):
         return rng.normal(scale=scale, size=shape).astype(np.float32)
 
     layers = tuple(
         LayerWeights(
-            wq=w((d_model, d_model)),
-            wk=w((d_model, d_model)),
-            wv=w((d_model, d_model)),
-            wo=w((d_model, d_model)),
-            norm1=(1.0 + rng.normal(scale=0.05, size=d_model)).astype(np.float32),
-            norm2=(1.0 + rng.normal(scale=0.05, size=d_model)).astype(np.float32),
-            mlp_w1=w((d_model, d_ff)),
-            mlp_w2=w((d_ff, d_model)),
+            wq=w((d, d)),
+            wk=w((d, d)),
+            wv=w((d, d)),
+            wo=w((d, d)),
+            norm1=(1.0 + rng.normal(scale=0.05, size=d)).astype(np.float32),
+            norm2=(1.0 + rng.normal(scale=0.05, size=d)).astype(np.float32),
+            mlp_w1=w((d, config.d_ff)),
+            mlp_w2=w((config.d_ff, d)),
         )
-        for _ in range(n_layers)
-    )
-    config = ModelConfig(
-        n_layers=n_layers,
-        n_heads=n_heads,
-        d_model=d_model,
-        d_ff=d_ff,
-        vocab_size=vocab.size,
-        max_seq_len=max_seq_len,
-        grid=grid,
+        for _ in range(config.n_layers)
     )
     return Model(
         config=config,
         vocab=vocab,
-        embed_tok=rng.normal(scale=0.8, size=(vocab.size, d_model)).astype(np.float32),
-        embed_pos=rng.normal(scale=0.1, size=(max_seq_len, d_model)).astype(np.float32),
+        embed_tok=rng.normal(scale=0.8, size=(vocab.size, d)).astype(np.float32),
+        embed_pos=rng.normal(scale=0.1, size=(config.max_seq_len, d)).astype(np.float32),
         layers=layers,
-        unembed=rng.normal(scale=0.8, size=(d_model, vocab.size)).astype(np.float32),
+        unembed=rng.normal(scale=0.8, size=(d, vocab.size)).astype(np.float32),
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, ShapeError
+from .errors import ConfigError, InvalidInput, ShapeError, require_int, require_real
 from .grounding import (
     DEFAULT_TOP_K,
     Grounding,
@@ -51,7 +51,9 @@ class VgaConfig:
     ``end_layer=None`` resolves to half the model's depth when the session
     binds to a model; ``end_layer=n_layers`` guides through the last layer.
     ``guidance_source="auto"`` picks the object-directed source in vqa mode
-    and the salience source in caption mode.
+    and the salience source in caption mode. Numeric fields are stored as
+    Python floats (``beta``, ``lambda_``) and ints; other types raise
+    ``ConfigError``.
     """
 
     beta: float = 0.2
@@ -65,6 +67,15 @@ class VgaConfig:
     pvg_enabled: bool = True
 
     def __post_init__(self) -> None:
+        for name, check in (
+            ("beta", require_real),
+            ("lambda_", require_real),
+            ("start_layer", require_int),
+            ("top_k", require_int),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name, ConfigError))
+        if self.end_layer is not None:
+            object.__setattr__(self, "end_layer", require_int(self.end_layer, "end_layer", ConfigError))
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ConfigError("beta must be finite and >= 0")
         if not np.isfinite(self.lambda_) or not 0.0 <= self.lambda_ <= 1.0:

@@ -12,10 +12,9 @@ Patch tokens and text words are distinct ids on purpose: a patch carrying
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
-from .errors import FormatError, InvalidInput, InvalidSpec
+from .errors import FormatError, InvalidInput, InvalidSpec, require_int
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -141,9 +140,7 @@ def make_vocab(object_words=DEFAULT_OBJECT_WORDS, n_background: int = 12) -> Voc
     clashes = set(object_words) & set(SPECIALS)
     if clashes:
         raise InvalidSpec(f"object words collide with reserved tokens: {sorted(clashes)}")
-    if not isinstance(n_background, numbers.Integral) or isinstance(n_background, bool):
-        raise InvalidSpec(f"vocabulary n_background must be an integer, got {n_background!r}")
-    n_background = int(n_background)
+    n_background = require_int(n_background, "vocabulary n_background", InvalidSpec)
     if n_background < 1:
         raise InvalidSpec("need at least one background token")
     patch_tokens = tuple(f"<p:{w}>" for w in object_words)

@@ -34,6 +34,13 @@ def test_make_model_planted_loads(workdir):
     assert model.config.n_layers == 6
 
 
+def test_make_model_rejects_nan_sigma(tmp_path, capsys):
+    out = tmp_path / "nan.vgm"
+    assert run(["make-model", "--sigma", "nan", "--out", str(out)]) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_model_random_loads(tmp_path):
     out = tmp_path / "rand.vgm"
     assert run(["make-model", "--kind", "random", "--seed", "1", "--out", str(out)]) == 0

@@ -58,8 +58,9 @@ def test_scenes_are_deterministic_and_balanced():
     assert scenes_to_payload(a) != scenes_to_payload(c)
 
 
-def test_scene_masks_agree_with_patch_tokens(scenes12):
-    vocab = make_vocab()
+def test_scene_masks_agree_with_patch_tokens(clean_model, scenes12):
+    vocab = clean_model.vocab
+    assert vocab == make_vocab()  # scenes sample from make_vocab()'s table
     for scene in scenes12:
         covered = set()
         for mask in scene.objects:
@@ -127,6 +128,11 @@ def test_scene_params_validation():
         {"max_objects": len(DEFAULT_OBJECT_WORDS)},
         {"negative_mode": "sneaky"},
         {"grid": (0, 8)},
+        {"n_scenes": 2.5},
+        {"max_objects": 2.0},
+        {"questions_per_scene": "4"},
+        {"grid": (8.0, 8)},
+        {"grid": (8, 8, 8)},
     ):
         with pytest.raises(InvalidParams):
             SceneParams(**kwargs)

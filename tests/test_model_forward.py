@@ -267,8 +267,9 @@ def test_greedy_is_deterministic_and_bounded(tiny_model):
     reset_forward_rows()
     greedy_generate(tiny_model, layout, max_len=1)
     assert forward_rows_count() == layout.length
-    with pytest.raises(InvalidInput):
-        greedy_generate(tiny_model, layout, max_len=0)
+    for max_len in (0, 2.5, True, "1"):
+        with pytest.raises(InvalidInput):
+            greedy_generate(tiny_model, layout, max_len=max_len)
 
 
 def test_greedy_stops_at_eos(clean_model, scenes12):

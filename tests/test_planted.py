@@ -59,15 +59,14 @@ def test_build_is_deterministic():
     assert not np.array_equal(a.embed_tok, c.embed_tok)
 
 
-def test_planted_spec_validation():
-    with pytest.raises(InvalidSpec):
-        build_planted_model(PlantedSpec(d_model=32), seed=0)  # vocab does not fit
-    with pytest.raises(InvalidSpec):
-        build_planted_model(PlantedSpec(n_layers=3), seed=0)
-    with pytest.raises(InvalidSpec):
-        build_planted_model(PlantedSpec(sigma=-0.1), seed=0)
-    with pytest.raises(InvalidSpec):
-        build_planted_model(PlantedSpec(grid=(20, 20)), seed=0)  # no prompt room
+@pytest.mark.parametrize(
+    "sigma",
+    [-0.1, float("nan"), float("inf"), "1.0", None],
+    ids=["negative", "nan", "inf", "str", "none"],
+)
+def test_planted_spec_validation(sigma):
+    with pytest.raises(InvalidSpec, match="sigma"):
+        build_planted_model(PlantedSpec(sigma=sigma), seed=0)
 
 
 def scene_logits(model, coverage):

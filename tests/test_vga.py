@@ -35,6 +35,11 @@ def test_config_validation():
         {"start_layer": -1},
         {"start_layer": 3, "end_layer": 2},
         {"top_k": 1},
+        {"top_k": 2.5, "mode": "caption", "guidance_source": "vss"},
+        {"end_layer": 1.5},
+        {"start_layer": True},
+        {"beta": "0.2"},
+        {"lambda_": "0.02"},
         {"mode": "chat"},
         {"guidance_source": "telepathy"},
     ):
