@@ -2,6 +2,8 @@
 checks that raise it."""
 import numbers
 
+import numpy as np
+
 
 class VgalabError(Exception):
     """Base class for every error raised by this package."""
@@ -61,3 +63,11 @@ def require_real(value, name: str, error: type[VgalabError]) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise error(f"{name} must be a real number, got {value!r}")
+
+
+def require_bool(value, name: str, error: type[VgalabError]) -> bool:
+    """``value`` as a Python bool. Python and numpy bools pass; anything else
+    (0, 1, "no", None) raises ``error`` naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise error(f"{name} must be a bool, got {value!r}")

@@ -277,13 +277,15 @@ def _forward_block(
         for i, hook in enumerate(hooks):
             if hook is None:
                 continue
-            v_entry = v_all.reshape(-1, b, n_heads, d_head)[:, i]
-            corr = hook.correction(layer_idx, z[-1, i], v_entry)
+            # one entry's rows are the whole cache view
+            v_entry = v_all if b == 1 else v_all.reshape(-1, b, n_heads, d_head)[:, i]
+            row = z[-1, i]
+            corr = hook.correction(layer_idx, row, v_entry)
             if corr is not None and explicit:
                 # Reference route: recompute the row with the boost in its weights.
                 z[-1, i] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
             elif corr is not None:
-                z[-1, i] = corr.apply(z[-1, i])
+                z[-1, i] = corr.apply(row)
 
         x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
@@ -379,9 +381,10 @@ def prefill_shared(
 
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
     """Append one token and return the next-token logits."""
+    token_id = require_int(token_id, "token_id", InvalidInput)
     if cache.length >= cache.capacity:
         raise CapacityError(f"cache full at capacity {cache.capacity}")
-    ids = np.asarray([[int(token_id)]], dtype=np.int64)
+    ids = np.asarray([[token_id]], dtype=np.int64)
     logits, _ = _forward_block(model, ids, cache.length, cache, hooks=(hook,))
     cache.advance(1)
     return logits[0, 0]

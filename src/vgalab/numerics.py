@@ -10,6 +10,8 @@ directly on arrays the forward pass built from checked inputs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
@@ -45,7 +47,7 @@ def row_softmax(logits) -> np.ndarray:
 def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """Unchecked core of ``sum_normalize``; ``values`` is a finite,
     nonnegative float vector."""
-    total = float(values.sum())
+    total = float(np.add.reduce(values))  # values.sum() minus its Python-level wrapper
     if total < DEGENERATE_EPS:
         return np.full(values.shape, 1.0 / values.size, dtype=values.dtype), True
     return values / total, False
@@ -73,13 +75,28 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unchecked core of ``cosine_sim_clamped``; ``a`` and ``b`` are finite
-    float arrays of one shape."""
-    na = np.sqrt(_row_dot(a, a))
-    nb = np.sqrt(_row_dot(b, b))
-    zero = np.minimum(na, nb) == 0.0  # norms are >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sim = np.where(zero, 0.0, _row_dot(a, b) / (na * nb))
-    return np.fmin(1.0, np.fmax(0.0, sim))
+    float arrays of one shape.
+
+    The three dots of every row (a.a, a.b, b.b) run as one batched BLAS
+    call over the stacked pairs. The rows are few (one per head on the
+    guidance path), so they are finished on Python floats, which costs
+    less than a chain of numpy calls on a handful of elements. A row whose
+    norm product underflows to zero, though neither norm is zero, gets
+    what the clamped IEEE division would give: 1 for a positive dot, else 0.
+    """
+    pairs = np.concatenate((a, a, b, b)).reshape(4, *a.shape)
+    dots = _row_dot(pairs[:3], pairs[1:])
+    sims = []
+    for xx, xy, yy in zip(*dots.reshape(3, -1).tolist()):
+        na, nb = math.sqrt(xx), math.sqrt(yy)
+        norms = na * nb
+        if na == 0.0 or nb == 0.0:
+            sims.append(0.0)
+        elif norms == 0.0:
+            sims.append(1.0 if xy > 0.0 else 0.0)
+        else:
+            sims.append(min(1.0, max(0.0, xy / norms)))
+    return np.array(sims, dtype=dots.dtype).reshape(dots.shape[1:])
 
 
 def cosine_sim_clamped(a, b) -> float | np.ndarray:

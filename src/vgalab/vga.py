@@ -15,10 +15,16 @@ per-head factors gamma_h rebalance guidance toward heads whose output
 already tracks the visual values; rho decays guidance as programmed
 suppression drains the grounding during captioning.
 
-The correction runs on arrays the forward pass computed from checked
-inputs (token ids, the model's finite weights, the visual logits, masks
-and the config), so it calls the unchecked cores of the numeric kernels
-and checks only shapes.
+The hook runs on every guided row, so its fixed cost is kept low. It works
+on arrays the forward pass computed from checked inputs (token ids, the
+model's finite weights, the visual logits, masks and the config), so it
+calls unchecked cores and checks only shapes: ``_value_mix`` for the
+grounding-weighted value rows (the core of the checked ``delta_z``),
+``clamped_row_cosine`` and ``unit_mass`` for head balancing, and
+``unit_mass`` for the softmax column of a PVG update. The mix is computed
+afresh on each guided layer of each row; nothing is cached, since each
+layer has its own value rows and PVG replaces the grounding after every
+caption token.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, ShapeError, require_int, require_real
+from .errors import ConfigError, InvalidInput, ShapeError, require_bool, require_int, require_real
 from .grounding import (
     DEFAULT_TOP_K,
     Grounding,
@@ -37,7 +43,7 @@ from .grounding import (
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import clamped_row_cosine, row_softmax, sum_normalize, unit_mass
+from .numerics import clamped_row_cosine, row_softmax, unit_mass
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -52,8 +58,8 @@ class VgaConfig:
     binds to a model; ``end_layer=n_layers`` guides through the last layer.
     ``guidance_source="auto"`` picks the object-directed source in vqa mode
     and the salience source in caption mode. Numeric fields are stored as
-    Python floats (``beta``, ``lambda_``) and ints; other types raise
-    ``ConfigError``.
+    Python floats (``beta``, ``lambda_``) and ints, the two flags as Python
+    bools; other types raise ``ConfigError``.
     """
 
     beta: float = 0.2
@@ -72,6 +78,8 @@ class VgaConfig:
             ("lambda_", require_real),
             ("start_layer", require_int),
             ("top_k", require_int),
+            ("head_balancing", require_bool),
+            ("pvg_enabled", require_bool),
         ):
             object.__setattr__(self, name, check(getattr(self, name), name, ConfigError))
         if self.end_layer is not None:
@@ -99,6 +107,13 @@ class VgaConfig:
         return "vsc" if self.mode == "vqa" else "vss"
 
 
+def _value_mix(weights: np.ndarray, v_visual: np.ndarray) -> np.ndarray:
+    """Unchecked core of ``delta_z``: ``weights`` is a float64 [m] vector and
+    ``v_visual`` float64 [m, heads, d_head]."""
+    m, n_heads, d_head = v_visual.shape
+    return (weights @ v_visual.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
+
+
 def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarray:
     """Grounding-weighted sum of visual value rows, per head.
 
@@ -112,10 +127,9 @@ def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarr
     v = np.asarray(v_visual, dtype=np.float64)
     if g.ndim != 1 or v.ndim != 3:
         raise ShapeError("expected grounding [m] and values [m, heads, d_head]")
-    m, n_heads, d_head = v.shape
-    if g.shape[0] != m:
-        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {m}")
-    return (g @ v.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
+    if g.shape[0] != v.shape[0]:
+        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {v.shape[0]}")
+    return _value_mix(g, v)
 
 
 def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
@@ -124,14 +138,13 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
     Heads whose output already points along the visual correction get
     gamma below 1 (they need less help), the rest get more; the mean stays
     1 whenever the ReLU clips nothing. Degenerate similarities (all zero)
-    fall back to uniform, i.e. gamma = 1 everywhere.
+    fall back to uniform, i.e. gamma = 1 everywhere. ``z_row`` and
+    ``dz_row`` are finite float arrays; only their shapes are checked.
     """
-    z = np.asarray(z_row, dtype=np.float64)
-    dz = np.asarray(dz_row, dtype=np.float64)
-    if z.shape != dz.shape or z.ndim != 2:
+    if z_row.shape != dz_row.shape or z_row.ndim != 2:
         raise ShapeError("z_row and dz_row must both be [heads, d_head]")
-    gamma_prime, _ = unit_mass(clamped_row_cosine(z, dz))
-    return np.maximum(0.0, 2.0 - z.shape[0] * gamma_prime)
+    gamma_prime, _ = unit_mass(clamped_row_cosine(z_row, dz_row))
+    return np.maximum(0.0, 2.0 - z_row.shape[0] * gamma_prime)
 
 
 class VgaSession:
@@ -189,25 +202,21 @@ class VgaSession:
     def correction(self, layer: int, z_row: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
         self._require_bound()
         cfg = self.config
-        if self.grounding is None or cfg.beta == 0.0:
+        g = self.grounding
+        if g is None or cfg.beta == 0.0 or g.degenerate:
             return None
         if not self.start_layer <= layer < self.end_layer:
             return None
-        rho = self._effective_rho()
+        rho = 1.0 if cfg.mode == "vqa" else g.rho
         if rho == 0.0:
             return None
         s, e = self.layout.visual_start, self.layout.visual_end
-        delta = delta_z(self.grounding, v_cache[s:e])
+        delta = _value_mix(g.weights, v_cache[s:e])
         if cfg.head_balancing:
             gamma = head_balance(z_row, delta)
         else:
             gamma = np.ones(z_row.shape[0], dtype=np.float64)
-        return GuidanceRow(
-            weights=self.grounding.weights,
-            scales=cfg.beta * rho * gamma,
-            span=(s, e),
-            delta=delta,
-        )
+        return GuidanceRow(g.weights, cfg.beta * rho * gamma, (s, e), delta)
 
     def on_token(self, token_id: int) -> None:
         """Programmed visual guidance: decay the grounding where the token was seen.
@@ -218,17 +227,18 @@ class VgaSession:
         slightly and subtracts where the token was seen, so the next
         word's guidance looks away from what is already described.
         """
+        token_id = require_int(token_id, "token_id", InvalidInput)
         cfg = self.config
         if cfg.mode != "caption" or not cfg.pvg_enabled or cfg.lambda_ == 0.0:
             return
         if self.grounding is None:
             return
         self._require_bound()
-        token_id = int(token_id)
         n_vocab = self.visual_probs.shape[1]
         if not 0 <= token_id < n_vocab:
             raise InvalidInput(f"token id {token_id} out of range for vocab size {n_vocab}")
-        g_w, _ = sum_normalize(self.visual_probs[:, token_id])
+        # a softmax column: finite and nonnegative by construction
+        g_w, _ = unit_mass(self.visual_probs[:, token_id])
         lam = cfg.lambda_
         self.grounding = Grounding.from_nonnegative(
             np.maximum(0.0, (1.0 + lam) * self.grounding.weights - lam * g_w)
@@ -239,12 +249,6 @@ class VgaSession:
     def _require_bound(self) -> None:
         if self.layout is None or self.visual_probs is None:
             raise ConfigError("session is not bound to a visual context yet")
-
-    def _effective_rho(self) -> float:
-        g = self.grounding
-        if g is None or g.degenerate:
-            return 0.0
-        return 1.0 if self.config.mode == "vqa" else g.rho
 
     def _uniform(self, m: int) -> Grounding:
         return Grounding.from_values(np.ones(m))

@@ -220,6 +220,17 @@ def test_decode_step_extends_cache_consistently(tiny_model):
     assert np.allclose(stepped, full_logits(tiny_model, extended)[-1], atol=LOGIT_TOL)
 
 
+@pytest.mark.parametrize("bad", [3.7, True, "3"])
+def test_decode_step_rejects_non_integer_token_ids(tiny_model, bad):
+    """A float is not truncated to a token, nor a bool read as 0 or 1."""
+    result = prefill(tiny_model, scene_layout(tiny_model, np.random.default_rng(5)))
+    length = result.cache.length
+    with pytest.raises(InvalidInput):
+        decode_step(tiny_model, result.cache, bad)
+    assert result.cache.length == length
+    decode_step(tiny_model, result.cache, np.int64(3))  # numpy integers pass
+
+
 def test_decode_never_reads_cache_rows_past_length(tiny_model):
     """Rows past ``length`` are uninitialized; NaN there must change no byte."""
     rng = np.random.default_rng(10)

@@ -1,4 +1,6 @@
 """Guidance sessions: config rules, head balancing, corrections, decay, profiling."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import ConfigError, InvalidInput, ShapeError
-from vgalab.grounding import Grounding, MaskAnnotation, merge_groundings, object_grounding
-from vgalab.mllm import SequenceLayout, prefill
-from vgalab.numerics import cosine_sim_clamped, sum_normalize
+from vgalab.evalkit import build_caption_layout, build_vqa_layout, question_text
+from vgalab.grounding import (
+    Grounding,
+    MaskAnnotation,
+    extract_objects,
+    merge_groundings,
+    object_grounding,
+    vss,
+)
+from vgalab.mllm import SequenceLayout, decode_step, prefill, prefill_shared
+from vgalab.numerics import cosine_sim_clamped, row_softmax, sum_normalize
 from vgalab.vga import (
     VgaConfig,
+    VgaSession,
     bos_profile,
     delta_z,
     head_balance,
@@ -42,9 +53,15 @@ def test_config_validation():
         {"lambda_": "0.02"},
         {"mode": "chat"},
         {"guidance_source": "telepathy"},
+        {"head_balancing": "no"},
+        {"pvg_enabled": 0},
+        {"head_balancing": None},
     ):
         with pytest.raises(ConfigError):
             VgaConfig(**kwargs)
+    flags = VgaConfig(head_balancing=np.bool_(False), pvg_enabled=np.True_)
+    assert (flags.head_balancing, flags.pvg_enabled) == (False, True)
+    assert type(flags.head_balancing) is bool and type(flags.pvg_enabled) is bool
 
 
 def test_auto_source_follows_mode():
@@ -137,6 +154,148 @@ def test_head_balance_matches_per_head_loop(pair):
     # the unchecked cores compute exactly what the checked entry points do
     gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
     assert gamma.tobytes() == np.maximum(0.0, 2.0 - n_heads * gamma_prime).tobytes()
+
+
+# -- the hook against a per-head reference -----------------------------------------
+
+class RecordingHook:
+    """Delegates to a session and keeps a copy of every correction's inputs,
+    the number of tokens seen so far, and the row the session returned."""
+
+    def __init__(self, session):
+        self.session = session
+        self.visual_logits = None
+        self.tokens = []
+        self.calls = []
+
+    def on_visual(self, visual_logits, layout, vocab):
+        self.visual_logits = visual_logits
+        self.session.on_visual(visual_logits, layout, vocab)
+
+    def on_token(self, token_id):
+        self.tokens.append(token_id)
+        self.session.on_token(token_id)
+
+    def correction(self, layer, z_row, v_cache):
+        row = self.session.correction(layer, z_row, v_cache)
+        self.calls.append((layer, z_row.copy(), v_cache.copy(), len(self.tokens), row))
+        return row
+
+
+class StaleMixSession(VgaSession):
+    """Mutant: caches each layer's value mix and never drops it, so after a
+    PVG update it guides with the previous token's mix."""
+
+    def __init__(self, model, config):
+        super().__init__(model, config)
+        self.stale = {}
+
+    def correction(self, layer, z_row, v_cache):
+        row = super().correction(layer, z_row, v_cache)
+        if row is None:
+            return None
+        delta = self.stale.setdefault(layer, row.delta)
+        rho = self.grounding.rho if self.config.mode == "caption" else 1.0
+        scales = self.config.beta * rho * head_balance(z_row, delta)
+        return replace(row, delta=delta, scales=scales)
+
+
+def pvg_reference(hook):
+    """The grounding before each token, rebuilt with the checked entry points:
+    salience at bind time, then G <- Norm(ReLU((1+lam) G - lam Norm(p_w)))."""
+    cfg = hook.session.config
+    probs = row_softmax(hook.visual_logits)
+    groundings = [vss(hook.visual_logits, k=cfg.top_k)]
+    for token in hook.tokens:
+        g_w, _ = sum_normalize(probs[:, token])
+        g = groundings[-1].weights
+        groundings.append(
+            Grounding.from_values(np.maximum(0.0, (1.0 + cfg.lambda_) * g - cfg.lambda_ * g_w))
+        )
+    return groundings
+
+
+def assert_rows_match_reference(hook, groundings, n_heads):
+    """Each row's scales and mix, byte for byte, against a per-head loop of
+    ``cosine_sim_clamped``, ``sum_normalize`` and ``delta_z``, the mix itself
+    held to the explicit sum over visual rows; returns the rows applied."""
+    session = hook.session
+    cfg = session.config
+    s, e = session.layout.visual_start, session.layout.visual_end
+    applied = 0
+    for layer, z, v, n_seen, row in hook.calls:
+        g = groundings[n_seen]
+        if not session.start_layer <= layer < session.end_layer or g.degenerate:
+            assert row is None
+            continue
+        delta = delta_z(g, v[s:e])
+        loop = np.zeros_like(delta)
+        for i in range(e - s):
+            loop += g.weights[i] * v[s + i]
+        np.testing.assert_allclose(delta, loop, rtol=0, atol=LOOP_TOL)
+        sims = np.array([cosine_sim_clamped(z[h], delta[h]) for h in range(n_heads)])
+        gamma_prime, _ = sum_normalize(sims)
+        rho = g.rho if cfg.mode == "caption" else 1.0
+        scales = cfg.beta * rho * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
+        assert row.span == (s, e)
+        assert row.weights.tobytes() == g.weights.tobytes()
+        assert row.delta.tobytes() == delta.tobytes()
+        assert row.scales.tobytes() == scales.tobytes()
+        applied += 1
+    return applied
+
+
+def record_pvg_caption(model, scene, session, n_tokens):
+    """Greedy caption steps with PVG; decoding runs on past EOS, which the
+    hook does not look at."""
+    hook = RecordingHook(session)
+    result = prefill(model, build_caption_layout(model, scene), hook=hook)
+    logits = result.last_logits
+    for _ in range(n_tokens):
+        token = int(np.argmax(logits))
+        hook.on_token(token)
+        logits = decode_step(model, result.cache, token, hook=hook)
+    return hook
+
+
+CAPTION_TOKENS = 12
+
+
+def test_pvg_caption_rows_match_per_head_reference(clean_model, scenes12):
+    session = new_session(clean_model, VgaConfig(mode="caption", pvg_enabled=True))
+    hook = record_pvg_caption(clean_model, scenes12[0], session, CAPTION_TOKENS)
+    groundings = pvg_reference(hook)
+    assert len({g.weights.tobytes() for g in groundings}) == CAPTION_TOKENS + 1  # PVG moved G
+    applied = assert_rows_match_reference(hook, groundings, clean_model.config.n_heads)
+    guided_layers = session.end_layer - session.start_layer
+    assert applied == (CAPTION_TOKENS + 1) * guided_layers  # prefill row + every step
+
+
+def test_stale_mix_after_pvg_update_fails_the_reference(clean_model, scenes12):
+    session = StaleMixSession(clean_model, VgaConfig(mode="caption", pvg_enabled=True))
+    hook = record_pvg_caption(clean_model, scenes12[0], session, CAPTION_TOKENS)
+    with pytest.raises(AssertionError):
+        assert_rows_match_reference(hook, pvg_reference(hook), clean_model.config.n_heads)
+
+
+def test_shared_prefix_vsc_rows_match_per_head_reference(noisy_model, scenes12):
+    scene = scenes12[0]
+    config = VgaConfig(beta=0.25, guidance_source="vsc")
+    vocab = noisy_model.vocab
+    layouts = [build_vqa_layout(noisy_model, scene, q.word) for q in scene.questions]
+    hooks = [
+        RecordingHook(new_session(noisy_model, config, question=question_text(q.word)))
+        for q in scene.questions
+    ]
+    prefill_shared(noisy_model, layouts, hooks)
+    applied = 0
+    for hook in hooks:
+        logits = hook.visual_logits
+        words = extract_objects(hook.session.question, vocab)
+        groundings = [object_grounding(logits, vocab.id_of(w)) for w in words]
+        reference = groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
+        applied += assert_rows_match_reference(hook, [reference], noisy_model.config.n_heads)
+    assert applied == len(hooks) * (hooks[0].session.end_layer - hooks[0].session.start_layer)
 
 
 # -- session grounding sources ---------------------------------------------------
@@ -338,6 +497,19 @@ def test_on_token_rejects_out_of_vocab_ids(clean_model, bad):
     with pytest.raises(InvalidInput):
         session.on_token(token_id)
     assert np.array_equal(session.grounding.weights, w)
+
+
+@pytest.mark.parametrize("mode", ["caption", "vqa"])
+@pytest.mark.parametrize("bad", [3.7, True, "3"])
+def test_on_token_rejects_non_integer_ids(clean_model, mode, bad):
+    """A float is not truncated to a token, nor a bool read as 0 or 1, in
+    either mode."""
+    session = bound_caption_session(clean_model, VgaConfig(mode=mode), question="a dog ?")
+    w = session.grounding.weights.copy()
+    with pytest.raises(InvalidInput):
+        session.on_token(bad)
+    assert np.array_equal(session.grounding.weights, w)
+    session.on_token(np.int64(clean_model.vocab.id_of("dog")))  # numpy integers pass
 
 
 def test_pvg_update_requires_bound_session(tiny_model):
