@@ -33,7 +33,7 @@ cat_col = vocab.id_of("cat")
 logits = pre.last_logits
 for step in range(40):
     tok = int(np.argmax(logits))
-    g = session.grounding
+    g = session.groundings[0]
     dog_g = float(np.sum(g.weights[:6])) if g is not None else -1.0
     cat_g = float(np.sum(g.weights[20:24])) if g is not None else -1.0
     rho = g.rho if g is not None else -1.0

@@ -7,9 +7,12 @@ scenes with a single-threaded reduce in scene order. Paired comparisons
 run on the same scene list and will see identical prompts.
 
 The existence loop answers all of a scene's questions with one
-``prefill_shared`` call: the scene's visual prefix runs once and the
-questions' text tails run as one batched forward over it. Nothing of it
-outlives the call, so worker threads share no model state.
+``prefill_shared`` call under one guidance session: the scene's visual
+prefix runs once, the questions' text tails run as one batched forward
+over it, and the session, one entry per question, grounds every question
+from one softmax of the shared visual logits and guides all their rows
+at once on each layer. Nothing of it outlives the call, so worker threads
+share no model state.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..errors import InvalidParams
+from ..errors import InvalidParams, require_int
 from ..grounding import (
     MaskAnnotation,
     dice,
@@ -37,7 +40,7 @@ from ..mllm import (
     prefill,
     prefill_shared,
 )
-from ..vga import VgaConfig, new_session
+from ..vga import VgaConfig, VgaSession, new_session
 from .metrics import EvalReport, amber_metrics, chair_metrics, f1_score
 from .scenes import Question, Scene, build_caption_layout, build_vqa_layout, question_text, size_class
 
@@ -57,13 +60,21 @@ def _gt_mask_for(scene: Scene, word: str) -> MaskAnnotation:
     return MaskAnnotation(word=word, overlaps=np.zeros(scene.n_patches))
 
 
-def _answer_session(model: Model, scene: Scene, question: Question, config: VgaConfig):
-    gt_mask = None
+def _answer_session(
+    model: Model, scene: Scene, questions: list[Question], config: VgaConfig
+) -> VgaSession:
+    """One session for ``questions`` of ``scene``, one entry per question."""
+    gt_masks = None
     if config.resolved_source() == "ground_truth":
-        gt_mask = _gt_mask_for(scene, question.word)
-    return new_session(
-        model, config, question=question_text(question.word), gt_mask=gt_mask
-    )
+        gt_masks = [_gt_mask_for(scene, q.word) for q in questions]
+    return VgaSession(model, config, [question_text(q.word) for q in questions], gt_masks)
+
+
+def _positive_int(value, name: str) -> int:
+    value = require_int(value, name, InvalidParams)
+    if value < 1:
+        raise InvalidParams(f"{name} must be >= 1")
+    return value
 
 
 def model_answer_fn(
@@ -78,7 +89,7 @@ def model_answer_fn(
     ``run_existence_eval`` answers a whole scene at once, bit for bit the
     same tokens.
     """
-    session = _answer_session(model, scene, question, config)
+    session = _answer_session(model, scene, [question], config)
     return int(np.argmax(prefill(model, layout, hook=session).last_logits))
 
 
@@ -105,9 +116,12 @@ def run_existence_eval(
     replace the model-driven answerer (e.g. a hard-coded oracle when
     testing the harness itself). Unmappable answers count as incorrect
     and are logged. The default answerer runs a scene's visual prefix once
-    and answers all its questions in one batched forward over it, the
-    tokens ``model_answer_fn`` gives one question at a time.
+    and answers all its questions in one batched forward over it, guided by
+    one session for the scene: the tokens ``model_answer_fn`` gives one
+    question at a time. ``jobs`` (an int >= 1) worker threads split the
+    scenes.
     """
+    jobs = _positive_int(jobs, "jobs")
     if not scenes:
         raise InvalidParams("need at least one scene")
     if not any(scene.questions for scene in scenes):
@@ -123,8 +137,8 @@ def run_existence_eval(
                 for q, layout in zip(scene.questions, layouts)
             ]
         else:
-            sessions = [_answer_session(model, scene, q, config) for q in scene.questions]
-            logits = prefill_shared(model, layouts, sessions)
+            session = _answer_session(model, scene, scene.questions, config)
+            logits = prefill_shared(model, layouts, session)
             tokens = [int(t) for t in np.argmax(logits, axis=-1)]
         out = []
         for q, token in zip(scene.questions, tokens):
@@ -176,8 +190,10 @@ def run_caption_eval(
 
     The config is coerced to caption mode. When ``f1`` is not supplied,
     the discriminative half runs on the same scenes with the same config
-    (in vqa mode) and contributes its F1 to the combined score.
+    (in vqa mode) and contributes its F1 to the combined score. ``jobs``
+    (an int >= 1) worker threads split the scenes.
     """
+    jobs = _positive_int(jobs, "jobs")
     if not scenes:
         raise InvalidParams("need at least one scene")
     cap_config = replace(config, mode="caption")
@@ -321,8 +337,7 @@ def bench_ttft(
     that guidance adds no extra forward passes; unequal counts would make
     the timing comparison meaningless.
     """
-    if runs < 1:
-        raise InvalidParams("runs must be >= 1")
+    runs = _positive_int(runs, "runs")
     if not scenes:
         raise InvalidParams("need at least one scene")
     if not all(scene.questions for scene in scenes):

@@ -13,8 +13,9 @@ carry needs no guard against a row that has seen no key yet: key 0 is in
 the first block and visible to every row, so each row's running max is
 finite after that block. Guidance for this path is applied *outside* the
 kernel by ``GuidanceRow.apply``, the value-space form of the same splice
-(output + beta * gamma_h * rho * sum_i G_i V_i); equivalence of the two
-routes is a tested invariant.
+(output + beta * gamma_h * rho * sum_i G_i V_i), on the last row of every
+guided batch entry at once; equivalence of the two routes is a tested
+invariant.
 
 Shapes: q is [Tq, H, dh]; k and v are [Tk, H, dh] with Tk >= Tq. Query row
 i sits at absolute position (Tk - Tq + i) and attends keys 0..that
@@ -22,7 +23,7 @@ position (causal). Computation accumulates in float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +32,30 @@ from ..errors import InvalidInput, ShapeError
 _KEY_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class GuidanceRow:
-    """Additive guidance for the last query row's visual columns.
+class GuidanceRow(NamedTuple):
+    """Additive guidance for the visual columns of the last query row of k
+    batch entries.
 
-    ``weights`` is a unit-mass vector over the visual span ``span``; head h
-    receives weights scaled by ``scales[h]`` (beta * rho * gamma_h).
-    ``delta`` [H, dh] is the value mix those weights select,
-    ``sum_i weights[i] * v[span[0] + i]`` per head.
+    ``entries`` picks the guided entries on the batch axis: a slice when
+    they are contiguous, else an index array. ``weights`` [k, m] holds one
+    unit-mass vector over the visual span ``span`` per entry; head h of
+    guided entry j receives ``weights[j]`` scaled by ``scales[j, h]`` (beta *
+    rho * gamma_h). ``delta`` [k, H, dh] is the value mix those weights
+    select, ``sum_i weights[j, i] * v[span[0] + i]`` per head. A named
+    tuple, immutable and cheaper to build than a frozen dataclass: the hook
+    builds one per guided layer of every generated token.
     """
 
+    entries: slice | np.ndarray
     weights: np.ndarray
     scales: np.ndarray
     span: tuple[int, int]
     delta: np.ndarray
 
-    def apply(self, z_row: np.ndarray) -> np.ndarray:
-        """Guided output of one row: ``z_row`` [H, dh] plus the scaled value mix."""
-        return z_row + self.scales[:, None] * self.delta
+    def apply(self, z_last: np.ndarray) -> None:
+        """Guide ``z_last`` [B, H, dh], the entries' last rows, in place: each
+        guided entry's row gains its scaled value mix."""
+        z_last[self.entries] += self.scales[..., None] * self.delta
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,9 +77,10 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
 def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
     """Reference attention; returns (z, alpha) with alpha shaped [H, Tq, Tk].
 
-    With ``guidance``, the last query row's weights over the visual span get
-    the additive boost before the value reduction, so the returned alpha is
-    the guided matrix (its guided row sums to 1 + scales[h]).
+    With ``guidance``, a row for this one sequence (k = 1, entry 0), the
+    last query row's weights over the visual span get the additive boost
+    before the value reduction, so the returned alpha is the guided matrix
+    (its guided row sums to 1 + scales[0, h]).
     """
     q, k, v = _check_qkv(q, k, v)
     tq, n_heads, d_head = q.shape
@@ -92,12 +100,12 @@ def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
         if not (0 <= s < e <= tk):
             raise ShapeError(f"guidance span [{s}, {e}) outside key range {tk}")
         g = np.asarray(guidance.weights, dtype=np.float64)
-        if g.shape != (e - s,):
-            raise ShapeError("guidance weights do not match the visual span")
+        if g.shape != (1, e - s):
+            raise ShapeError("guidance weights must be one entry's [1, m] over the visual span")
         if e - 1 > offset + tq - 1:
             raise InvalidInput("guidance span is not visible to the last query row")
         alpha = alpha.copy()
-        alpha[:, -1, s:e] += guidance.scales[:, None] * g[None, :]
+        alpha[:, -1, s:e] += guidance.scales[0][:, None] * g
 
     z = np.einsum("hqk,khd->qhd", alpha, v)
     return z, alpha

@@ -15,18 +15,23 @@ and the text tails of all its prompts as one batched forward over its
 cached rows, each batch entry what a ``prefill`` of that prompt alone
 computes, bit for bit on models with more than one head. The forward pass
 takes token ids [B, n]; the attention kernel sees the batch entries' heads
-side by side on its head axis, since heads never mix. A guidance hook,
-when attached, receives the read-only visual logits between the phases
-and corrects the attention output of its entry's last row at each layer.
-The hook is duck-typed:
+side by side on its head axis, since heads never mix. One guidance hook,
+when attached, serves the whole batch: it receives the read-only visual
+logits between the phases, and at each layer the last row of every entry
+at once, with which it may guide any of them. The hook is duck-typed:
 
     on_visual(visual_logits, layout, vocab)  -> None
-    correction(layer, z_row, v_cache)        -> GuidanceRow | None
+    correction(layer, z_last, v_cache)       -> GuidanceRow | None
     on_token(token_id)                       -> None
 
-The fused route applies a correction in value space (``GuidanceRow.apply``);
-the explicit route, the reference, recomputes the guided row with the same
-weights spliced into its attention matrix, and the two must agree.
+``z_last`` [B, H, dh] holds every entry's last-row attention output, and
+``v_cache`` is a read-only view of the cached value rows: those every
+entry shares, the visual prefix among them (for B = 1, also the rows the
+entry has just appended). The fused
+route applies a correction in value space (``GuidanceRow.apply``) to the
+entries it names; the explicit route, the reference, runs for one entry
+and recomputes the guided row with the same weights spliced into its
+attention matrix, and the two must agree.
 """
 from __future__ import annotations
 
@@ -148,13 +153,17 @@ class KvCache:
     """Preallocated per-layer key/value store, float64, append-only.
 
     Rows past ``length`` are uninitialized: every read goes through
-    ``view``, which stops at the written rows.
+    ``view``, which stops at the written rows and hands out the value rows
+    read-only, so a guidance hook can read but never overwrite them.
     """
 
     def __init__(self, config: ModelConfig) -> None:
         shape = (config.max_seq_len, config.n_heads, config.d_head)
         self.k = [np.empty(shape) for _ in range(config.n_layers)]
         self.v = [np.empty(shape) for _ in range(config.n_layers)]
+        self._v_read = [v.view() for v in self.v]
+        for v in self._v_read:
+            v.flags.writeable = False
         self._len = 0
         self.capacity = config.max_seq_len
 
@@ -173,7 +182,7 @@ class KvCache:
         self._len += n_rows
 
     def view(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.k[layer][:upto], self.v[layer][:upto]
+        return self.k[layer][:upto], self._v_read[layer][:upto]
 
 
 @dataclass
@@ -225,7 +234,7 @@ def _forward_block(
     start_pos: int,
     cache: KvCache,
     *,
-    hooks: Sequence = (),
+    hook=None,
     explicit: bool = False,
 ) -> tuple[np.ndarray, list[float]]:
     """Push ``token_ids`` [B, n] (absolute positions start_pos..) through all layers.
@@ -233,10 +242,10 @@ def _forward_block(
     One row (B = 1) appends its keys and values to ``cache``. A batch
     (B > 1) reads the cache's first ``start_pos`` rows, shared by every
     entry, followed by each entry's own rows, so the entries never see each
-    other, and writes nothing. ``hooks`` holds a hook or None per batch
-    entry; a hook corrects its entry's last row. Returns (logits [B, n, V],
-    per-layer BOS attention of the last row when ``explicit``, which runs
-    for B = 1 only).
+    other, and writes nothing. ``hook``, if given, guides the entries' last
+    rows at each layer, handed a read-only view of the cached value rows.
+    Returns (logits [B, n, V], per-layer BOS attention of the last row when
+    ``explicit``, which runs for B = 1 only).
     """
     global _FORWARD_ROWS
     cfg = model.config
@@ -263,9 +272,10 @@ def _forward_block(
         if b == 1:
             cache.write(layer_idx, start_pos, k, v)
             k_all, v_all = cache.view(layer_idx, start_pos + n)
+            v_cache = v_all
         else:
-            k_shared, v_shared = cache.view(layer_idx, start_pos)
-            k_all, v_all = _join(k_shared, k), _join(v_shared, v)
+            k_shared, v_cache = cache.view(layer_idx, start_pos)
+            k_all, v_all = _join(k_shared, k), _join(v_cache, v)
 
         if explicit:
             z, alpha = attention_explicit(q, k_all, v_all)
@@ -274,18 +284,14 @@ def _forward_block(
             z = attention_fused(q, k_all, v_all)
 
         z = z.reshape(n, b, n_heads, d_head)
-        for i, hook in enumerate(hooks):
-            if hook is None:
-                continue
-            # one entry's rows are the whole cache view
-            v_entry = v_all if b == 1 else v_all.reshape(-1, b, n_heads, d_head)[:, i]
-            row = z[-1, i]
-            corr = hook.correction(layer_idx, row, v_entry)
+        if hook is not None:
+            z_last = z[-1]
+            corr = hook.correction(layer_idx, z_last, v_cache)
             if corr is not None and explicit:
                 # Reference route: recompute the row with the boost in its weights.
-                z[-1, i] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
+                z_last[0] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
             elif corr is not None:
-                z[-1, i] = corr.apply(row)
+                corr.apply(z_last)
 
         x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
@@ -295,15 +301,16 @@ def _forward_block(
 
 
 def _prefill(
-    model: Model, layouts: Sequence[SequenceLayout], hooks: Sequence, explicit: bool
+    model: Model, layouts: Sequence[SequenceLayout], hook, explicit: bool
 ) -> tuple[KvCache, np.ndarray, np.ndarray, list[float]]:
     """Run the prompts' shared visual prefix once, then their text tails as one batch.
 
     The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
-    a new cache; every hook gets the same read-only visual logits; then the
-    tails, of equal length, run as one [B, n] forward, which extends the
-    cache only for B = 1. Returns (cache, visual logits, last-row logits
-    [B, V], per-layer BOS attention when ``explicit``).
+    a new cache; the hook, if any, binds to the read-only visual logits and
+    ``layouts[0]``, whose visual span every prompt shares; then the tails,
+    of equal length, run as one [B, n] forward under the hook, which
+    extends the cache only for B = 1. Returns (cache, visual logits,
+    last-row logits [B, V], per-layer BOS attention when ``explicit``).
     """
     first = layouts[0]
     if first.length > model.config.max_seq_len:
@@ -316,13 +323,12 @@ def _prefill(
     cache.advance(e)
     visual_logits = logits[0, first.visual_start : e]
     visual_logits.flags.writeable = False
-    for layout, hook in zip(layouts, hooks):
-        if hook is not None:
-            hook.on_visual(visual_logits, layout, model.vocab)
+    if hook is not None:
+        hook.on_visual(visual_logits, first, model.vocab)
 
     if e < first.length:
         tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
-        logits, bos = _forward_block(model, tails, e, cache, hooks=hooks, explicit=explicit)
+        logits, bos = _forward_block(model, tails, e, cache, hook=hook, explicit=explicit)
         if len(layouts) == 1:
             cache.advance(first.length - e)
     return cache, visual_logits, logits[:, -1].copy(), bos
@@ -342,7 +348,7 @@ def prefill(
     second pass. ``record_attention`` switches to the explicit kernel and
     records each layer's last-row attention to position 0.
     """
-    cache, visual_logits, last_logits, bos = _prefill(model, [layout], [hook], record_attention)
+    cache, visual_logits, last_logits, bos = _prefill(model, [layout], hook, record_attention)
     return PrefillResult(
         cache=cache,
         visual_logits=visual_logits,
@@ -351,22 +357,22 @@ def prefill(
     )
 
 
-def prefill_shared(
-    model: Model, layouts: Sequence[SequenceLayout], hooks: Sequence
-) -> np.ndarray:
+def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -> np.ndarray:
     """Last-row logits [B, V] of prompts that share one visual prefix, in one forward.
 
     The prompts must match ``layouts[0]`` in ``visual_end``, in the tokens
     before it and in length, and have a text tail. The prefix runs once;
-    every hook (one per layout, or None) gets its read-only visual logits;
-    then the text tails run as one batch over its rows. Row b is bit for
-    bit ``prefill(model, layouts[b], hook=hooks[b]).last_logits``, except
-    that one-row tails on a one-head model may differ in the last bits
-    (BLAS reduces a lone contiguous head by another path). No cache is
-    kept, so the prompts cannot be decoded further.
+    the hook, if any, binds to its read-only visual logits and then guides
+    every prompt's last row at once (a ``VgaSession`` with one entry per
+    prompt, in order); the text tails run as one batch over the prefix
+    rows. Row b is bit for bit what ``prefill`` of ``layouts[b]`` under a
+    one-entry session for that prompt computes, except that one-row tails
+    on a one-head model may differ in the last bits (BLAS reduces a lone
+    contiguous head by another path). No cache is kept, so the prompts
+    cannot be decoded further.
     """
-    if not layouts or len(hooks) != len(layouts):
-        raise InvalidInput("need one or more prompts and one hook (or None) per prompt")
+    if not layouts:
+        raise InvalidInput("need one or more prompts")
     first = layouts[0]
     e = first.visual_end
     for layout in layouts:
@@ -376,7 +382,7 @@ def prefill_shared(
             raise InvalidInput("text tails of unequal length cannot share one forward")
     if first.length == e:
         raise InvalidInput("prompts have no text tail after the prefix")
-    return _prefill(model, layouts, hooks, explicit=False)[2]
+    return _prefill(model, layouts, hook, explicit=False)[2]
 
 
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
@@ -385,7 +391,7 @@ def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.nd
     if cache.length >= cache.capacity:
         raise CapacityError(f"cache full at capacity {cache.capacity}")
     ids = np.asarray([[token_id]], dtype=np.int64)
-    logits, _ = _forward_block(model, ids, cache.length, cache, hooks=(hook,))
+    logits, _ = _forward_block(model, ids, cache.length, cache, hook=hook)
     cache.advance(1)
     return logits[0, 0]
 

@@ -44,13 +44,31 @@ def row_softmax(logits) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool]:
+def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
     """Unchecked core of ``sum_normalize``; ``values`` is a finite,
-    nonnegative float vector."""
-    total = float(np.add.reduce(values))  # values.sum() minus its Python-level wrapper
-    if total < DEGENERATE_EPS:
-        return np.full(values.shape, 1.0 / values.size, dtype=values.dtype), True
-    return values / total, False
+    nonnegative float vector, or a stack of them [k, n] scaled row by row.
+
+    ``degenerate`` is a bool for a vector and a list of bools, one per row,
+    for a stack; each row is bit for bit what the vector call on it returns.
+    A stack of one row (every guided generation) takes the vector's path.
+    """
+    if values.ndim == 1 or len(values) == 1:
+        # values.sum() minus its Python-level wrapper; one row sums as a vector
+        total = float(np.add.reduce(values, None))
+        degenerate = total < DEGENERATE_EPS
+        if degenerate:
+            out = np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype)
+        else:
+            out = values / total
+        return out, degenerate if values.ndim == 1 else [degenerate]
+    totals = np.add.reduce(values, 1, None, None, True)  # keepdims
+    sums = totals.tolist()
+    if min(sums)[0] >= DEGENERATE_EPS:
+        return values / totals, [False] * len(sums)
+    degenerate = [total < DEGENERATE_EPS for total, in sums]
+    out = values / np.where(totals < DEGENERATE_EPS, 1.0, totals)
+    out[degenerate] = 1.0 / values.shape[1]
+    return out, degenerate
 
 
 def sum_normalize(values) -> tuple[np.ndarray, bool]:

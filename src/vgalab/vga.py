@@ -1,10 +1,11 @@
 """Vision-guided attention: grounding-driven correction of decoder attention.
 
-A ``VgaSession`` rides along a generation as the model's guidance hook.
-At prefill it reads the visual-token logits and builds a grounding vector
-(object-directed for question answering, salience-based for captions).
-At each guided layer it corrects the current row's attention output in
-value space:
+A ``VgaSession`` rides along a generation, or along the prompts of one
+scene answered as one batch, as the model's guidance hook. It holds one
+entry per prompt. At prefill it reads the visual-token logits, which every
+entry shares, and builds each entry's grounding vector (object-directed
+for question answering, salience-based for captions). At each guided
+layer it corrects the last row of each guided entry in value space:
 
     z_hat_h = z_h + beta * gamma_h * rho * sum_i G_i * V_h[s+i]
 
@@ -15,21 +16,28 @@ per-head factors gamma_h rebalance guidance toward heads whose output
 already tracks the visual values; rho decays guidance as programmed
 suppression drains the grounding during captioning.
 
-The hook runs on every guided row, so its fixed cost is kept low. It works
+The work is shared across entries wherever the prompts share it. On
+binding, the session takes one softmax of the visual logits (only when a
+vsc grounding or a PVG update reads it), grounds every entry, and stacks
+the weights of the entries it guides: those with a nondegenerate grounding
+and rho > 0, at beta > 0. On each guided layer one call then serves them
+all: one stacked mix ``G[:, None, :] @ V`` of the shared visual value rows
+(one GEMV per entry, bit-equal to ``delta_z`` of each), one
+``clamped_row_cosine`` over every entry's heads, one ``unit_mass`` that
+normalizes each entry's cosines, and one scaled add. A plain [k, m] @ [m, H*dh] product would be one
+GEMM, whose sums may round differently, so it is not used. The hook works
 on arrays the forward pass computed from checked inputs (token ids, the
 model's finite weights, the visual logits, masks and the config), so it
-calls unchecked cores and checks only shapes: ``_value_mix`` for the
-grounding-weighted value rows (the core of the checked ``delta_z``),
-``clamped_row_cosine`` and ``unit_mass`` for head balancing, and
-``unit_mass`` for the softmax column of a PVG update. The mix is computed
-afresh on each guided layer of each row; nothing is cached, since each
-layer has its own value rows and PVG replaces the grounding after every
+calls unchecked cores and checks only shapes. The mix is computed afresh
+on each guided layer; nothing is cached, since each layer has its own
+value rows and PVG replaces the grounding (and restacks it) after every
 caption token.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -107,13 +115,6 @@ class VgaConfig:
         return "vsc" if self.mode == "vqa" else "vss"
 
 
-def _value_mix(weights: np.ndarray, v_visual: np.ndarray) -> np.ndarray:
-    """Unchecked core of ``delta_z``: ``weights`` is a float64 [m] vector and
-    ``v_visual`` float64 [m, heads, d_head]."""
-    m, n_heads, d_head = v_visual.shape
-    return (weights @ v_visual.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
-
-
 def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarray:
     """Grounding-weighted sum of visual value rows, per head.
 
@@ -127,9 +128,10 @@ def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarr
     v = np.asarray(v_visual, dtype=np.float64)
     if g.ndim != 1 or v.ndim != 3:
         raise ShapeError("expected grounding [m] and values [m, heads, d_head]")
-    if g.shape[0] != v.shape[0]:
-        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {v.shape[0]}")
-    return _value_mix(g, v)
+    m, n_heads, d_head = v.shape
+    if g.shape[0] != m:
+        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {m}")
+    return (g @ v.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
 
 
 def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
@@ -139,31 +141,38 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
     gamma below 1 (they need less help), the rest get more; the mean stays
     1 whenever the ReLU clips nothing. Degenerate similarities (all zero)
     fall back to uniform, i.e. gamma = 1 everywhere. ``z_row`` and
-    ``dz_row`` are finite float arrays; only their shapes are checked.
+    ``dz_row`` are one row's [heads, d_head], or a stack [k, heads, d_head]
+    balanced row by row into gamma [k, heads]. They are finite float
+    arrays; only their shapes are checked.
     """
-    if z_row.shape != dz_row.shape or z_row.ndim != 2:
-        raise ShapeError("z_row and dz_row must both be [heads, d_head]")
+    if z_row.shape != dz_row.shape or z_row.ndim not in (2, 3):
+        raise ShapeError("z_row and dz_row must both be [heads, d_head] or [k, heads, d_head]")
     gamma_prime, _ = unit_mass(clamped_row_cosine(z_row, dz_row))
-    return np.maximum(0.0, 2.0 - z_row.shape[0] * gamma_prime)
+    return np.maximum(0.0, 2.0 - z_row.shape[-2] * gamma_prime)
 
 
 class VgaSession:
-    """Guidance state for one generation; plugs into the decoder as a hook.
+    """Guidance state for one generation, or for the prompts of one scene
+    answered in one batch; plugs into the decoder as its hook.
 
-    Construct unbound (via ``new_session``) and hand it to prefill or the
-    greedy loop; it grounds itself when the visual logits arrive. The
-    session is single-owner and single-use: programmed suppression mutates
-    the grounding across decode steps in caption mode, so binding it to a
-    second visual context raises ``ConfigError`` instead of handing the
-    next generation a decayed grounding.
+    A session holds one entry per prompt, all under one config: entry b has
+    question ``questions[b]`` (and ``gt_masks[b]`` for ground-truth
+    guidance) and guides batch entry b of the forward pass. Construct it
+    unbound (``new_session`` makes a one-entry session) and hand it to
+    prefill, ``prefill_shared`` or the greedy loop; it grounds its entries
+    when the visual logits arrive. The session is single-owner and
+    single-use: programmed suppression mutates the groundings across decode
+    steps in caption mode, so binding it to a second visual context raises
+    ``ConfigError`` instead of handing the next generation a decayed
+    grounding.
     """
 
     def __init__(
         self,
         model: Model,
         config: VgaConfig,
-        question: str = "",
-        gt_mask: MaskAnnotation | None = None,
+        questions: Sequence[str] = ("",),
+        gt_masks: Sequence[MaskAnnotation | None] | None = None,
     ) -> None:
         n_layers = model.config.n_layers
         start = config.start_layer
@@ -172,18 +181,27 @@ class VgaSession:
             raise ConfigError(
                 f"guidance range [{start}, {end}) invalid for {n_layers} layers"
             )
+        if isinstance(questions, str) or len(questions) == 0:
+            raise ConfigError("questions must be a nonempty sequence, one string per entry")
+        n = len(questions)
+        gt_masks = (None,) * n if gt_masks is None else tuple(gt_masks)
+        if len(gt_masks) != n:
+            raise ConfigError(f"{len(gt_masks)} masks for {n} questions")
         self.config = config
-        self.question = question
-        self.gt_mask = gt_mask
+        self.questions = tuple(questions)
+        self.gt_masks = gt_masks
         self.start_layer = start
         self.end_layer = end
         self.source = config.resolved_source()
-        self.grounding: Grounding | None = None
+        self.groundings: list[Grounding | None] = [None] * n
+        self.fallback_uniform = [False] * n
         self.layout: SequenceLayout | None = None
         self.visual_probs: np.ndarray | None = None
-        self.fallback_uniform = False
-        if self.source == "ground_truth" and gt_mask is None:
-            raise ConfigError("ground_truth guidance requires a mask annotation")
+        # programmed suppression: decays the groundings after each token
+        self._decays = config.mode == "caption" and config.pvg_enabled and config.lambda_ != 0.0
+        self._guided: tuple | None = None
+        if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
+            raise ConfigError("ground_truth guidance requires a mask annotation per entry")
 
     # -- hook protocol ------------------------------------------------------
 
@@ -193,45 +211,51 @@ class VgaSession:
         logits = np.asarray(visual_logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[0] != layout.n_visual:
             raise ShapeError("visual logits must be [n_visual, V] for the layout")
-        # softmax rows computed once: vsc grounding and programmed
-        # suppression both read its columns
-        self.visual_probs = row_softmax(logits)
+        # one softmax for every entry, taken only when something reads its
+        # columns: vsc grounding, or programmed suppression of a grounding
+        if self.source == "vsc" or (self._decays and self.source != "none"):
+            self.visual_probs = row_softmax(logits)
         self.layout = layout
-        self.grounding = self._build_grounding(logits, layout, vocab)
+        self.groundings = self._build_groundings(logits, layout, vocab)
+        self._stack()
 
-    def correction(self, layer: int, z_row: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
+    def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
+        """The guided entries' row for this layer, or None when none is guided.
+
+        ``z_last`` [B, H, dh] is every entry's last-row attention output and
+        ``v_cache`` the cached value rows every entry reads, the visual span
+        among them.
+        """
         self._require_bound()
-        cfg = self.config
-        g = self.grounding
-        if g is None or cfg.beta == 0.0 or g.degenerate:
+        if self._guided is None or not self.start_layer <= layer < self.end_layer:
             return None
-        if not self.start_layer <= layer < self.end_layer:
-            return None
-        rho = 1.0 if cfg.mode == "vqa" else g.rho
-        if rho == 0.0:
-            return None
+        b, n_heads, d_head = z_last.shape
+        if b != len(self.questions):
+            raise ShapeError(f"{b} batch entries for {len(self.questions)} questions")
+        entries, weights, mix_weights, coef = self._guided
         s, e = self.layout.visual_start, self.layout.visual_end
-        delta = _value_mix(g.weights, v_cache[s:e])
-        if cfg.head_balancing:
-            gamma = head_balance(z_row, delta)
+        v_visual = v_cache[s:e].reshape(e - s, n_heads * d_head)
+        # [k, 1, m] @ [m, H*dh]: one GEMV per entry, bit-equal to delta_z of
+        # each; the GEMM [k, m] @ [m, H*dh] may round otherwise
+        delta = (mix_weights @ v_visual).reshape(len(weights), n_heads, d_head)
+        if self.config.head_balancing:
+            scales = coef * head_balance(z_last[entries], delta)
         else:
-            gamma = np.ones(z_row.shape[0], dtype=np.float64)
-        return GuidanceRow(g.weights, cfg.beta * rho * gamma, (s, e), delta)
+            scales = coef * np.ones((len(weights), n_heads))
+        return GuidanceRow(entries, weights, scales, (s, e), delta)
 
     def on_token(self, token_id: int) -> None:
-        """Programmed visual guidance: decay the grounding where the token was seen.
+        """Programmed visual guidance: decay the groundings where the token was seen.
 
         In caption mode with PVG on and lambda > 0, G_w is the token's
         per-patch probability column, sum-normalized, and the update
         G <- Norm(ReLU((1+lambda) G - lambda G_w)) lifts everything
         slightly and subtracts where the token was seen, so the next
-        word's guidance looks away from what is already described.
+        word's guidance looks away from what is already described. Every
+        entry's grounding decays alike.
         """
         token_id = require_int(token_id, "token_id", InvalidInput)
-        cfg = self.config
-        if cfg.mode != "caption" or not cfg.pvg_enabled or cfg.lambda_ == 0.0:
-            return
-        if self.grounding is None:
+        if not self._decays or self.source == "none":
             return
         self._require_bound()
         n_vocab = self.visual_probs.shape[1]
@@ -239,51 +263,86 @@ class VgaSession:
             raise InvalidInput(f"token id {token_id} out of range for vocab size {n_vocab}")
         # a softmax column: finite and nonnegative by construction
         g_w, _ = unit_mass(self.visual_probs[:, token_id])
-        lam = cfg.lambda_
-        self.grounding = Grounding.from_nonnegative(
-            np.maximum(0.0, (1.0 + lam) * self.grounding.weights - lam * g_w)
-        )
+        lam = self.config.lambda_
+        self.groundings = [
+            Grounding.from_nonnegative(np.maximum(0.0, (1.0 + lam) * g.weights - lam * g_w))
+            for g in self.groundings
+        ]
+        self._stack()
 
     # -- internals ----------------------------------------------------------
 
     def _require_bound(self) -> None:
-        if self.layout is None or self.visual_probs is None:
+        if self.layout is None:
             raise ConfigError("session is not bound to a visual context yet")
+
+    def _stack(self) -> None:
+        """Stack what the guided entries bring to every guided layer: their
+        batch indices (a slice when contiguous), weights [k, m] (and as
+        [k, 1, m] for the mix) and beta * rho. An entry with no
+        grounding, a degenerate one or rho = 0 stays unguided, as does every
+        entry at beta = 0."""
+        beta, vqa = self.config.beta, self.config.mode == "vqa"
+        index, weights, coef = [], [], []
+        for i, g in enumerate(self.groundings):
+            if beta == 0.0 or g is None or g.degenerate:
+                continue
+            rho = 1.0 if vqa else g.rho
+            if rho != 0.0:
+                index.append(i)
+                weights.append(g.weights)
+                coef.append(beta * rho)
+        if not index:
+            self._guided = None
+            return
+        contiguous = index[-1] - index[0] + 1 == len(index)
+        entries = slice(index[0], index[-1] + 1) if contiguous else np.array(index)
+        # one entry (every generation) stacks as a view of its weights
+        weights = weights[0][None] if len(weights) == 1 else np.array(weights)
+        # one float when every entry shares it (always in vqa mode): the same
+        # products as a column of equal factors, without building one
+        coef = coef[0] if coef.count(coef[0]) == len(coef) else np.array(coef)[:, None]
+        self._guided = (entries, weights, weights[:, None, :], coef)
 
     def _uniform(self, m: int) -> Grounding:
         return Grounding.from_values(np.ones(m))
 
-    def _build_grounding(
+    def _build_groundings(
         self, logits: np.ndarray, layout: SequenceLayout, vocab: Vocabulary
-    ) -> Grounding | None:
+    ) -> list[Grounding | None]:
         m = layout.n_visual
+        n = len(self.questions)
         source = self.source
         if source == "none":
-            return None
+            return [None] * n
         if source == "even":
-            return self._uniform(m)
+            return [self._uniform(m)] * n
         if source == "vsc":
-            words = extract_objects(self.question, vocab)
-            if not words:
-                warnings.warn(
-                    "no vocabulary objects in question; falling back to even guidance",
-                    stacklevel=2,
-                )
-                self.fallback_uniform = True
-                return self._uniform(m)
-            # object_grounding per word, read from the cached softmax; one
-            # grounding is already normalized, so only several are merged
-            groundings = [
-                Grounding.from_values(self.visual_probs[:, vocab.id_of(w)]) for w in words
-            ]
-            return groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
+            return [self._vsc_grounding(i, m, vocab) for i in range(n)]
         if source == "vss":
-            return vss(logits, k=self.config.top_k)
+            return [vss(logits, k=self.config.top_k)] * n
         if source == "reversed_vss":
-            return vss(logits, k=self.config.top_k, sign="flipped")
+            return [vss(logits, k=self.config.top_k, sign="flipped")] * n
         if source == "ground_truth":
-            return Grounding.from_values(self.gt_mask.overlaps)
+            return [Grounding.from_values(mask.overlaps) for mask in self.gt_masks]
         raise ConfigError(f"unresolvable guidance source {source!r}")
+
+    def _vsc_grounding(self, entry: int, m: int, vocab: Vocabulary) -> Grounding:
+        words = extract_objects(self.questions[entry], vocab)
+        if not words:
+            warnings.warn(
+                "no vocabulary objects in question; falling back to even guidance",
+                stacklevel=2,
+            )
+            self.fallback_uniform[entry] = True
+            return self._uniform(m)
+        # object_grounding per word, read off the shared softmax, whose
+        # columns are finite and nonnegative; one grounding is already
+        # normalized, so only several are merged
+        groundings = [
+            Grounding.from_nonnegative(self.visual_probs[:, vocab.id_of(w)]) for w in words
+        ]
+        return groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
 
 
 def new_session(
@@ -292,8 +351,8 @@ def new_session(
     question: str = "",
     gt_mask: MaskAnnotation | None = None,
 ) -> VgaSession:
-    """Unbound session, ready to be passed as the generation hook."""
-    return VgaSession(model, config, question=question, gt_mask=gt_mask)
+    """Unbound one-entry session, ready to be passed as the generation hook."""
+    return VgaSession(model, config, (question,), (gt_mask,))
 
 
 def bos_profile(model: Model, layout: SequenceLayout) -> list[float]:

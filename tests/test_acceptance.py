@@ -39,7 +39,7 @@ from vgalab.mllm import (
     prefill_shared,
 )
 from vgalab.numerics import cosine_sim_clamped, sum_normalize
-from vgalab.vga import VgaConfig, delta_z, head_balance, new_session
+from vgalab.vga import VgaConfig, VgaSession, delta_z, head_balance, new_session
 
 REL_TOL = 1e-5
 ATOL_FLOOR = 1e-8
@@ -65,7 +65,8 @@ def random_qkv(rng, tq, tk, n_heads, d_head):
 
 
 def random_guidance(rng, v, beta):
-    """A row over a random span of ``v`` [Tk, H, dh], its mix from ``delta_z``."""
+    """A row for one entry over a random span of ``v`` [Tk, H, dh], its mix
+    from ``delta_z``."""
     tk, n_heads, _ = v.shape
     start = int(rng.integers(0, tk - 2))
     end = int(rng.integers(start + 1, tk))
@@ -73,10 +74,11 @@ def random_guidance(rng, v, beta):
     gamma = rng.uniform(0.0, 2.0, size=n_heads)
     rho = float(rng.uniform(0.1, 1.0))
     return GuidanceRow(
-        weights=weights,
-        scales=beta * rho * gamma,
+        entries=slice(0, 1),
+        weights=weights[None],
+        scales=(beta * rho * gamma)[None],
         span=(start, end),
-        delta=delta_z(weights, v[start:end]),
+        delta=delta_z(weights, v[start:end])[None],
     )
 
 
@@ -94,9 +96,9 @@ def test_fused_and_explicit_attention_agree():
         row = random_guidance(rng, v, beta=float(rng.choice(BETAS)))
         z_explicit, _ = attention_explicit(q, k, v, guidance=row)
         z_fused = attention_fused(q, k, v)
-        np.testing.assert_allclose(
-            z_explicit[-1], row.apply(z_fused[-1]), rtol=REL_TOL, atol=ATOL_FLOOR
-        )
+        guided = z_fused[-1:].copy()
+        row.apply(guided)
+        np.testing.assert_allclose(z_explicit[-1], guided[0], rtol=REL_TOL, atol=ATOL_FLOOR)
         np.testing.assert_allclose(
             z_explicit[:-1], z_fused[:-1], rtol=REL_TOL, atol=ATOL_FLOOR
         )
@@ -122,7 +124,7 @@ def test_fused_and_explicit_attention_agree():
             session = new_session(model, config)
             explicit = prefill(model, layout, hook=session, record_attention=True)
             fused = prefill(model, layout, hook=new_session(model, config))
-            if session.grounding.rho < 1.0:
+            if session.groundings[0].rho < 1.0:
                 partial_rho += 1
             np.testing.assert_allclose(
                 explicit.last_logits, fused.last_logits, rtol=REL_TOL, atol=ATOL_FLOOR
@@ -166,7 +168,7 @@ def test_guided_attention_rows_carry_injected_mass():
         _, alpha = attention_explicit(q, k, v, guidance=row)
         guided_sums = alpha[:, -1, :].sum(axis=1)
         np.testing.assert_allclose(
-            guided_sums, 1.0 + row.scales, rtol=0, atol=ROW_SUM_TOL
+            guided_sums, 1.0 + row.scales[0], rtol=0, atol=ROW_SUM_TOL
         )
         plain_sums = alpha[:, :-1, :].sum(axis=2)
         np.testing.assert_allclose(
@@ -211,7 +213,7 @@ def bound_suppression_session(model, lambda_, visual_probs, weights):
     session = new_session(model, config)
     session.layout = SequenceLayout((0, 1, 2, 3), 1, 3)
     session.visual_probs = np.asarray(visual_probs, dtype=np.float64)
-    session.grounding = Grounding.from_values(np.asarray(weights, dtype=np.float64))
+    session.groundings = [Grounding.from_values(np.asarray(weights, dtype=np.float64))]
     return session
 
 
@@ -222,19 +224,19 @@ def test_programmed_suppression_algebra(tiny_model):
     eye = np.array([[1.0, 0.0], [0.0, 1.0]])
 
     session = bound_suppression_session(tiny_model, 0.0, eye, [0.5, 0.5])
-    before = session.grounding
+    before = session.groundings[0]
     session.on_token(0)
-    assert session.grounding is before  # lambda 0: untouched
+    assert session.groundings[0] is before  # lambda 0: untouched
 
     matched = np.array([[0.5, 0.2], [0.5, 0.8]])  # column 0 equals the grounding
     session = bound_suppression_session(tiny_model, 0.02, matched, [0.5, 0.5])
     session.on_token(0)
-    np.testing.assert_allclose(session.grounding.weights, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(session.groundings[0].weights, [0.5, 0.5], atol=1e-12)
 
     session = bound_suppression_session(tiny_model, 0.02, eye, [0.5, 0.5])
     session.on_token(0)
     np.testing.assert_allclose(
-        session.grounding.weights, [0.49, 0.51], rtol=0, atol=HAND_TOL
+        session.groundings[0].weights, [0.49, 0.51], rtol=0, atol=HAND_TOL
     )
 
     rng = np.random.default_rng(12)
@@ -246,7 +248,7 @@ def test_programmed_suppression_algebra(tiny_model):
         probs[target, 0] = 1.0
         session = bound_suppression_session(tiny_model, 0.05, probs, weights)
         session.on_token(0)
-        assert session.grounding.weights[target] < weights[target]
+        assert session.groundings[0].weights[target] < weights[target]
 
     m, v = 6, 10
     raw = rng.uniform(size=(m, v))
@@ -259,10 +261,10 @@ def test_programmed_suppression_algebra(tiny_model):
         # the update spelled out with the validating constructor
         g_w, _ = sum_normalize(probs[:, token])
         validated = Grounding.from_values(
-            np.maximum(0.0, (1.0 + 0.05) * session.grounding.weights - 0.05 * g_w)
+            np.maximum(0.0, (1.0 + 0.05) * session.groundings[0].weights - 0.05 * g_w)
         )
         session.on_token(token)
-        g = session.grounding
+        g = session.groundings[0]
         assert g.weights.tobytes() == validated.weights.tobytes()
         assert (g.rho, g.degenerate) == (validated.rho, validated.degenerate)
         assert np.all(g.weights >= 0.0)
@@ -431,14 +433,17 @@ def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, sce
             for source in ("none", "vsc", "even", "ground_truth"):
                 config = VgaConfig(beta=GUIDED_BETA, guidance_source=source)
 
-                def session(q):
-                    return new_session(
-                        model, config, question=question_text(q.word), gt_mask=scene.objects[0]
+                def session(questions):
+                    return VgaSession(
+                        model,
+                        config,
+                        [question_text(q.word) for q in questions],
+                        [scene.objects[0]] * len(questions),
                     )
 
-                shared = prefill_shared(model, layouts, [session(q) for q in scene.questions])
+                shared = prefill_shared(model, layouts, session(scene.questions))
                 for row, layout, q in zip(shared, layouts, scene.questions):
-                    alone = prefill(model, layout, hook=session(q))
+                    alone = prefill(model, layout, hook=session([q]))
                     assert row.tobytes() == alone.last_logits.tobytes()
 
 

@@ -305,6 +305,9 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
     assert shared == run_existence_eval(clean_model, scenes12, guided, answer_fn=model_answer_fn)
     with pytest.raises(InvalidParams):
         run_existence_eval(clean_model, [], cfg)
+    for jobs in ("2", 0, 2.5, True, None):
+        with pytest.raises(InvalidParams):
+            run_existence_eval(clean_model, scenes12[:1], cfg, jobs=jobs)
 
 
 def test_caption_eval_reports_set_metrics(clean_model, scenes12):
@@ -329,6 +332,9 @@ def test_caption_eval_runs_paired_discriminative_half(clean_model, scenes12):
     assert report.config["mode"] == "caption"  # coerced for the captioning half
     with pytest.raises(InvalidParams):
         run_caption_eval(clean_model, [], VgaConfig())
+    for jobs in ("2", 0, 2.5, True, None):
+        with pytest.raises(InvalidParams):
+            run_caption_eval(clean_model, scenes12[:1], VgaConfig(), f1=0.5, jobs=jobs)
 
 
 def test_grounding_quality_eval_buckets(clean_model, scenes12):
@@ -362,8 +368,9 @@ def test_bench_ttft_counts_rows(clean_model, scenes12):
     layout = build_vqa_layout(clean_model, scenes12[0], scenes12[0].questions[0].word)
     assert stats.rows_vanilla == 3 * layout.length
     assert stats.n_prompts == 3
-    with pytest.raises(InvalidParams):
-        bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=0)
+    for runs in (0, 2.5, True, "1", None):
+        with pytest.raises(InvalidParams):
+            bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=runs)
     with pytest.raises(InvalidParams):
         bench_ttft(clean_model, [], VgaConfig())
 

@@ -21,7 +21,8 @@ from vgalab.mllm import (
     reset_forward_rows,
 )
 from vgalab.mllm.core import gelu, rms_norm
-from vgalab.vga import VgaConfig, delta_z, new_session
+from vgalab.grounding import MaskAnnotation
+from vgalab.vga import VgaConfig, VgaSession, delta_z, new_session
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
@@ -152,22 +153,22 @@ def test_guidance_row_splice_and_span_checks():
     q, k, v = random_qkv(rng, 2, 8, 2, 4)
     weights = np.full(4, 0.25)
     g = GuidanceRow(
-        weights=weights,
-        scales=np.array([0.5, 0.25]),
+        entries=slice(0, 1),
+        weights=weights[None],
+        scales=np.array([[0.5, 0.25]]),
         span=(1, 5),
-        delta=delta_z(weights, v[1:5]),
+        delta=delta_z(weights, v[1:5])[None],
     )
     _, alpha = attention_explicit(q, k, v, guidance=g)
     sums = alpha[:, -1, :].sum(axis=-1)
-    assert np.allclose(sums, 1.0 + g.scales, atol=1e-12)
-    with pytest.raises(ShapeError):
-        attention_explicit(q, k, v, guidance=GuidanceRow(
-            weights=np.full(3, 1 / 3), scales=np.ones(2), span=(1, 5), delta=g.delta
-        ))
-    with pytest.raises(ShapeError):
-        attention_explicit(q, k, v, guidance=GuidanceRow(
-            weights=weights, scales=np.ones(2), span=(5, 9), delta=g.delta
-        ))
+    assert np.allclose(sums, 1.0 + g.scales[0], atol=1e-12)
+    for bad in (
+        GuidanceRow(slice(0, 1), np.full((1, 3), 1 / 3), np.ones((1, 2)), (1, 5), g.delta),
+        GuidanceRow(slice(0, 1), weights[None], np.ones((1, 2)), (5, 9), g.delta),
+        GuidanceRow(slice(0, 2), np.tile(weights, (2, 1)), np.ones((2, 2)), (1, 5), g.delta),
+    ):
+        with pytest.raises(ShapeError):
+            attention_explicit(q, k, v, guidance=bad)
 
 
 def test_kv_cache_capacity_and_views(tiny_model):
@@ -319,34 +320,53 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
         [],
     ):
         with pytest.raises(InvalidInput):
-            prefill_shared(tiny_model, layouts, [None] * len(layouts))
-    with pytest.raises(InvalidInput):
-        prefill_shared(tiny_model, [layout], [])  # one hook per prompt
+            prefill_shared(tiny_model, layouts)
+    with pytest.raises(ShapeError):  # one session entry per prompt
+        prefill_shared(
+            tiny_model, [layout] * 2, new_session(tiny_model, VgaConfig(guidance_source="even"))
+        )
     with pytest.raises(ValueError):
         prefill(tiny_model, layout).visual_logits[0] = 1.0
 
     class Scribbler:
-        """A hook that writes into everything it is handed."""
+        """Guides as ``session`` does, after trying to write into every
+        array it is handed."""
+
+        def __init__(self, session):
+            self.session = session
+            self.corrections = 0
 
         def on_visual(self, visual_logits, layout, vocab):
             with pytest.raises(ValueError):
                 visual_logits[:] = 0.0
+            self.session.on_visual(visual_logits, layout, vocab)
 
-        def correction(self, layer, z_row, v_cache):
-            v_cache[:] = -1.0
-            return None
+        def correction(self, layer, z_last, v_shared):
+            with pytest.raises(ValueError):
+                v_shared[:] = -1.0
+            self.corrections += 1
+            return self.session.correction(layer, z_last, v_shared)
 
-    configs = [VgaConfig(guidance_source=source) for source in ("even", "vss")]
-    for scribbler_at in (0, 2):
-        hooks = [new_session(tiny_model, c) for c in configs]
-        hooks.insert(scribbler_at, Scribbler())
-        rows = prefill_shared(tiny_model, [layout] * 3, hooks)
-        assert rows.shape == (3, tiny_model.config.vocab_size)
-        rows = np.delete(rows, scribbler_at, axis=0)
-        for row, config in zip(rows, configs):
-            alone = prefill(tiny_model, layout, hook=new_session(tiny_model, config))
+    # ground truth guides entries 0 and 2 and leaves entry 1's absent object alone
+    m = layout.n_visual
+    masks = [
+        MaskAnnotation("dog", np.eye(m)[0]),
+        MaskAnnotation("cat", np.zeros(m)),
+        MaskAnnotation("car", np.full(m, 0.5)),
+    ]
+    config = VgaConfig(guidance_source="ground_truth")
+    n_layers = tiny_model.config.n_layers
+    for n in (1, 3):  # B = 1 extends the cache the hook's view reads, B > 1 does not
+        sessions = [VgaSession(tiny_model, config, [""] * n, masks[:n]) for _ in range(2)]
+        plain = prefill_shared(tiny_model, [layout] * n, sessions[0])
+        scribbler = Scribbler(sessions[1])
+        rows = prefill_shared(tiny_model, [layout] * n, scribbler)
+        assert scribbler.corrections == n_layers
+        assert rows.tobytes() == plain.tobytes()
+        for row, mask in zip(rows, masks):
+            alone = prefill(tiny_model, layout, hook=new_session(tiny_model, config, gt_mask=mask))
             assert row.tobytes() == alone.last_logits.tobytes()
-        assert rows[0].tobytes() != rows[1].tobytes()  # each entry got its own hook
+    assert len({row.tobytes() for row in rows}) == 3  # each entry got its own grounding
 
 
 def test_record_attention_profiles_every_layer(tiny_model):

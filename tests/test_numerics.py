@@ -11,6 +11,7 @@ from vgalab.numerics import (
     cosine_sim_clamped,
     row_softmax,
     sum_normalize,
+    unit_mass,
 )
 
 ORACLE_TOL = 1e-12
@@ -67,6 +68,25 @@ def test_sum_normalize_unit_mass_or_degenerate(values):
         # atol floors at 1e-300: ratios of denormal components underflow,
         # far below any mass the package ever treats as meaningful
         assert np.allclose(normalized * values.sum(), values, rtol=1e-12, atol=1e-300)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([np.float64, np.float32]),
+    st.integers(1, 5),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_unit_mass_of_a_stack_is_the_vector_call_per_row(dtype, k, n, data):
+    """Each row, degenerate ones among them, comes out byte for byte."""
+    rows = data.draw(arrays(dtype, (k, n), elements=st.floats(0, 1e6, width=32)))
+    rows[data.draw(st.integers(0, k - 1))] = 0.0
+    stacked, degenerate = unit_mass(rows)
+    assert stacked.dtype == dtype and len(degenerate) == k
+    for row, got, flag in zip(rows, stacked, degenerate):
+        want, want_flag = unit_mass(row)
+        assert got.tobytes() == want.tobytes()
+        assert flag == want_flag
 
 
 def test_sum_normalize_degenerate_is_uniform():

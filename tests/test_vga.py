@@ -1,5 +1,5 @@
 """Guidance sessions: config rules, head balancing, corrections, decay, profiling."""
-from dataclasses import replace
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import ConfigError, InvalidInput, ShapeError
 from vgalab.evalkit import build_caption_layout, build_vqa_layout, question_text
+from vgalab.evalkit.harness import _gt_mask_for
 from vgalab.grounding import (
     Grounding,
     MaskAnnotation,
@@ -82,6 +83,20 @@ def test_session_layer_range_resolution(tiny_model):
         new_session(tiny_model, VgaConfig(start_layer=n + 1, end_layer=n + 1))
     with pytest.raises(ConfigError):
         new_session(tiny_model, VgaConfig(guidance_source="ground_truth"))
+
+
+def test_session_takes_one_question_and_mask_per_entry(tiny_model):
+    mask = MaskAnnotation("dog", np.ones(tiny_model.config.n_patches))
+    gt = VgaConfig(guidance_source="ground_truth")
+    assert VgaSession(tiny_model, gt, ["", ""], [mask, mask]).groundings == [None, None]
+    for questions, masks, config in (
+        ("is there a dog ?", None, VgaConfig()),  # a string, not one per entry
+        ([], None, VgaConfig()),
+        (["", ""], [mask], gt),
+        (["", ""], [mask, None], gt),
+    ):
+        with pytest.raises(ConfigError):
+            VgaSession(tiny_model, config, questions, masks)
 
 
 # -- head balancing and the value-space correction ------------------------------
@@ -176,9 +191,9 @@ class RecordingHook:
         self.tokens.append(token_id)
         self.session.on_token(token_id)
 
-    def correction(self, layer, z_row, v_cache):
-        row = self.session.correction(layer, z_row, v_cache)
-        self.calls.append((layer, z_row.copy(), v_cache.copy(), len(self.tokens), row))
+    def correction(self, layer, z_last, v_shared):
+        row = self.session.correction(layer, z_last, v_shared)
+        self.calls.append((layer, z_last.copy(), v_shared.copy(), len(self.tokens), row))
         return row
 
 
@@ -190,19 +205,20 @@ class StaleMixSession(VgaSession):
         super().__init__(model, config)
         self.stale = {}
 
-    def correction(self, layer, z_row, v_cache):
-        row = super().correction(layer, z_row, v_cache)
+    def correction(self, layer, z_last, v_shared):
+        row = super().correction(layer, z_last, v_shared)
         if row is None:
             return None
         delta = self.stale.setdefault(layer, row.delta)
-        rho = self.grounding.rho if self.config.mode == "caption" else 1.0
-        scales = self.config.beta * rho * head_balance(z_row, delta)
-        return replace(row, delta=delta, scales=scales)
+        rho = self.groundings[0].rho if self.config.mode == "caption" else 1.0
+        scales = self.config.beta * rho * head_balance(z_last, delta)
+        return row._replace(delta=delta, scales=scales)
 
 
 def pvg_reference(hook):
-    """The grounding before each token, rebuilt with the checked entry points:
-    salience at bind time, then G <- Norm(ReLU((1+lam) G - lam Norm(p_w)))."""
+    """The one entry's grounding before each token, rebuilt with the checked
+    entry points: salience at bind time, then
+    G <- Norm(ReLU((1+lam) G - lam Norm(p_w)))."""
     cfg = hook.session.config
     probs = row_softmax(hook.visual_logits)
     groundings = [vss(hook.visual_logits, k=cfg.top_k)]
@@ -212,36 +228,42 @@ def pvg_reference(hook):
         groundings.append(
             Grounding.from_values(np.maximum(0.0, (1.0 + cfg.lambda_) * g - cfg.lambda_ * g_w))
         )
-    return groundings
+    return [[g] for g in groundings]
 
 
 def assert_rows_match_reference(hook, groundings, n_heads):
-    """Each row's scales and mix, byte for byte, against a per-head loop of
-    ``cosine_sim_clamped``, ``sum_normalize`` and ``delta_z``, the mix itself
-    held to the explicit sum over visual rows; returns the rows applied."""
+    """Each guided entry's scales and mix in every row, byte for byte,
+    against a per-head loop of ``cosine_sim_clamped``, ``sum_normalize`` and
+    ``delta_z`` on that entry alone, the mix itself held to the explicit sum
+    over visual rows. ``groundings[t][b]`` is entry b's grounding after t
+    tokens. Returns the entry rows applied."""
     session = hook.session
     cfg = session.config
     s, e = session.layout.visual_start, session.layout.visual_end
     applied = 0
     for layer, z, v, n_seen, row in hook.calls:
-        g = groundings[n_seen]
-        if not session.start_layer <= layer < session.end_layer or g.degenerate:
+        entries = groundings[n_seen]
+        guided = [b for b, g in enumerate(entries) if not g.degenerate]
+        if not session.start_layer <= layer < session.end_layer or not guided:
             assert row is None
             continue
-        delta = delta_z(g, v[s:e])
-        loop = np.zeros_like(delta)
-        for i in range(e - s):
-            loop += g.weights[i] * v[s + i]
-        np.testing.assert_allclose(delta, loop, rtol=0, atol=LOOP_TOL)
-        sims = np.array([cosine_sim_clamped(z[h], delta[h]) for h in range(n_heads)])
-        gamma_prime, _ = sum_normalize(sims)
-        rho = g.rho if cfg.mode == "caption" else 1.0
-        scales = cfg.beta * rho * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
+        assert np.arange(len(entries))[row.entries].tolist() == guided
         assert row.span == (s, e)
-        assert row.weights.tobytes() == g.weights.tobytes()
-        assert row.delta.tobytes() == delta.tobytes()
-        assert row.scales.tobytes() == scales.tobytes()
-        applied += 1
+        for j, b in enumerate(guided):
+            g = entries[b]
+            delta = delta_z(g, v[s:e])
+            loop = np.zeros_like(delta)
+            for i in range(e - s):
+                loop += g.weights[i] * v[s + i]
+            np.testing.assert_allclose(delta, loop, rtol=0, atol=LOOP_TOL)
+            sims = np.array([cosine_sim_clamped(z[b, h], delta[h]) for h in range(n_heads)])
+            gamma_prime, _ = sum_normalize(sims)
+            rho = g.rho if cfg.mode == "caption" else 1.0
+            scales = cfg.beta * rho * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
+            assert row.weights[j].tobytes() == g.weights.tobytes()
+            assert row.delta[j].tobytes() == delta.tobytes()
+            assert row.scales[j].tobytes() == scales.tobytes()
+            applied += 1
     return applied
 
 
@@ -265,7 +287,7 @@ def test_pvg_caption_rows_match_per_head_reference(clean_model, scenes12):
     session = new_session(clean_model, VgaConfig(mode="caption", pvg_enabled=True))
     hook = record_pvg_caption(clean_model, scenes12[0], session, CAPTION_TOKENS)
     groundings = pvg_reference(hook)
-    assert len({g.weights.tobytes() for g in groundings}) == CAPTION_TOKENS + 1  # PVG moved G
+    assert len({g.weights.tobytes() for g, in groundings}) == CAPTION_TOKENS + 1  # PVG moved G
     applied = assert_rows_match_reference(hook, groundings, clean_model.config.n_heads)
     guided_layers = session.end_layer - session.start_layer
     assert applied == (CAPTION_TOKENS + 1) * guided_layers  # prefill row + every step
@@ -279,23 +301,75 @@ def test_stale_mix_after_pvg_update_fails_the_reference(clean_model, scenes12):
 
 
 def test_shared_prefix_vsc_rows_match_per_head_reference(noisy_model, scenes12):
-    scene = scenes12[0]
     config = VgaConfig(beta=0.25, guidance_source="vsc")
     vocab = noisy_model.vocab
-    layouts = [build_vqa_layout(noisy_model, scene, q.word) for q in scene.questions]
-    hooks = [
-        RecordingHook(new_session(noisy_model, config, question=question_text(q.word)))
-        for q in scene.questions
-    ]
-    prefill_shared(noisy_model, layouts, hooks)
-    applied = 0
-    for hook in hooks:
-        logits = hook.visual_logits
-        words = extract_objects(hook.session.question, vocab)
-        groundings = [object_grounding(logits, vocab.id_of(w)) for w in words]
-        reference = groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
-        applied += assert_rows_match_reference(hook, [reference], noisy_model.config.n_heads)
-    assert applied == len(hooks) * (hooks[0].session.end_layer - hooks[0].session.start_layer)
+    for scene in scenes12[:4]:
+        layouts = [build_vqa_layout(noisy_model, scene, q.word) for q in scene.questions]
+        questions = [question_text(q.word) for q in scene.questions]
+        hook = RecordingHook(VgaSession(noisy_model, config, questions))
+        prefill_shared(noisy_model, layouts, hook)
+        references = []
+        for question in questions:
+            words = extract_objects(question, vocab)
+            groundings = [object_grounding(hook.visual_logits, vocab.id_of(w)) for w in words]
+            references.append(
+                groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
+            )
+        applied = assert_rows_match_reference(hook, [references], noisy_model.config.n_heads)
+        session = hook.session
+        assert applied == len(questions) * (session.end_layer - session.start_layer)
+
+
+def scene_batch(model, scene):
+    """A scene's layouts, question texts and ground-truth masks, in question order."""
+    layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
+    questions = [question_text(q.word) for q in scene.questions]
+    masks = [_gt_mask_for(scene, q.word) for q in scene.questions]
+    return layouts, questions, masks
+
+
+@pytest.mark.parametrize("source", ["ground_truth", "vsc"])
+def test_shared_batch_of_guided_and_unguided_entries_matches_each_prompt_alone(
+    noisy_model, scenes12, source
+):
+    """Ground truth leaves the absent objects' entries unguided (their masks
+    are all zero) and vsc guides a question with no object word evenly; in
+    one ``prefill_shared`` with the other entries, each row is byte-equal to
+    that prompt's own ``prefill``."""
+    config = VgaConfig(beta=0.5, guidance_source=source)
+    for scene in scenes12[:3]:
+        layouts, questions, masks = scene_batch(noisy_model, scene)
+        if source == "vsc":
+            questions[1] = "anything there ?"
+        session = VgaSession(noisy_model, config, questions, masks)
+        with pytest.warns(UserWarning) if source == "vsc" else nullcontext():
+            rows = prefill_shared(noisy_model, layouts, session)
+        if source == "vsc":
+            assert session.fallback_uniform == [False, True, False, False]
+        else:
+            degenerate = [g.degenerate for g in session.groundings]
+            assert degenerate == [not q.present for q in scene.questions]
+            assert any(degenerate) and not all(degenerate)
+        for row, layout, question, mask in zip(rows, layouts, questions, masks):
+            alone = new_session(noisy_model, config, question=question, gt_mask=mask)
+            with pytest.warns(UserWarning) if question == "anything there ?" else nullcontext():
+                want = prefill(noisy_model, layout, hook=alone).last_logits
+            assert row.tobytes() == want.tobytes()
+
+
+def test_disabled_guidance_leaves_shared_prefill_untouched(noisy_model, scenes12):
+    """beta = 0 and an empty layer range are byte-exact no-ops for a batch."""
+    for scene in scenes12[:3]:
+        layouts, questions, masks = scene_batch(noisy_model, scene)
+        plain = prefill_shared(noisy_model, layouts)
+        for source in ("vsc", "even", "ground_truth"):
+            for config in (
+                VgaConfig(beta=0.0, guidance_source=source),
+                VgaConfig(beta=0.5, start_layer=2, end_layer=2, guidance_source=source),
+            ):
+                session = VgaSession(noisy_model, config, questions, masks)
+                rows = prefill_shared(noisy_model, layouts, session)
+                assert rows.tobytes() == plain.tobytes()
 
 
 # -- session grounding sources ---------------------------------------------------
@@ -316,10 +390,10 @@ def test_session_binds_on_prefill_and_grounds_on_question(clean_model):
         clean_model, VgaConfig(guidance_source="vsc"), question="is there a dog ?"
     )
     prefill(clean_model, layout, hook=session)
-    assert session.grounding is not None
-    top2 = set(np.argsort(session.grounding.weights)[-2:])
+    assert session.groundings[0] is not None
+    top2 = set(np.argsort(session.groundings[0].weights)[-2:])
     assert top2 == {0, 1}  # dog patches are cells 0 and 1
-    assert not session.fallback_uniform
+    assert session.fallback_uniform == [False]
 
 
 @pytest.mark.parametrize("words", [("dog",), ("dog", "cat")])
@@ -334,9 +408,9 @@ def test_vsc_grounding_matches_merged_object_groundings(clean_model, words):
         [object_grounding(logits, clean_model.vocab.id_of(w)) for w in words]
     )
     np.testing.assert_allclose(
-        session.grounding.weights, want.weights, rtol=0, atol=GROUNDING_TOL
+        session.groundings[0].weights, want.weights, rtol=0, atol=GROUNDING_TOL
     )
-    assert (session.grounding.rho, session.grounding.degenerate) == (
+    assert (session.groundings[0].rho, session.groundings[0].degenerate) == (
         want.rho,
         want.degenerate,
     )
@@ -347,12 +421,12 @@ def test_session_refuses_a_second_visual_context(clean_model):
     session = new_session(clean_model, VgaConfig(mode="caption", guidance_source="vss"))
     prefill(clean_model, layout, hook=session)
     session.on_token(clean_model.vocab.id_of("dog"))  # PVG decays the grounding
-    decayed = session.grounding.weights.copy()
+    decayed = session.groundings[0].weights.copy()
     with pytest.raises(ConfigError):
         prefill(clean_model, layout, hook=session)
     with pytest.raises(ConfigError):
         session.on_visual(prefill(clean_model, layout).visual_logits, layout, clean_model.vocab)
-    assert np.array_equal(session.grounding.weights, decayed)
+    assert np.array_equal(session.groundings[0].weights, decayed)
 
 
 def test_vsc_without_object_words_falls_back_to_even(clean_model):
@@ -362,9 +436,9 @@ def test_vsc_without_object_words_falls_back_to_even(clean_model):
     )
     with pytest.warns(UserWarning):
         prefill(clean_model, layout, hook=session)
-    assert session.fallback_uniform
+    assert session.fallback_uniform == [True]
     m = layout.n_visual
-    assert np.allclose(session.grounding.weights, 1.0 / m)
+    assert np.allclose(session.groundings[0].weights, 1.0 / m)
 
 
 def test_source_none_and_degenerate_gt_never_correct(clean_model):
@@ -372,7 +446,7 @@ def test_source_none_and_degenerate_gt_never_correct(clean_model):
     m = layout.n_visual
     session = new_session(clean_model, VgaConfig(guidance_source="none"))
     prefill(clean_model, layout, hook=session)
-    z = np.zeros((clean_model.config.n_heads, clean_model.config.d_head))
+    z = np.zeros((1, clean_model.config.n_heads, clean_model.config.d_head))
     v = np.zeros((layout.length, clean_model.config.n_heads, clean_model.config.d_head))
     assert session.correction(0, z, v) is None
 
@@ -382,7 +456,7 @@ def test_source_none_and_degenerate_gt_never_correct(clean_model):
         gt_mask=MaskAnnotation(word="cat", overlaps=np.zeros(m)),
     )
     prefill(clean_model, layout, hook=gt)
-    assert gt.grounding.degenerate
+    assert gt.groundings[0].degenerate
     assert gt.correction(0, z, v) is None
 
 
@@ -391,7 +465,7 @@ def test_correction_respects_layer_range_and_beta(clean_model):
     cfg = VgaConfig(guidance_source="even", start_layer=1, end_layer=3, beta=0.3)
     session = new_session(clean_model, cfg)
     result = prefill(clean_model, layout, hook=session)
-    z = np.ones((clean_model.config.n_heads, clean_model.config.d_head))
+    z = np.ones((1, clean_model.config.n_heads, clean_model.config.d_head))
     v = result.cache.v[0][: layout.length]
     assert session.correction(0, z, v) is None
     assert session.correction(3, z, v) is None
@@ -420,11 +494,12 @@ def test_correction_apply_adds_scaled_value_mix(clean_model):
     result = prefill(clean_model, layout, hook=session)
     heads, d_head = clean_model.config.n_heads, clean_model.config.d_head
     rng = np.random.default_rng(1)
-    z = rng.normal(size=(heads, d_head))
+    z = rng.normal(size=(1, heads, d_head))
     v = result.cache.v[0][: layout.length]
     v_vis = v[layout.visual_start : layout.visual_end]
-    got = session.correction(0, z, v).apply(z)
-    want = z + 0.4 * 1.0 * delta_z(session.grounding, v_vis)
+    got = z.copy()
+    session.correction(0, z, v).apply(got)
+    want = z + 0.4 * 1.0 * delta_z(session.groundings[0], v_vis)
     assert np.allclose(got, want, atol=1e-12)
     assert session.correction(5, z, v) is None
 
@@ -447,11 +522,11 @@ def bound_caption_session(model, config, question=""):
 def test_pvg_suppresses_described_regions(clean_model):
     session = bound_caption_session(clean_model, VgaConfig(mode="caption"))
     dog_id = clean_model.vocab.id_of("dog")
-    before = session.grounding.weights[:4].sum()
+    before = session.groundings[0].weights[:4].sum()
     session.on_token(dog_id)
-    after = session.grounding.weights[:4].sum()
+    after = session.groundings[0].weights[:4].sum()
     assert after < before
-    assert abs(session.grounding.weights.sum() - 1.0) < 1e-9
+    assert abs(session.groundings[0].weights.sum() - 1.0) < 1e-9
 
 
 def test_caption_correction_scales_by_rho(clean_model):
@@ -459,12 +534,12 @@ def test_caption_correction_scales_by_rho(clean_model):
         mode="caption", guidance_source="reversed_vss", beta=0.4, head_balancing=False
     )
     session = bound_caption_session(clean_model, config)
-    rho = session.grounding.rho
+    rho = session.groundings[0].rho
     assert 0.0 < rho < 1.0  # reversed salience drains a patch
     heads, d_head = clean_model.config.n_heads, clean_model.config.d_head
     rng = np.random.default_rng(2)
     v = rng.normal(size=(session.layout.length, heads, d_head))
-    row = session.correction(0, rng.normal(size=(heads, d_head)), v)
+    row = session.correction(0, rng.normal(size=(1, heads, d_head)), v)
     assert row.scales.tobytes() == (0.4 * rho * np.ones(heads)).tobytes()
 
 
@@ -472,31 +547,31 @@ def test_pvg_ignores_vqa_mode_and_zero_lambda(clean_model):
     vqa = bound_caption_session(
         clean_model, VgaConfig(mode="vqa"), question="is there a dog in the image ?"
     )
-    w = vqa.grounding.weights.copy()
+    w = vqa.groundings[0].weights.copy()
     vqa.on_token(clean_model.vocab.id_of("dog"))
-    assert np.array_equal(vqa.grounding.weights, w)
+    assert np.array_equal(vqa.groundings[0].weights, w)
 
     frozen = bound_caption_session(clean_model, VgaConfig(mode="caption", lambda_=0.0))
-    w = frozen.grounding.weights.copy()
+    w = frozen.groundings[0].weights.copy()
     frozen.on_token(clean_model.vocab.id_of("dog"))
-    assert np.array_equal(frozen.grounding.weights, w)
+    assert np.array_equal(frozen.groundings[0].weights, w)
 
     off = bound_caption_session(
         clean_model, VgaConfig(mode="caption", pvg_enabled=False)
     )
-    w = off.grounding.weights.copy()
+    w = off.groundings[0].weights.copy()
     off.on_token(clean_model.vocab.id_of("dog"))
-    assert np.array_equal(off.grounding.weights, w)
+    assert np.array_equal(off.groundings[0].weights, w)
 
 
 @pytest.mark.parametrize("bad", ["negative", "vocab_size"])
 def test_on_token_rejects_out_of_vocab_ids(clean_model, bad):
     session = bound_caption_session(clean_model, VgaConfig(mode="caption"))
-    w = session.grounding.weights.copy()
+    w = session.groundings[0].weights.copy()
     token_id = -1 if bad == "negative" else clean_model.vocab.size
     with pytest.raises(InvalidInput):
         session.on_token(token_id)
-    assert np.array_equal(session.grounding.weights, w)
+    assert np.array_equal(session.groundings[0].weights, w)
 
 
 @pytest.mark.parametrize("mode", ["caption", "vqa"])
@@ -505,16 +580,16 @@ def test_on_token_rejects_non_integer_ids(clean_model, mode, bad):
     """A float is not truncated to a token, nor a bool read as 0 or 1, in
     either mode."""
     session = bound_caption_session(clean_model, VgaConfig(mode=mode), question="a dog ?")
-    w = session.grounding.weights.copy()
+    w = session.groundings[0].weights.copy()
     with pytest.raises(InvalidInput):
         session.on_token(bad)
-    assert np.array_equal(session.grounding.weights, w)
+    assert np.array_equal(session.groundings[0].weights, w)
     session.on_token(np.int64(clean_model.vocab.id_of("dog")))  # numpy integers pass
 
 
 def test_pvg_update_requires_bound_session(tiny_model):
     session = new_session(tiny_model, VgaConfig(mode="caption"))
-    session.grounding = Grounding.from_values(np.ones(4))
+    session.groundings[0] = Grounding.from_values(np.ones(4))
     with pytest.raises(ConfigError):
         session.on_token(0)
 
@@ -542,5 +617,5 @@ def test_on_visual_binds_from_prefill(clean_model):
     result = prefill(clean_model, layout)
     session = new_session(clean_model, VgaConfig(), question="is there a dog ?")
     session.on_visual(result.visual_logits, layout, clean_model.vocab)
-    assert session.grounding is not None
+    assert session.groundings[0] is not None
     assert session.layout is layout
