@@ -24,6 +24,12 @@ DEFAULT_TOP_K = 10
 L0_EPS = 1e-12
 
 
+def support_share(weights: np.ndarray) -> float:
+    """rho of a nondegenerate grounding's weights [m]: the fraction of
+    positions whose weight is strictly above ``L0_EPS``."""
+    return float(np.count_nonzero(weights > L0_EPS)) / weights.size
+
+
 @dataclass(frozen=True)
 class Grounding:
     """A normalized distribution over visual positions.
@@ -42,8 +48,7 @@ class Grounding:
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
         w.flags.writeable = False
-        rho = 0.0 if self.degenerate else float(np.count_nonzero(w > L0_EPS)) / w.size
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", 0.0 if self.degenerate else support_share(w))
 
     @property
     def size(self) -> int:

@@ -4,9 +4,10 @@
 entry points for arrays from outside the program: they check shapes,
 raise InvalidInput on NaN/Inf (and on negative mass) instead of
 propagating poison, preserve float dtypes and compute in float64
-otherwise. ``unit_mass`` and ``clamped_row_cosine`` are their unchecked
-cores, the only statement of each formula; the guidance hook calls them
-directly on arrays the forward pass built from checked inputs.
+otherwise. ``stable_softmax``, ``unit_mass`` and ``clamped_row_cosine``
+are their unchecked cores, the only statement of each formula; the
+guidance hook calls them directly on arrays the forward pass built from
+checked inputs.
 """
 from __future__ import annotations
 
@@ -38,8 +39,13 @@ def row_softmax(logits) -> np.ndarray:
     Accepts a vector or a matrix; each row is shifted by its max before
     exponentiation, so the result is invariant to per-row constant shifts.
     """
-    arr = _as_float_array(logits, "logits")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
+    return stable_softmax(_as_float_array(logits, "logits"))
+
+
+def stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Unchecked core of ``row_softmax``; ``logits`` is a finite float vector
+    or matrix."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=-1, keepdims=True)
 
@@ -50,24 +56,29 @@ def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
 
     ``degenerate`` is a bool for a vector and a list of bools, one per row,
     for a stack; each row is bit for bit what the vector call on it returns.
-    A stack of one row (every guided generation) takes the vector's path.
+    A stack of one row (every guided generation) is scaled as a vector,
+    with a Python float for its total: ~2.5 us less per call than
+    ``_unit_mass_rows``, four calls per PVG caption token.
     """
-    if values.ndim == 1 or len(values) == 1:
-        # values.sum() minus its Python-level wrapper; one row sums as a vector
-        total = float(np.add.reduce(values, None))
-        degenerate = total < DEGENERATE_EPS
-        if degenerate:
-            out = np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype)
-        else:
-            out = values / total
-        return out, degenerate if values.ndim == 1 else [degenerate]
+    if values.ndim == 2 and len(values) > 1:
+        return _unit_mass_rows(values)
+    total = float(np.add.reduce(values, None))  # values.sum() minus its Python-level wrapper
+    degenerate = total < DEGENERATE_EPS
+    if degenerate:
+        out = np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype)
+    else:
+        out = values / total
+    return out, degenerate if values.ndim == 1 else [degenerate]
+
+
+def _unit_mass_rows(values: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """``unit_mass`` of a stack [k, n], row by row."""
     totals = np.add.reduce(values, 1, None, None, True)  # keepdims
-    sums = totals.tolist()
-    if min(sums)[0] >= DEGENERATE_EPS:
-        return values / totals, [False] * len(sums)
-    degenerate = [total < DEGENERATE_EPS for total, in sums]
-    out = values / np.where(totals < DEGENERATE_EPS, 1.0, totals)
-    out[degenerate] = 1.0 / values.shape[1]
+    degenerate = [total < DEGENERATE_EPS for total, in totals.tolist()]
+    # a degenerate row divides by the floor, not by ~0, and is then overwritten
+    out = values / np.maximum(totals, DEGENERATE_EPS)
+    if True in degenerate:
+        out[degenerate] = 1.0 / values.shape[1]
     return out, degenerate
 
 
@@ -85,27 +96,26 @@ def sum_normalize(values) -> tuple[np.ndarray, bool]:
     return unit_mass(arr)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # matmul's vector-vector path is the BLAS dot np.dot uses, so every row
-    # comes out bit-identical to the 1-d call on that row.
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unchecked core of ``cosine_sim_clamped``; ``a`` and ``b`` are finite
     float arrays of one shape.
 
-    The three dots of every row (a.a, a.b, b.b) run as one batched BLAS
-    call over the stacked pairs. The rows are few (one per head on the
-    guidance path), so they are finished on Python floats, which costs
-    less than a chain of numpy calls on a handful of elements. A row whose
-    norm product underflows to zero, though neither norm is zero, gets
-    what the clamped IEEE division would give: 1 for a positive dot, else 0.
+    The dots of every row (a.a, a.b, b.a, b.b) run as one batched BLAS
+    call, the pair of arrays against itself. The rows are few (one per
+    head on the guidance path), so they are finished on Python floats,
+    which costs less than a chain of numpy calls on a handful of elements.
+    A row whose norm product underflows to zero, though neither norm is
+    zero, gets what the clamped IEEE division would give: 1 for a positive
+    dot, else 0.
     """
-    pairs = np.concatenate((a, a, b, b)).reshape(4, *a.shape)
-    dots = _row_dot(pairs[:3], pairs[1:])
+    pair = np.concatenate((a, b)).reshape(2, *a.shape)
+    # [2, 1, ..., 1, n] @ [2, ..., n, 1]: matmul's vector-vector path is the
+    # BLAS dot np.dot uses, so every row comes out bit-identical to the 1-d
+    # call on that row
+    gram = pair[:, None, ..., None, :] @ pair[..., :, None]
+    aa, ab, _, bb = gram.reshape(4, -1).tolist()
     sims = []
-    for xx, xy, yy in zip(*dots.reshape(3, -1).tolist()):
+    for xx, xy, yy in zip(aa, ab, bb):
         na, nb = math.sqrt(xx), math.sqrt(yy)
         norms = na * nb
         if na == 0.0 or nb == 0.0:
@@ -114,7 +124,7 @@ def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             sims.append(1.0 if xy > 0.0 else 0.0)
         else:
             sims.append(min(1.0, max(0.0, xy / norms)))
-    return np.array(sims, dtype=dots.dtype).reshape(dots.shape[1:])
+    return np.array(sims, dtype=pair.dtype).reshape(a.shape[:-1])
 
 
 def cosine_sim_clamped(a, b) -> float | np.ndarray:

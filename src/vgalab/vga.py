@@ -18,20 +18,22 @@ suppression drains the grounding during captioning.
 
 The work is shared across entries wherever the prompts share it. On
 binding, the session takes one softmax of the visual logits (only when a
-vsc grounding or a PVG update reads it), grounds every entry, and stacks
-the weights of the entries it guides: those with a nondegenerate grounding
-and rho > 0, at beta > 0. On each guided layer one call then serves them
-all: one stacked mix ``G[:, None, :] @ V`` of the shared visual value rows
-(one GEMV per entry, bit-equal to ``delta_z`` of each), one
-``clamped_row_cosine`` over every entry's heads, one ``unit_mass`` that
-normalizes each entry's cosines, and one scaled add. A plain [k, m] @ [m, H*dh] product would be one
-GEMM, whose sums may round differently, so it is not used. The hook works
-on arrays the forward pass computed from checked inputs (token ids, the
-model's finite weights, the visual logits, masks and the config), so it
-calls unchecked cores and checks only shapes. The mix is computed afresh
-on each guided layer; nothing is cached, since each layer has its own
-value rows and PVG replaces the grounding (and restacks it) after every
-caption token.
+vsc grounding or a PVG update reads it), grounds every entry and stacks
+the groundings' weights [B, m]. The entries it guides are those with a
+nondegenerate grounding and rho > 0, at beta > 0; their indices, weights
+and beta * rho are picked once per grounding. On each guided layer one
+call then serves them all: one stacked mix ``G[:, None, :] @ V`` of the
+shared visual value rows (one GEMV per entry, bit-equal to ``delta_z`` of
+each), one ``clamped_row_cosine`` over every entry's heads, one
+``unit_mass`` that normalizes each entry's cosines, and one scaled add. A
+plain [k, m] @ [m, H*dh] product would be one GEMM, whose sums may round
+differently, so it is not used. A PVG update decays the whole stack as
+one array and picks the guided entries again. The hook works on arrays
+the forward pass computed from checked inputs (token ids, the model's
+finite weights, the visual logits, masks and the config), so it calls
+unchecked cores and checks only shapes. The mix is computed afresh on
+each guided layer; nothing is cached, since each layer has its own value
+rows and PVG replaces the groundings after every caption token.
 """
 from __future__ import annotations
 
@@ -48,10 +50,11 @@ from .grounding import (
     MaskAnnotation,
     extract_objects,
     merge_groundings,
+    support_share,
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import clamped_row_cosine, row_softmax, unit_mass
+from .numerics import clamped_row_cosine, stable_softmax, unit_mass
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -193,12 +196,19 @@ class VgaSession:
         self.start_layer = start
         self.end_layer = end
         self.source = config.resolved_source()
-        self.groundings: list[Grounding | None] = [None] * n
         self.fallback_uniform = [False] * n
         self.layout: SequenceLayout | None = None
         self.visual_probs: np.ndarray | None = None
         # programmed suppression: decays the groundings after each token
         self._decays = config.mode == "caption" and config.pvg_enabled and config.lambda_ != 0.0
+        # every entry's grounding weights [n, m] and degenerate flags, None
+        # until bound (and for source none); _groundings caches them as
+        # Grounding objects for readers
+        self._weights: np.ndarray | None = None
+        self._degenerate: list[bool] = []
+        self._groundings: list[Grounding | None] | None = None
+        # the guided entries: indices, weights [k, m], the same as [k, 1, m]
+        # for the mix, and beta * rho [k, 1]; None when no entry is guided
         self._guided: tuple | None = None
         if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
             raise ConfigError("ground_truth guidance requires a mask annotation per entry")
@@ -212,12 +222,13 @@ class VgaSession:
         if logits.ndim != 2 or logits.shape[0] != layout.n_visual:
             raise ShapeError("visual logits must be [n_visual, V] for the layout")
         # one softmax for every entry, taken only when something reads its
-        # columns: vsc grounding, or programmed suppression of a grounding
+        # columns: vsc grounding, or programmed suppression of a grounding;
+        # the forward pass's logits are finite, so the unchecked core serves
         if self.source == "vsc" or (self._decays and self.source != "none"):
-            self.visual_probs = row_softmax(logits)
+            self.visual_probs = stable_softmax(logits)
         self.layout = layout
-        self.groundings = self._build_groundings(logits, layout, vocab)
-        self._stack()
+        if self.source != "none":
+            self.groundings = self._build_groundings(logits, layout, vocab)
 
     def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
         """The guided entries' row for this layer, or None when none is guided.
@@ -227,11 +238,11 @@ class VgaSession:
         among them.
         """
         self._require_bound()
-        if self._guided is None or not self.start_layer <= layer < self.end_layer:
-            return None
         b, n_heads, d_head = z_last.shape
         if b != len(self.questions):
             raise ShapeError(f"{b} batch entries for {len(self.questions)} questions")
+        if self._guided is None or not self.start_layer <= layer < self.end_layer:
+            return None
         entries, weights, mix_weights, coef = self._guided
         s, e = self.layout.visual_start, self.layout.visual_end
         v_visual = v_cache[s:e].reshape(e - s, n_heads * d_head)
@@ -252,7 +263,7 @@ class VgaSession:
         G <- Norm(ReLU((1+lambda) G - lambda G_w)) lifts everything
         slightly and subtracts where the token was seen, so the next
         word's guidance looks away from what is already described. Every
-        entry's grounding decays alike.
+        entry's grounding decays alike, as one [B, m] array.
         """
         token_id = require_int(token_id, "token_id", InvalidInput)
         if not self._decays or self.source == "none":
@@ -264,11 +275,29 @@ class VgaSession:
         # a softmax column: finite and nonnegative by construction
         g_w, _ = unit_mass(self.visual_probs[:, token_id])
         lam = self.config.lambda_
-        self.groundings = [
-            Grounding.from_nonnegative(np.maximum(0.0, (1.0 + lam) * g.weights - lam * g_w))
-            for g in self.groundings
-        ]
-        self._stack()
+        # each row is what Grounding.from_nonnegative makes of that entry
+        self._restack(*unit_mass(np.maximum(0.0, (1.0 + lam) * self._weights - lam * g_w)))
+
+    @property
+    def groundings(self) -> list[Grounding | None]:
+        """Each entry's grounding; None before binding and for source none."""
+        if self._groundings is None:
+            if self._weights is None:
+                self._groundings = [None] * len(self.questions)
+            else:
+                self._groundings = [
+                    Grounding(w, d) for w, d in zip(self._weights, self._degenerate)
+                ]
+        return self._groundings
+
+    @groundings.setter
+    def groundings(self, groundings: Sequence[Grounding]) -> None:
+        if len(groundings) != len(self.questions):
+            raise ShapeError(f"{len(groundings)} groundings for {len(self.questions)} questions")
+        self._restack(
+            np.array([g.weights for g in groundings]), [g.degenerate for g in groundings]
+        )
+        self._groundings = list(groundings)
 
     # -- internals ----------------------------------------------------------
 
@@ -276,45 +305,42 @@ class VgaSession:
         if self.layout is None:
             raise ConfigError("session is not bound to a visual context yet")
 
-    def _stack(self) -> None:
-        """Stack what the guided entries bring to every guided layer: their
-        batch indices (a slice when contiguous), weights [k, m] (and as
-        [k, 1, m] for the mix) and beta * rho. An entry with no
-        grounding, a degenerate one or rho = 0 stays unguided, as does every
-        entry at beta = 0."""
+    def _restack(self, weights: np.ndarray, degenerate: list[bool]) -> None:
+        """Take every entry's grounding weights [n, m] and degenerate flags,
+        and pick what the guided entries bring to every guided layer: their
+        indices, weights and beta * rho. An entry with a degenerate grounding
+        or rho = 0 stays unguided, as does every entry at beta = 0; rho is
+        1 in vqa mode and ``Grounding.rho`` of the entry in caption mode."""
+        self._weights, self._degenerate, self._groundings = weights, degenerate, None
         beta, vqa = self.config.beta, self.config.mode == "vqa"
-        index, weights, coef = [], [], []
-        for i, g in enumerate(self.groundings):
-            if beta == 0.0 or g is None or g.degenerate:
+        index, coef = [], []
+        for i, d in enumerate(degenerate):
+            if beta == 0.0 or d:
                 continue
-            rho = 1.0 if vqa else g.rho
+            rho = 1.0 if vqa else support_share(weights[i])
             if rho != 0.0:
                 index.append(i)
-                weights.append(g.weights)
                 coef.append(beta * rho)
         if not index:
             self._guided = None
             return
+        # a slice when contiguous (always at B = 1) picks and guides the rows
+        # as views; an index array copies them, ~13-29 us more per PVG
+        # caption token (three guided layers)
         contiguous = index[-1] - index[0] + 1 == len(index)
         entries = slice(index[0], index[-1] + 1) if contiguous else np.array(index)
-        # one entry (every generation) stacks as a view of its weights
-        weights = weights[0][None] if len(weights) == 1 else np.array(weights)
-        # one float when every entry shares it (always in vqa mode): the same
-        # products as a column of equal factors, without building one
-        coef = coef[0] if coef.count(coef[0]) == len(coef) else np.array(coef)[:, None]
-        self._guided = (entries, weights, weights[:, None, :], coef)
+        guided = weights[entries]
+        self._guided = (entries, guided, guided[:, None, :], np.array(coef)[:, None])
 
     def _uniform(self, m: int) -> Grounding:
         return Grounding.from_values(np.ones(m))
 
     def _build_groundings(
         self, logits: np.ndarray, layout: SequenceLayout, vocab: Vocabulary
-    ) -> list[Grounding | None]:
+    ) -> list[Grounding]:
         m = layout.n_visual
         n = len(self.questions)
         source = self.source
-        if source == "none":
-            return [None] * n
         if source == "even":
             return [self._uniform(m)] * n
         if source == "vsc":

@@ -321,10 +321,13 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
     ):
         with pytest.raises(InvalidInput):
             prefill_shared(tiny_model, layouts)
-    with pytest.raises(ShapeError):  # one session entry per prompt
-        prefill_shared(
-            tiny_model, [layout] * 2, new_session(tiny_model, VgaConfig(guidance_source="even"))
-        )
+    for config in (  # one session entry per prompt, whether or not it guides
+        VgaConfig(guidance_source="even"),
+        VgaConfig(guidance_source="none"),
+        VgaConfig(guidance_source="even", beta=0.0),
+    ):
+        with pytest.raises(ShapeError):
+            prefill_shared(tiny_model, [layout] * 2, new_session(tiny_model, config))
     with pytest.raises(ValueError):
         prefill(tiny_model, layout).visual_logits[0] = 1.0
 

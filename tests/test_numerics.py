@@ -1,4 +1,6 @@
 """Numeric kernels: softmax, mass normalization, clamped cosine."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from vgalab.errors import InvalidInput, ShapeError
 from vgalab.numerics import (
     DEGENERATE_EPS,
+    _unit_mass_rows,
+    clamped_row_cosine,
     cosine_sim_clamped,
     row_softmax,
     sum_normalize,
@@ -78,15 +82,17 @@ def test_sum_normalize_unit_mass_or_degenerate(values):
     st.data(),
 )
 def test_unit_mass_of_a_stack_is_the_vector_call_per_row(dtype, k, n, data):
-    """Each row, degenerate ones among them, comes out byte for byte."""
+    """Each row, degenerate ones among them, comes out byte for byte, from
+    ``unit_mass`` and from the stack path it skips for a single row."""
     rows = data.draw(arrays(dtype, (k, n), elements=st.floats(0, 1e6, width=32)))
-    rows[data.draw(st.integers(0, k - 1))] = 0.0
-    stacked, degenerate = unit_mass(rows)
-    assert stacked.dtype == dtype and len(degenerate) == k
-    for row, got, flag in zip(rows, stacked, degenerate):
-        want, want_flag = unit_mass(row)
-        assert got.tobytes() == want.tobytes()
-        assert flag == want_flag
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, k - 1))] = 0.0
+    for stacked, degenerate in (unit_mass(rows), _unit_mass_rows(rows)):
+        assert stacked.dtype == dtype and len(degenerate) == k
+        for row, got, flag in zip(rows, stacked, degenerate):
+            want, want_flag = unit_mass(row)
+            assert got.tobytes() == want.tobytes()
+            assert flag == want_flag
 
 
 def test_sum_normalize_degenerate_is_uniform():
@@ -116,6 +122,27 @@ def test_cosine_range_and_symmetry(a, b):
     s = cosine_sim_clamped(a, b)
     assert 0.0 <= s <= 1.0
     assert s == pytest.approx(cosine_sim_clamped(b, a), abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 30), st.data())
+def test_clamped_row_cosine_takes_each_rows_dots_from_np_dot(k, heads, n, data):
+    """A stack [k, heads, n] is bit for bit the clamped cosine of np.dot's
+    a.a, a.b and b.b on each row."""
+    a = data.draw(arrays(np.float64, (k, heads, n), elements=finite_floats))
+    b = data.draw(arrays(np.float64, (k, heads, n), elements=finite_floats))
+    got = clamped_row_cosine(a, b)
+    assert got.shape == (k, heads)
+    for x, y, sim in zip(a.reshape(-1, n), b.reshape(-1, n), got.ravel().tolist()):
+        xx, xy, yy = float(np.dot(x, x)), float(np.dot(x, y)), float(np.dot(y, y))
+        na, nb = math.sqrt(xx), math.sqrt(yy)
+        if na == 0.0 or nb == 0.0:
+            want = 0.0
+        elif na * nb == 0.0:
+            want = 1.0 if xy > 0.0 else 0.0
+        else:
+            want = min(1.0, max(0.0, xy / (na * nb)))
+        assert sim == want
 
 
 def test_cosine_shape_mismatch():
