@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError
-from .numerics import row_softmax, sum_normalize, unit_mass
+from .errors import InvalidInput, ShapeError, require_int
+from .numerics import row_softmax, sum_normalize
 from .vocab import Vocabulary
 
 EXIST_LOG_THRESHOLD = -2.5
@@ -59,12 +59,6 @@ class Grounding:
         """Sum-normalize nonnegative per-patch values into a Grounding."""
         return Grounding(*sum_normalize(np.asarray(values, dtype=np.float64)))
 
-    @staticmethod
-    def from_nonnegative(values: np.ndarray) -> "Grounding":
-        """``from_values`` without its checks, for a float64 vector that is
-        finite and nonnegative by construction."""
-        return Grounding(*unit_mass(values))
-
 
 @dataclass(frozen=True)
 class MaskAnnotation:
@@ -101,6 +95,7 @@ def _check_visual_logits(visual_logits: np.ndarray) -> np.ndarray:
 def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
     """Per-patch softmax confidence assigned to one token id (length m)."""
     logits = _check_visual_logits(visual_logits)
+    word = require_int(word, "token id", InvalidInput)
     m, v = logits.shape
     if not 0 <= word < v:
         raise InvalidInput(f"token id {word} out of range for vocab size {v}")
@@ -149,6 +144,7 @@ def vss_values(
     Values are nonnegative either way.
     """
     logits = _check_visual_logits(visual_logits)
+    k = require_int(k, "top-k", InvalidInput)
     m, v = logits.shape
     if not 2 <= k <= v:
         raise InvalidInput(f"top-k must satisfy 2 <= k <= {v}, got {k}")
@@ -194,7 +190,7 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 def extract_objects(question: str, vocab: Vocabulary) -> list[str]:
     """Vocabulary object words mentioned in the question, in order, deduped."""
     seen: list[str] = []
-    known = {w.lower(): w for w in vocab.object_words}
+    known = vocab.lower_objects
     for token in _WORD_RE.findall(question.lower()):
         word = known.get(token)
         if word is not None and word not in seen:

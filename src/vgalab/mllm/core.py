@@ -16,18 +16,26 @@ cached rows, each batch entry what a ``prefill`` of that prompt alone
 computes, bit for bit on models with more than one head. The forward pass
 takes token ids [B, n]; the attention kernel sees the batch entries' heads
 side by side on its head axis, since heads never mix. One guidance hook,
-when attached, serves the whole batch: it receives the read-only visual
-logits between the phases, and at each layer the last row of every entry
-at once, with which it may guide any of them. The hook is duck-typed:
+when attached, serves the whole batch: it binds to the read-only visual
+logits between the phases, and on each layer it guides it receives the
+last row of every entry at once, with which it may guide any of them.
+The hook is duck-typed:
 
-    on_visual(visual_logits, layout, vocab)  -> None
-    correction(layer, z_last, v_cache)       -> GuidanceRow | None
-    on_token(token_id)                       -> None
+    guided_layers                             range of the layers it guides
+    on_visual(visual_logits, layouts, vocab)  -> None
+    correction(layer, z_last, v_cache)        -> GuidanceRow | None
+    on_token(token_id)                        -> None
 
-``z_last`` [B, H, dh] holds every entry's last-row attention output, and
-``v_cache`` is a read-only view of the cached value rows: those every
-entry shares, the visual prefix among them (for B = 1, also the rows the
-entry has just appended). The fused
+``on_visual`` gets every prompt's layout, one per batch entry, all sharing
+the visual span of ``layouts[0]``; a hook that serves another number of
+entries rejects them there. The forward pass calls ``correction``, and
+takes the last rows for it, only on a layer in ``guided_layers``, so a
+hook with an empty range (one that can never guide) costs no call per
+layer. ``z_last`` [B, H, dh] holds every entry's last-row attention
+output, and ``v_cache`` is a read-only view of the cached value rows:
+those every entry shares, the visual prefix among them (for B = 1, also
+the rows the entry has just appended). ``on_token`` is the greedy loop's:
+it reports each generated token before the next decode step. The fused
 route applies a correction in value space (``GuidanceRow.apply``) to the
 entries it names; the explicit route, the reference, runs for one entry
 and recomputes the guided row with the same weights spliced into its
@@ -243,7 +251,8 @@ def _forward_block(
     (B > 1) reads the cache's first ``start_pos`` rows, shared by every
     entry, followed by each entry's own rows, so the entries never see each
     other, and writes nothing. ``hook``, if given, guides the entries' last
-    rows at each layer, handed a read-only view of the cached value rows.
+    rows on each of its ``guided_layers``, handed a read-only view of the
+    cached value rows.
     Returns (logits [B, n, V], per-layer BOS attention of the last row when
     ``explicit``, which runs for B = 1 only).
     """
@@ -262,6 +271,7 @@ def _forward_block(
         + model.embed_pos[start_pos : start_pos + n].astype(np.float64)
     )
     n_heads, d_head = cfg.n_heads, cfg.d_head
+    guided = range(0) if hook is None else hook.guided_layers
     bos_records: list[float] = []
 
     for layer_idx, lw in enumerate(model.layers):
@@ -284,7 +294,7 @@ def _forward_block(
             z = attention_fused(q, k_all, v_all)
 
         z = z.reshape(n, b, n_heads, d_head)
-        if hook is not None:
+        if layer_idx in guided:
             z_last = z[-1]
             corr = hook.correction(layer_idx, z_last, v_cache)
             if corr is not None and explicit:
@@ -307,7 +317,7 @@ def _prefill(
 
     The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
     a new cache; the hook, if any, binds to the read-only visual logits and
-    ``layouts[0]``, whose visual span every prompt shares; then the tails,
+    the layouts, whose visual span every prompt shares; then the tails,
     of equal length, run as one [B, n] forward under the hook, which
     extends the cache only for B = 1. Returns (cache, visual logits,
     last-row logits [B, V], per-layer BOS attention when ``explicit``).
@@ -324,7 +334,7 @@ def _prefill(
     visual_logits = logits[0, first.visual_start : e]
     visual_logits.flags.writeable = False
     if hook is not None:
-        hook.on_visual(visual_logits, first, model.vocab)
+        hook.on_visual(visual_logits, layouts, model.vocab)
 
     if e < first.length:
         tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)

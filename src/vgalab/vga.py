@@ -16,17 +16,29 @@ per-head factors gamma_h rebalance guidance toward heads whose output
 already tracks the visual values; rho decays guidance as programmed
 suppression drains the grounding during captioning.
 
-The work is shared across entries wherever the prompts share it. On
-binding, the session takes one softmax of the visual logits (only when a
-vsc grounding or a PVG update reads it), grounds every entry and stacks
-the groundings' weights [B, m]. The entries it guides are those with a
-nondegenerate grounding and rho > 0, at beta > 0; their indices, weights
-and beta * rho are picked once per grounding. On each guided layer one
-call then serves them all: one stacked mix ``G[:, None, :] @ V`` of the
-shared visual value rows (one GEMV per entry, bit-equal to ``delta_z`` of
-each), one ``clamped_row_cosine`` over every entry's heads, one
-``unit_mass`` that normalizes each entry's cosines, and one scaled add. A
-plain [k, m] @ [m, H*dh] product would be one GEMM, whose sums may round
+The session speaks the forward pass's hook protocol (``mllm.core``):
+``guided_layers`` is ``[start_layer, end_layer)``, or empty for source
+none and beta = 0, which never guide, so the forward pass calls
+``correction`` on those layers only; ``on_visual`` binds the session to
+the visual logits and one layout per entry (another count raises
+``ShapeError``); ``on_token`` runs the PVG update.
+
+The work is shared across entries wherever the prompts share it, and
+costs few numpy calls, since the hook runs between the forward pass's
+products with little of it still in cache. On binding, the session takes
+one softmax of the visual logits (only when a vsc grounding or a PVG
+update reads it) and grounds every entry straight into one stack of
+weights [B, m]: for vsc, one fancy index picks every named word's column
+and one ``unit_mass`` scales them all. ``Grounding`` objects are built
+from the stack only when ``groundings`` is read. The entries it guides
+are those with a nondegenerate grounding and rho > 0, at beta > 0; their
+indices, weights and beta * rho are picked once per grounding. On each
+guided layer one call then serves them all: one stacked mix
+``G[:, None, :] @ V`` of the shared visual value rows (one GEMV per
+entry, bit-equal to ``delta_z`` of each), one ``numerics.head_scales``
+call that balances every entry's heads on three row-dot calls and returns
+beta * rho * gamma [k, H], and one scaled add. A plain
+[k, m] @ [m, H*dh] product would be one GEMM, whose sums may round
 differently, so it is not used. A PVG update decays the whole stack as
 one array and picks the guided entries again. The hook works on arrays
 the forward pass computed from checked inputs (token ids, the model's
@@ -49,12 +61,11 @@ from .grounding import (
     Grounding,
     MaskAnnotation,
     extract_objects,
-    merge_groundings,
     support_share,
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, prefill
-from .numerics import clamped_row_cosine, stable_softmax, unit_mass
+from .numerics import head_scales, stable_softmax, unit_mass
 from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
@@ -145,13 +156,15 @@ def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
     1 whenever the ReLU clips nothing. Degenerate similarities (all zero)
     fall back to uniform, i.e. gamma = 1 everywhere. ``z_row`` and
     ``dz_row`` are one row's [heads, d_head], or a stack [k, heads, d_head]
-    balanced row by row into gamma [k, heads]. They are finite float
-    arrays; only their shapes are checked.
+    balanced row by row into gamma [k, heads]. They are finite float64
+    arrays; only their shapes are checked. ``numerics.head_scales``, the
+    core the guidance hook calls, computes gamma at a coefficient of 1.
     """
     if z_row.shape != dz_row.shape or z_row.ndim not in (2, 3):
         raise ShapeError("z_row and dz_row must both be [heads, d_head] or [k, heads, d_head]")
-    gamma_prime, _ = unit_mass(clamped_row_cosine(z_row, dz_row))
-    return np.maximum(0.0, 2.0 - z_row.shape[-2] * gamma_prime)
+    if z_row.ndim == 2:
+        return head_scales(z_row[None], dz_row[None], [1.0])[0]
+    return head_scales(z_row, dz_row, [1.0] * len(z_row))
 
 
 class VgaSession:
@@ -196,6 +209,10 @@ class VgaSession:
         self.start_layer = start
         self.end_layer = end
         self.source = config.resolved_source()
+        # the layers the forward pass hands to correction: none when no
+        # entry can ever be guided
+        guides = config.beta != 0.0 and self.source != "none"
+        self.guided_layers = range(start, end) if guides else range(0)
         self.fallback_uniform = [False] * n
         self.layout: SequenceLayout | None = None
         self.visual_probs: np.ndarray | None = None
@@ -208,16 +225,24 @@ class VgaSession:
         self._degenerate: list[bool] = []
         self._groundings: list[Grounding | None] | None = None
         # the guided entries: indices, weights [k, m], the same as [k, 1, m]
-        # for the mix, and beta * rho [k, 1]; None when no entry is guided
+        # for the mix, and beta * rho, one float each; None when no entry is
+        # guided
         self._guided: tuple | None = None
         if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
             raise ConfigError("ground_truth guidance requires a mask annotation per entry")
 
     # -- hook protocol ------------------------------------------------------
 
-    def on_visual(self, visual_logits: np.ndarray, layout: SequenceLayout, vocab: Vocabulary) -> None:
+    def on_visual(
+        self, visual_logits: np.ndarray, layouts: Sequence[SequenceLayout], vocab: Vocabulary
+    ) -> None:
+        """Bind to the visual logits [n_visual, V] that ``layouts``, one per
+        entry, share, and ground every entry on them."""
         if self.layout is not None:
             raise ConfigError("session is already bound; start a new session per generation")
+        if len(layouts) != len(self.questions):
+            raise ShapeError(f"{len(layouts)} prompts for {len(self.questions)} questions")
+        layout = layouts[0]
         logits = np.asarray(visual_logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[0] != layout.n_visual:
             raise ShapeError("visual logits must be [n_visual, V] for the layout")
@@ -228,14 +253,14 @@ class VgaSession:
             self.visual_probs = stable_softmax(logits)
         self.layout = layout
         if self.source != "none":
-            self.groundings = self._build_groundings(logits, layout, vocab)
+            self._restack(*self._ground(logits, layout.n_visual, vocab))
 
     def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
         """The guided entries' row for this layer, or None when none is guided.
 
         ``z_last`` [B, H, dh] is every entry's last-row attention output and
         ``v_cache`` the cached value rows every entry reads, the visual span
-        among them.
+        among them. The forward pass calls it on ``guided_layers`` only.
         """
         self._require_bound()
         b, n_heads, d_head = z_last.shape
@@ -248,11 +273,11 @@ class VgaSession:
         v_visual = v_cache[s:e].reshape(e - s, n_heads * d_head)
         # [k, 1, m] @ [m, H*dh]: one GEMV per entry, bit-equal to delta_z of
         # each; the GEMM [k, m] @ [m, H*dh] may round otherwise
-        delta = (mix_weights @ v_visual).reshape(len(weights), n_heads, d_head)
+        delta = (mix_weights @ v_visual).reshape(len(coef), n_heads, d_head)
         if self.config.head_balancing:
-            scales = coef * head_balance(z_last[entries], delta)
+            scales = head_scales(z_last[entries], delta, coef)
         else:
-            scales = coef * np.ones((len(weights), n_heads))
+            scales = np.array([[c] * n_heads for c in coef])
         return GuidanceRow(entries, weights, scales, (s, e), delta)
 
     def on_token(self, token_id: int) -> None:
@@ -275,7 +300,7 @@ class VgaSession:
         # a softmax column: finite and nonnegative by construction
         g_w, _ = unit_mass(self.visual_probs[:, token_id])
         lam = self.config.lambda_
-        # each row is what Grounding.from_nonnegative makes of that entry
+        # each row is what Grounding.from_values makes of that entry
         self._restack(*unit_mass(np.maximum(0.0, (1.0 + lam) * self._weights - lam * g_w)))
 
     @property
@@ -330,45 +355,62 @@ class VgaSession:
         contiguous = index[-1] - index[0] + 1 == len(index)
         entries = slice(index[0], index[-1] + 1) if contiguous else np.array(index)
         guided = weights[entries]
-        self._guided = (entries, guided, guided[:, None, :], np.array(coef)[:, None])
+        self._guided = (entries, guided, guided[:, None, :], coef)
 
-    def _uniform(self, m: int) -> Grounding:
-        return Grounding.from_values(np.ones(m))
-
-    def _build_groundings(
-        self, logits: np.ndarray, layout: SequenceLayout, vocab: Vocabulary
-    ) -> list[Grounding]:
-        m = layout.n_visual
+    def _ground(
+        self, logits: np.ndarray, m: int, vocab: Vocabulary
+    ) -> tuple[np.ndarray, list[bool]]:
+        """Every entry's grounding weights [n, m] and degenerate flags, each
+        row what the ``Grounding`` of that entry's source holds."""
         n = len(self.questions)
         source = self.source
         if source == "even":
-            return [self._uniform(m)] * n
+            return unit_mass(np.ones((n, m)))
         if source == "vsc":
-            return [self._vsc_grounding(i, m, vocab) for i in range(n)]
-        if source == "vss":
-            return [vss(logits, k=self.config.top_k)] * n
-        if source == "reversed_vss":
-            return [vss(logits, k=self.config.top_k, sign="flipped")] * n
+            return self._vsc_weights(m, vocab)
+        if source in ("vss", "reversed_vss"):
+            sign = "raw" if source == "vss" else "flipped"
+            salience = vss(logits, k=self.config.top_k, sign=sign)
+            return np.tile(salience.weights, (n, 1)), [salience.degenerate] * n
         if source == "ground_truth":
-            return [Grounding.from_values(mask.overlaps) for mask in self.gt_masks]
+            if any(mask.overlaps.shape != (m,) for mask in self.gt_masks):
+                raise ShapeError(f"ground-truth masks must each cover the {m} visual rows")
+            return unit_mass(np.array([mask.overlaps for mask in self.gt_masks]))
         raise ConfigError(f"unresolvable guidance source {source!r}")
 
-    def _vsc_grounding(self, entry: int, m: int, vocab: Vocabulary) -> Grounding:
-        words = extract_objects(self.questions[entry], vocab)
-        if not words:
-            warnings.warn(
-                "no vocabulary objects in question; falling back to even guidance",
-                stacklevel=2,
-            )
-            self.fallback_uniform[entry] = True
-            return self._uniform(m)
-        # object_grounding per word, read off the shared softmax, whose
-        # columns are finite and nonnegative; one grounding is already
-        # normalized, so only several are merged
-        groundings = [
-            Grounding.from_nonnegative(self.visual_probs[:, vocab.id_of(w)]) for w in words
-        ]
-        return groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
+    def _vsc_weights(self, m: int, vocab: Vocabulary) -> tuple[np.ndarray, list[bool]]:
+        """vsc weights: each object word's softmax column at unit mass.
+
+        Every named word's column is picked off the shared softmax into one
+        C-ordered stack [w, m] by one ``take`` (about half the cost of a
+        fancy index right after the prefix forward) and scaled by one
+        ``unit_mass`` call, each row bit for bit the vector call on that
+        column. An entry naming one word takes its row; one naming several
+        merges theirs as ``merge_groundings`` does (elementwise max, unit
+        mass), and one naming none falls back to even guidance.
+        """
+        words = [extract_objects(question, vocab) for question in self.questions]
+        ids = [vocab.id_of(word) for named in words for word in named]
+        columns, degenerate = unit_mass(self.visual_probs.T.take(ids, 0)) if ids else (None, [])
+        if all(len(named) == 1 for named in words):
+            return columns, degenerate
+        rows, flags, at = [], [], 0
+        for entry, named in enumerate(words):
+            if not named:
+                warnings.warn(
+                    "no vocabulary objects in question; falling back to even guidance",
+                    stacklevel=2,
+                )
+                self.fallback_uniform[entry] = True
+                row, flag = unit_mass(np.ones(m))
+            elif len(named) == 1:
+                row, flag = columns[at], degenerate[at]
+            else:
+                row, flag = unit_mass(np.max(columns[at : at + len(named)], axis=0))
+            rows.append(row)
+            flags.append(flag)
+            at += len(named)
+        return np.array(rows), flags
 
 
 def new_session(

@@ -39,11 +39,14 @@ class Vocabulary:
     object_words: tuple[str, ...]
     n_background: int
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    # each object word by its lower-case form, for matching question text
+    lower_objects: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.words)) != len(self.words):
             raise InvalidSpec("vocabulary contains duplicate words")
         object.__setattr__(self, "_ids", {w: i for i, w in enumerate(self.words)})
+        object.__setattr__(self, "lower_objects", {w.lower(): w for w in self.object_words})
 
     # -- sizes and role ranges ------------------------------------------------
     @property
@@ -100,6 +103,7 @@ class Vocabulary:
             raise InvalidInput(f"word not in vocabulary: {word!r}") from None
 
     def word_of(self, token_id: int) -> str:
+        token_id = require_int(token_id, "token id", InvalidInput)
         if not 0 <= token_id < self.size:
             raise InvalidInput(f"token id out of range: {token_id}")
         return self.words[token_id]

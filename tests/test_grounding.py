@@ -23,7 +23,7 @@ from vgalab.grounding import (
     vss,
     vss_values,
 )
-from vgalab.numerics import DEGENERATE_EPS
+from vgalab.numerics import DEGENERATE_EPS, unit_mass
 from vgalab.vocab import make_vocab
 
 ORACLE_TOL = 1e-10
@@ -64,6 +64,26 @@ def test_vsc_bounds_checks():
         vsc_vector(np.zeros(4), 0)
     with pytest.raises(InvalidInput):
         vsc_vector(np.full((2, 4), np.nan), 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda logits: vsc_vector(logits, 2.5),
+        lambda logits: vsc_vector(logits, True),  # not read as column 1
+        lambda logits: vsc_vector(logits, "1"),
+        lambda logits: image_confidence(logits, 1.5),
+        lambda logits: vss(logits, k=2.5),
+        lambda logits: vss_values(logits, k="3"),
+        lambda logits: make_vocab(("dog", "cat")).word_of(2.5),
+        lambda logits: make_vocab(("dog", "cat")).word_of("x"),
+    ],
+    ids=["vsc-float", "vsc-bool", "vsc-str", "confidence-float", "vss-float-k", "vss-str-k",
+         "word_of-float", "word_of-str"],
+)
+def test_non_integer_ids_and_k_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call(np.zeros((2, 4)))
 
 
 def test_exists_is_strict_in_log_space():
@@ -174,8 +194,10 @@ def nonnegative_vectors(draw):
 @given(nonnegative_vectors())
 @settings(max_examples=200)
 def test_unchecked_grounding_equals_from_values(values):
+    """The unchecked core the guidance session grounds with gives what the
+    checked entry point gives."""
     want = Grounding.from_values(values)
-    got = Grounding.from_nonnegative(values)
+    got = Grounding(*unit_mass(values))
     assert got.weights.tobytes() == want.weights.tobytes()
     assert (got.rho, got.degenerate) == (want.rho, want.degenerate)
 

@@ -13,6 +13,7 @@ from vgalab.numerics import (
     _unit_mass_rows,
     clamped_row_cosine,
     cosine_sim_clamped,
+    head_scales,
     row_softmax,
     sum_normalize,
     unit_mass,
@@ -143,6 +144,45 @@ def test_clamped_row_cosine_takes_each_rows_dots_from_np_dot(k, heads, n, data):
         else:
             want = min(1.0, max(0.0, xy / (na * nb)))
         assert sim == want
+
+
+@st.composite
+def head_stacks(draw):
+    """k rows of [H, dh] pairs and a coefficient per row. A row is free, has
+    zero and anti-aligned heads, or has every cosine zero (its mass is
+    degenerate); from 8 heads on numpy sums a row's cosines pairwise."""
+    k, n_heads, d_head = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    elements = st.floats(-1e3, 1e3, allow_nan=False)
+    z = draw(arrays(np.float64, (k, n_heads, d_head), elements=elements)).copy()
+    dz = draw(arrays(np.float64, (k, n_heads, d_head), elements=elements)).copy()
+    for j in range(k):
+        kind = draw(st.sampled_from(["free", "mixed", "zero_cosines"]))
+        if kind == "zero_cosines":
+            dz[j] = -z[j]
+        elif kind == "mixed":
+            for h in range(n_heads):
+                head = draw(st.sampled_from(["free", "zero_z", "zero_dz", "anti"]))
+                if head == "zero_z":
+                    z[j, h] = 0.0
+                elif head == "zero_dz":
+                    dz[j, h] = 0.0
+                elif head == "anti":
+                    dz[j, h] = -draw(st.floats(0.1, 10.0)) * z[j, h]
+    coef = draw(st.lists(st.floats(0.0, 4.0), min_size=k, max_size=k))
+    return z, dz, coef
+
+
+@given(head_stacks())
+@settings(max_examples=200)
+def test_head_scales_is_the_composition_of_the_cores_byte_for_byte(stack):
+    """The one-call core equals cosine -> unit mass -> ReLU(2 - H gamma') ->
+    coef * gamma composed from the array cores, for one row and for stacks."""
+    z, dz, coef = stack
+    gamma_prime, _ = unit_mass(clamped_row_cosine(z, dz))
+    want = np.array(coef)[:, None] * np.maximum(0.0, 2.0 - z.shape[1] * gamma_prime)
+    got = head_scales(z, dz, coef)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cosine_shape_mismatch():

@@ -179,13 +179,14 @@ class RecordingHook:
 
     def __init__(self, session):
         self.session = session
+        self.guided_layers = session.guided_layers
         self.visual_logits = None
         self.tokens = []
         self.calls = []
 
-    def on_visual(self, visual_logits, layout, vocab):
+    def on_visual(self, visual_logits, layouts, vocab):
         self.visual_logits = visual_logits
-        self.session.on_visual(visual_logits, layout, vocab)
+        self.session.on_visual(visual_logits, layouts, vocab)
 
     def on_token(self, token_id):
         self.tokens.append(token_id)
@@ -357,6 +358,42 @@ def test_shared_batch_of_guided_and_unguided_entries_matches_each_prompt_alone(
             assert row.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "config, layers",
+    [
+        (VgaConfig(guidance_source="vsc"), range(0, 3)),
+        (VgaConfig(guidance_source="ground_truth", start_layer=2, end_layer=6), range(2, 6)),
+        (VgaConfig(guidance_source="vsc", start_layer=4, end_layer=4), range(0)),
+        (VgaConfig(guidance_source="none"), range(0)),
+        (VgaConfig(guidance_source="vsc", beta=0.0), range(0)),
+    ],
+    ids=["vsc", "ground_truth-2-6", "empty-range", "none", "beta-0"],
+)
+def test_forward_calls_correction_only_on_guided_layers(noisy_model, scenes12, config, layers):
+    """The forward pass hands the hook its guided layers' rows and no
+    others: none for source none or beta = 0. A wrong prompt count raises
+    ShapeError at bind, also for sessions that are never called."""
+    layouts, questions, masks = scene_batch(noisy_model, scenes12[0])
+    session = VgaSession(noisy_model, config, questions, masks)
+    assert session.guided_layers == layers
+    hook = RecordingHook(session)
+    prefill_shared(noisy_model, layouts, hook)
+    assert [call[0] for call in hook.calls] == list(layers)
+
+    hook = RecordingHook(new_session(noisy_model, config, questions[0], masks[0]))
+    result = prefill(noisy_model, layouts[0], hook=hook)
+    decode_step(noisy_model, result.cache, int(np.argmax(result.last_logits)), hook=hook)
+    assert [call[0] for call in hook.calls] == list(layers) * 2
+
+    for n_prompts in (1, len(layouts) - 1, len(layouts) + 1):
+        unbound = VgaSession(noisy_model, config, questions, masks)
+        with pytest.raises(ShapeError):
+            if n_prompts == 1:
+                prefill(noisy_model, layouts[0], hook=unbound)
+            else:
+                prefill_shared(noisy_model, layouts[:1] * n_prompts, unbound)
+
+
 def test_disabled_guidance_leaves_shared_prefill_untouched(noisy_model, scenes12):
     """beta = 0 and an empty layer range are byte-exact no-ops for a batch."""
     for scene in scenes12[:3]:
@@ -403,7 +440,7 @@ def test_vsc_grounding_matches_merged_object_groundings(clean_model, words):
     logits = prefill(clean_model, layout).visual_logits
     question = "is there a " + " or a ".join(words) + " ?"
     session = new_session(clean_model, VgaConfig(guidance_source="vsc"), question=question)
-    session.on_visual(logits, layout, clean_model.vocab)
+    session.on_visual(logits, [layout], clean_model.vocab)
     want = merge_groundings(
         [object_grounding(logits, clean_model.vocab.id_of(w)) for w in words]
     )
@@ -425,7 +462,7 @@ def test_session_refuses_a_second_visual_context(clean_model):
     with pytest.raises(ConfigError):
         prefill(clean_model, layout, hook=session)
     with pytest.raises(ConfigError):
-        session.on_visual(prefill(clean_model, layout).visual_logits, layout, clean_model.vocab)
+        session.on_visual(prefill(clean_model, layout).visual_logits, [layout], clean_model.vocab)
     assert np.array_equal(session.groundings[0].weights, decayed)
 
 
@@ -616,6 +653,6 @@ def test_on_visual_binds_from_prefill(clean_model):
     layout = vqa_layout(clean_model)
     result = prefill(clean_model, layout)
     session = new_session(clean_model, VgaConfig(), question="is there a dog ?")
-    session.on_visual(result.visual_logits, layout, clean_model.vocab)
+    session.on_visual(result.visual_logits, [layout], clean_model.vocab)
     assert session.groundings[0] is not None
     assert session.layout is layout
