@@ -5,10 +5,14 @@ entry points for arrays from outside the program: they check shapes,
 raise InvalidInput on NaN/Inf (and on negative mass) instead of
 propagating poison, preserve float dtypes and compute in float64
 otherwise. ``stable_softmax``, ``unit_mass`` and ``clamped_row_cosine``
-are their unchecked cores, the only statement of each formula; the
-guidance hook calls them directly on arrays the forward pass built from
-checked inputs. ``head_scales`` finishes the hook's head balancing in one
-call, on the same cosine and unit-mass arithmetic.
+are their unchecked cores, the only statement of each formula but one;
+the guidance hook calls them directly on arrays the forward pass built
+from checked inputs. ``head_scales`` finishes the hook's head balancing
+in one call on the cosines of ``clamped_row_cosine``, and states the
+unit-mass rule a second time, on Python floats (the ``DEGENERATE_EPS``
+uniform fallback and the division by each row's total);
+``test_head_scales_is_the_composition_of_the_cores_byte_for_byte`` holds
+it byte-equal to ``unit_mass``.
 """
 from __future__ import annotations
 
@@ -104,21 +108,21 @@ def _clamped_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
     """The clamped cosine of every row of ``a`` and ``b``, in row order, as
     Python floats: the one statement of the formula.
 
-    Every row's a.a, a.b and b.b come from three ``np.vecdot`` calls, each
-    row through the BLAS dot that ``np.dot`` uses, so every row is
-    bit-identical to the 1-d call on it; on the guidance path, right after
-    a forward layer, they cost ~8 us less than one batched matmul of the
-    stacked pair against itself. The rows are few (one per head on the
-    guidance path), so they are finished on Python floats, which costs less
-    than a chain of numpy calls on a handful of elements. A row whose norm
-    product underflows to zero, though neither norm is zero, gets what the
-    clamped IEEE division would give: 1 for a positive dot, else 0. The
-    clamp is spelled with comparisons, not ``min`` and ``max`` calls, which
-    cost ~3x as much per row.
+    The dots of every row (a.a, a.b, b.a, b.b) run as one batched BLAS
+    call, the pair of arrays against itself. The rows are few (one per
+    head on the guidance path), so they are finished on Python floats,
+    which costs less than a chain of numpy calls on a handful of elements.
+    A row whose norm product underflows to zero, though neither norm is
+    zero, gets what the clamped IEEE division would give: 1 for a positive
+    dot, else 0. The clamp is spelled with comparisons, not ``min`` and
+    ``max`` calls, which cost ~3x as much per row.
     """
-    aa = np.vecdot(a, a).ravel().tolist()
-    ab = np.vecdot(a, b).ravel().tolist()
-    bb = np.vecdot(b, b).ravel().tolist()
+    pair = np.concatenate((a, b)).reshape(2, *a.shape)
+    # [2, 1, ..., 1, n] @ [2, ..., n, 1]: matmul's vector-vector path is the
+    # BLAS dot np.dot uses, so every row comes out bit-identical to the 1-d
+    # call on that row
+    gram = pair[:, None, ..., None, :] @ pair[..., :, None]
+    aa, ab, _, bb = gram.reshape(4, -1).tolist()
     sqrt = math.sqrt
     sims = []
     for xx, xy, yy in zip(aa, ab, bb):
@@ -150,7 +154,7 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     finite float64 arrays of one shape and ``coef`` holds one Python float
     per row. Every value is bit for bit what
     ``coef * np.maximum(0, 2 - H * unit_mass(clamped_row_cosine(z, dz))[0])``
-    gives, in fewer numpy calls: three row dots for the cosines, numpy's
+    gives, in fewer numpy calls: one batched dot for the cosines, numpy's
     ``add.reduce`` for each row's total (a Python sum rounds otherwise from
     8 heads on, where numpy sums pairwise) and Python floats for the rest.
     """

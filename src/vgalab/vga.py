@@ -28,7 +28,7 @@ costs few numpy calls, since the hook runs between the forward pass's
 products with little of it still in cache. On binding, the session takes
 one softmax of the visual logits (only when a vsc grounding or a PVG
 update reads it) and grounds every entry straight into one stack of
-weights [B, m]: for vsc, one fancy index picks every named word's column
+weights [B, m]: for vsc, one ``take`` picks every named word's column
 and one ``unit_mass`` scales them all. ``Grounding`` objects are built
 from the stack only when ``groundings`` is read. The entries it guides
 are those with a nondegenerate grounding and rho > 0, at beta > 0; their
@@ -36,7 +36,7 @@ indices, weights and beta * rho are picked once per grounding. On each
 guided layer one call then serves them all: one stacked mix
 ``G[:, None, :] @ V`` of the shared visual value rows (one GEMV per
 entry, bit-equal to ``delta_z`` of each), one ``numerics.head_scales``
-call that balances every entry's heads on three row-dot calls and returns
+call that balances every entry's heads on one batched dot and returns
 beta * rho * gamma [k, H], and one scaled add. A plain
 [k, m] @ [m, H*dh] product would be one GEMM, whose sums may round
 differently, so it is not used. A PVG update decays the whole stack as
@@ -266,7 +266,7 @@ class VgaSession:
         b, n_heads, d_head = z_last.shape
         if b != len(self.questions):
             raise ShapeError(f"{b} batch entries for {len(self.questions)} questions")
-        if self._guided is None or not self.start_layer <= layer < self.end_layer:
+        if self._guided is None or layer not in self.guided_layers:
             return None
         entries, weights, mix_weights, coef = self._guided
         s, e = self.layout.visual_start, self.layout.visual_end
@@ -392,8 +392,6 @@ class VgaSession:
         words = [extract_objects(question, vocab) for question in self.questions]
         ids = [vocab.id_of(word) for named in words for word in named]
         columns, degenerate = unit_mass(self.visual_probs.T.take(ids, 0)) if ids else (None, [])
-        if all(len(named) == 1 for named in words):
-            return columns, degenerate
         rows, flags, at = [], [], 0
         for entry, named in enumerate(words):
             if not named:

@@ -3,22 +3,20 @@
 Model construction and scene sampling are deterministic, so these are
 safe to share across the whole session; tests must not mutate them.
 
-``HYPOTHESIS_PROFILE=ci`` selects the ``ci`` hypothesis profile: a failing
-property prints the blob that ``@reproduce_failure`` replays, and no
-example database is kept, so a failure seen on another machine (whose BLAS
-may round otherwise) can be replayed here. Example counts and deadlines
-are the default profile's.
+Every run loads the ``vgalab`` hypothesis profile: a failing property
+prints the blob that ``@reproduce_failure`` replays, so a failure seen on
+another machine (whose BLAS may round otherwise) can be replayed here.
+Example counts, deadlines and the example database are the default
+profile's.
 """
-import os
-
 import pytest
 from hypothesis import settings
 
 from vgalab.evalkit import SceneParams, make_scenes
 from vgalab.mllm import PlantedSpec, build_planted_model, build_random_model
 
-settings.register_profile("ci", print_blob=True, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("vgalab", print_blob=True)
+settings.load_profile("vgalab")
 
 MODEL_SEED = 7
 SCENE_SEED = 11
