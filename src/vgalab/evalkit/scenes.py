@@ -15,7 +15,9 @@ table (the word most often seen together with a present one).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,8 +62,8 @@ class SceneParams:
         if self.max_objects >= len(DEFAULT_OBJECT_WORDS):
             # every word could be present at once, leaving nothing absent
             raise InvalidParams("need at least one object word that can stay absent")
-        if self.max_objects > rows * cols:
-            raise InvalidParams("more objects than grid patches")
+        if self.max_objects > rows * cols - 1:
+            raise InvalidParams("need max_objects <= rows * cols - 1: one cell stays background")
         if self.questions_per_scene < 2 or self.questions_per_scene % 2 != 0:
             raise InvalidParams("questions_per_scene must be even and >= 2")
         if self.negative_mode not in NEGATIVE_MODES:
@@ -152,12 +154,34 @@ def _sample_patch_count(rng: np.random.Generator, n_patches: int) -> int:
     return int(rng.integers(large_lo, large_hi + 1))
 
 
+def _draw_distinct(rng: np.random.Generator, p: list[float], size: int) -> list[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)`` on Python floats.
+
+    numpy's algorithm step for step, so the indices and the ``rng`` state
+    after the draw are the same. ``size`` must not exceed the nonzero weights.
+    """
+    p = list(p)
+    found: list[int] = []
+    while len(found) < size:
+        xs = rng.random(size - len(found)).tolist()
+        for i in found:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        for x in xs:
+            i = bisect_right(cdf, x)
+            if i not in found:  # zeroed weights are never drawn, so this only drops repeats
+                found.append(i)
+    return found
+
+
 def _sample_negatives(
     rng: np.random.Generator,
     present: list[str],
     words: tuple[str, ...],
     mode: str,
-    popularity: np.ndarray,
+    popularity: dict[str, float],
     partners: dict[str, str],
     count: int,
 ) -> list[str]:
@@ -179,10 +203,10 @@ def _sample_negatives(
             if len(chosen) == count:
                 return chosen
         return chosen
-    weights = np.asarray([popularity[words.index(w)] for w in absent])
-    weights = weights / weights.sum()
-    picks = rng.choice(len(absent), size=min(count, len(absent)), replace=False, p=weights)
-    return [absent[int(i)] for i in picks]
+    weights = np.asarray([popularity[w] for w in absent])
+    # numpy's pairwise sum: a sequential Python sum can differ in the last bit and move a draw
+    weights = (weights / weights.sum()).tolist()
+    return [absent[i] for i in _draw_distinct(rng, weights, min(count, len(absent)))]
 
 
 def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
@@ -192,24 +216,23 @@ def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
     words = vocab.object_words
     rows, cols = params.grid
     n_patches = rows * cols
-    popularity = zipf_weights(len(words))
+    popularity = zipf_weights(len(words)).tolist()
+    popularity_of = dict(zip(words, popularity))
     partners = partner_table(words)
+    background = np.asarray(vocab.background_ids)
     scenes: list[Scene] = []
 
     for _ in range(params.n_scenes):
         k = int(rng.integers(params.min_objects, params.max_objects + 1))
-        word_idx = rng.choice(len(words), size=k, replace=False, p=popularity)
-        present = [words[int(i)] for i in word_idx]
+        present = [words[i] for i in _draw_distinct(rng, popularity, k)]
 
         counts = [_sample_patch_count(rng, n_patches) for _ in present]
         while sum(counts) > n_patches - 1:  # keep at least one background cell
-            counts[int(np.argmax(counts))] //= 2
+            counts[counts.index(max(counts))] //= 2
             counts = [max(1, c) for c in counts]
 
         order = rng.permutation(n_patches)
-        patches = list(
-            rng.choice(vocab.background_ids, size=n_patches, replace=True)
-        )
+        patches = rng.choice(background, size=n_patches, replace=True)
         objects = []
         cursor = 0
         for word, count in zip(present, counts):
@@ -217,15 +240,14 @@ def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
             cursor += count
             overlaps = np.zeros(n_patches)
             overlaps[cells] = 1.0
-            for cell in cells:
-                patches[int(cell)] = vocab.patch_token_of(word)
+            patches[cells] = vocab.patch_token_of(word)
             objects.append(MaskAnnotation(word=word, overlaps=overlaps))
 
         half = params.questions_per_scene // 2
         pres_order = rng.permutation(len(present))
         pos_words = [present[int(pres_order[i % k])] for i in range(half)]
         neg_words = _sample_negatives(
-            rng, present, words, params.negative_mode, popularity, partners, half
+            rng, present, words, params.negative_mode, popularity_of, partners, half
         )
         base = list(neg_words)
         while len(neg_words) < half:  # more questions than absent words: reuse negatives
@@ -238,7 +260,7 @@ def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
         scenes.append(
             Scene(
                 grid=params.grid,
-                patches=tuple(int(p) for p in patches),
+                patches=tuple(patches.tolist()),
                 objects=tuple(objects),
                 questions=questions,
                 annotated=tuple(sorted(present)),

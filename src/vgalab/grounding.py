@@ -68,13 +68,15 @@ class MaskAnnotation:
     overlaps: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.overlaps, dtype=np.float64)
+        try:
+            g = np.asarray(self.overlaps, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"overlaps must be an array of reals: {exc}") from None
         if g.ndim != 1:
             raise ShapeError(f"overlaps must be 1-d, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise InvalidInput("overlaps must be finite")
-        if np.any(g < 0) or np.any(g > 1):
-            raise InvalidInput("overlap coefficients must lie in [0, 1]")
+        # NaN fails both comparisons and +-inf fails one: this is the finiteness check too
+        if not ((g >= 0) & (g <= 1)).all():
+            raise InvalidInput("overlap coefficients must be finite and lie in [0, 1]")
         object.__setattr__(self, "overlaps", g)
         g.flags.writeable = False
 

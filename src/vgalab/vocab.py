@@ -41,12 +41,14 @@ class Vocabulary:
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
     # each object word by its lower-case form, for matching question text
     lower_objects: dict[str, str] = field(init=False, repr=False, compare=False)
+    _patch_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.words)) != len(self.words):
             raise InvalidSpec("vocabulary contains duplicate words")
         object.__setattr__(self, "_ids", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "lower_objects", {w.lower(): w for w in self.object_words})
+        object.__setattr__(self, "_patch_ids", dict(zip(self.object_words, self.patch_token_ids)))
 
     # -- sizes and role ranges ------------------------------------------------
     @property
@@ -113,9 +115,10 @@ class Vocabulary:
 
     def patch_token_of(self, word: str) -> int:
         """Patch token id used by grid cells covered by ``word``."""
-        if word not in self.object_words:
-            raise InvalidInput(f"not an object word: {word!r}")
-        return self.patch_token_ids[self.object_words.index(word)]
+        try:
+            return self._patch_ids[word]
+        except KeyError:
+            raise InvalidInput(f"not an object word: {word!r}") from None
 
     # -- persistence ----------------------------------------------------------
     def to_manifest(self) -> dict:

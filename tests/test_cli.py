@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vgalab.cli import run
+from vgalab.cli import RUNTIME_ERROR, run
 from vgalab.evalkit import load_scenes
 from vgalab.mllm import load_model
 
@@ -52,6 +52,17 @@ def test_make_scenes_output_is_loadable(workdir):
     scenes = load_scenes(scenes_path(workdir))
     assert len(scenes) == 3
     assert all(len(s.questions) == 4 for s in scenes)
+
+
+def test_make_scenes_rejects_grid_without_background_cell(tmp_path, capsys):
+    out = tmp_path / "full.json"
+    rc = run([
+        "make-scenes", "--grid", "1", "2", "--min-objects", "2", "--max-objects", "2",
+        "--out", str(out),
+    ])
+    assert rc == RUNTIME_ERROR
+    assert "max_objects" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_vqa_answers_yes_or_no(workdir, capsys):

@@ -1,8 +1,11 @@
 """Scene sampling, hallucination metrics, evaluation loops, heatmap export."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vgalab.errors import (
     FormatError,
@@ -35,6 +38,7 @@ from vgalab.evalkit import (
     zipf_weights,
 )
 from vgalab.evalkit.metrics import EvalReport
+from vgalab.evalkit.scenes import _draw_distinct
 from vgalab.grounding import Grounding
 from vgalab.mllm import forward_rows_count, reset_forward_rows
 from vgalab.vga import VgaConfig
@@ -133,9 +137,47 @@ def test_scene_params_validation():
         {"questions_per_scene": "4"},
         {"grid": (8.0, 8)},
         {"grid": (8, 8, 8)},
+        {"grid": (1, 2), "min_objects": 2, "max_objects": 2},  # no cell left for background
+        {"grid": (1, 1), "max_objects": 1},
     ):
         with pytest.raises(InvalidParams):
             SceneParams(**kwargs)
+
+
+# sha256 of json.dumps(scenes_to_payload(...), sort_keys=True); any change to
+# the sampler's draws, their order or the stream they consume moves these
+SCENE_DIGESTS = {
+    (0, "random", 125): "0e912c3b22558fa8091c164be82d2b5cbb572c1ac579b00b546f70efdd43dba5",
+    (0, "popular", 125): "9700a3f191bf6406363972d86695f36f67037c4dce3dc6a64bc30c6bd740fafd",
+    (0, "adversarial", 125): "52185cf08d63a10d203c8d8833d52670bb37b2156eee1f4ce6a476857ddc1745",
+    (11, "random", 125): "4781bf378ef47f05d73270f429480f9766c44b5e5c6438edb0131b796375a762",
+    (11, "popular", 125): "c2656e1f14f47da29aba2ea7f6d9fb8deca343a2f19e0396ef240aa4135129ad",
+    (11, "adversarial", 125): "185a95339db88a5143bc0b6f344f7de86c2a40e9d8e3ad167cdbcbd251dce826",
+    (11, "random", 1600): "9a3932a754d51c3a8c7b4770f11e49b40ddf6c2c6c39ddb8c24181d16f892088",
+}
+
+
+@pytest.mark.parametrize("seed, mode, n_scenes", sorted(SCENE_DIGESTS))
+def test_scene_corpus_matches_golden_digest(seed, mode, n_scenes):
+    scenes = make_scenes(SceneParams(n_scenes=n_scenes, negative_mode=mode), seed=seed)
+    payload = json.dumps(scenes_to_payload(scenes), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == SCENE_DIGESTS[seed, mode, n_scenes]
+
+
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=25)
+    .filter(any),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_draw_distinct_matches_numpy_choice(weights, seed, data):
+    p = np.asarray(weights) / sum(weights)
+    size = data.draw(st.integers(0, int(np.count_nonzero(p))), label="size")
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_distinct(ours, p.tolist(), size)
+    want = numpys.choice(len(p), size, replace=False, p=p)
+    assert got == want.tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_scene_save_load_round_trip(tmp_path, scenes12):

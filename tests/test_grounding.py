@@ -211,6 +211,15 @@ def test_mask_annotation_validation():
         MaskAnnotation(word="dog", overlaps=np.array([-0.1, 0.5]))
     with pytest.raises(ShapeError):
         MaskAnnotation(word="dog", overlaps=np.zeros((2, 2)))
+    for overlaps in (
+        ["x", "y"],
+        [[0.0, 1.0], [1.0]],  # ragged
+        [0.5, np.nan],
+        [0.5, np.inf],
+        [-np.inf, 0.5],
+    ):
+        with pytest.raises(InvalidInput):
+            MaskAnnotation(word="dog", overlaps=overlaps)
 
 
 def test_dice_hand_values():
