@@ -9,20 +9,25 @@ One reserved entry, "__config__", carries the model dimensions, grid, and
 the vocabulary word table, since those are not recoverable from tensor
 shapes alone. Loading checks both against the code, not the file:
 
-* every model dimension is a JSON integer, and ``grid`` a list of two;
+* every model dimension is a JSON integer, and ``grid`` a list of two, as
+  is every tensor's shape, offset and length;
 * the vocabulary must equal ``make_vocab(object_words, n_background)``, with
   ``n_background`` a JSON integer, so the stored ``words`` cannot reorder
-  or rename the ids the code derives from the layout.
+  or rename the ids the code derives from the layout;
+* each tensor's byte range lies inside the blob, and the ranges together
+  claim no more than the blob holds, so loading allocates at most the
+  file's size.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError, IoError, VgalabError
+from ..errors import FormatError, IoError, VgalabError, require_int
 from ..vocab import Vocabulary
 from .config import ModelConfig
 from .core import Model, tensor_table
@@ -32,39 +37,39 @@ _LEN_STRUCT = struct.Struct("<Q")
 
 
 def save_model(model: Model, path) -> None:
-    """Write the model; same model always produces identical bytes."""
+    """Write the model from each tensor's own buffer; same model, identical bytes."""
     manifest: dict = {
         _CONFIG_KEY: {
             "model": model.config.to_manifest(),
             "vocab": model.vocab.to_manifest(),
         }
     }
-    blobs: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for name, tensor in model.named_tensors().items():
         arr = np.ascontiguousarray(tensor, dtype="<f4")
-        raw = arr.tobytes()
         manifest[name] = {
             "shape": list(arr.shape),
             "dtype": "f32",
             "offset": offset,
-            "length": len(raw),
+            "length": arr.nbytes,
         }
-        blobs.append(raw)
-        offset += len(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
 
     encoded = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     try:
         with open(path, "wb") as fh:
             fh.write(_LEN_STRUCT.pack(len(encoded)))
             fh.write(encoded)
-            for raw in blobs:
-                fh.write(raw)
+            for arr in arrays:
+                fh.write(arr)
     except OSError as exc:
         raise IoError(f"cannot write model file {path}: {exc}") from exc
 
 
-def _read_tensor(name: str, entry, blob: bytes) -> np.ndarray:
+def _tensor_range(name: str, entry, blob_size: int) -> tuple[tuple[int, ...], int, int]:
+    """(shape, offset, length) of a checked manifest entry, before any allocation."""
     if not isinstance(entry, dict):
         raise FormatError(f"{name}: manifest entry missing or not an object")
     for key in ("shape", "dtype", "offset", "length"):
@@ -72,53 +77,71 @@ def _read_tensor(name: str, entry, blob: bytes) -> np.ndarray:
             raise FormatError(f"{name}: manifest entry missing {key!r}")
     if entry["dtype"] != "f32":
         raise FormatError(f"{name}: unsupported dtype {entry['dtype']!r}")
+    # JSON integers only: a truncated float offset would read another tensor's bytes
     try:
-        shape = tuple(int(d) for d in entry["shape"])
-        offset, length = int(entry["offset"]), int(entry["length"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{name}: shape, offset and length must be integers ({exc})") from exc
+        shape = tuple(require_int(d, f"{name}: shape", FormatError) for d in entry["shape"])
+    except TypeError as exc:
+        raise FormatError(f"{name}: shape must be a list of integers ({exc})") from exc
+    offset = require_int(entry["offset"], f"{name}: offset", FormatError)
+    length = require_int(entry["length"], f"{name}: length", FormatError)
     if any(d < 0 for d in shape):
         raise FormatError(f"{name}: negative dimension in shape {shape}")
-    expected = int(np.prod(shape)) * 4
-    if length != expected:
+    # Python ints: np.prod would wrap in int64 (2**32 * 2**32 -> 0)
+    if length != math.prod(shape) * 4:
         raise FormatError(f"{name}: length {length} does not match shape {shape}")
-    if offset < 0 or offset + length > len(blob):
+    if offset < 0 or offset + length > blob_size:
         raise FormatError(f"{name}: data range [{offset}, {offset + length}) outside blob")
-    return np.frombuffer(blob, dtype="<f4", count=expected // 4, offset=offset).reshape(shape).copy()
+    return shape, offset, length
 
 
-def load_model(path) -> Model:
-    """Read and validate a container; raises FormatError naming the tensor."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc}") from exc
-
-    if len(raw) < _LEN_STRUCT.size:
+def _read_manifest(fh, size: int) -> tuple[dict, int]:
+    """The manifest and the blob's start offset in the file."""
+    prefix = fh.read(_LEN_STRUCT.size)
+    if len(prefix) < _LEN_STRUCT.size:
         raise FormatError("file shorter than the manifest length prefix")
-    (manifest_len,) = _LEN_STRUCT.unpack_from(raw)
+    (manifest_len,) = _LEN_STRUCT.unpack(prefix)
     header_end = _LEN_STRUCT.size + manifest_len
-    if header_end > len(raw):
+    if header_end > size:
         raise FormatError("manifest length prefix exceeds file size")
     try:
-        manifest = json.loads(raw[_LEN_STRUCT.size : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError("manifest must be a JSON object")
     if _CONFIG_KEY not in manifest:
         raise FormatError(f"manifest missing {_CONFIG_KEY!r}")
+    return manifest, header_end
 
-    blob = raw[header_end:]
+
+def load_model(path) -> Model:
+    """Read and validate a container; raises FormatError naming the tensor.
+
+    Streamed: each entry is checked before its array is allocated, then read
+    straight into it, so the model's bytes are held once."""
     try:
-        config = ModelConfig.from_manifest(manifest[_CONFIG_KEY]["model"])
-        vocab = Vocabulary.from_manifest(manifest[_CONFIG_KEY]["vocab"])
-    except (KeyError, TypeError, ValueError, VgalabError) as exc:
-        raise FormatError(f"malformed {_CONFIG_KEY!r} entry: {exc}") from exc
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            manifest, header_end = _read_manifest(fh, size)
+            try:
+                config = ModelConfig.from_manifest(manifest[_CONFIG_KEY]["model"])
+                vocab = Vocabulary.from_manifest(manifest[_CONFIG_KEY]["vocab"])
+            except (KeyError, TypeError, ValueError, VgalabError) as exc:
+                raise FormatError(f"malformed {_CONFIG_KEY!r} entry: {exc}") from exc
 
-    tensors = {
-        name: _read_tensor(name, manifest.get(name), blob) for name, *_ in tensor_table(config)
-    }
+            tensors, claimed, blob_size = {}, 0, size - header_end
+            for name, *_ in tensor_table(config):
+                shape, offset, length = _tensor_range(name, manifest.get(name), blob_size)
+                claimed += length  # overlapping ranges must not allocate the blob twice
+                if claimed > blob_size:
+                    raise FormatError(f"{name}: tensors claim more bytes than the blob holds")
+                arr = np.empty(length // 4, dtype="<f4")
+                fh.seek(header_end + offset)
+                if fh.readinto(arr) != length:
+                    raise FormatError(f"{name}: file ended inside the tensor's data")
+                tensors[name] = arr.reshape(shape)
+    except OSError as exc:
+        raise IoError(f"cannot read model file {path}: {exc}") from exc
     try:
         return Model.from_tensors(config, vocab, tensors)
     except VgalabError as exc:

@@ -160,15 +160,18 @@ class Model:
 class KvCache:
     """Preallocated per-layer key/value store, float64, append-only.
 
-    Rows past ``length`` are uninitialized: every read goes through
-    ``view``, which stops at the written rows and hands out the value rows
-    read-only, so a guidance hook can read but never overwrite them.
+    Every layer's keys and values are views of one block. Rows past
+    ``length`` are uninitialized: every read goes through ``view``, which
+    stops at the written rows and hands out the value rows read-only, so a
+    guidance hook can read but never overwrite them.
     """
 
     def __init__(self, config: ModelConfig) -> None:
-        shape = (config.max_seq_len, config.n_heads, config.d_head)
-        self.k = [np.empty(shape) for _ in range(config.n_layers)]
-        self.v = [np.empty(shape) for _ in range(config.n_layers)]
+        # One allocation, not 2 * n_layers: once a freed block has raised
+        # glibc's mmap threshold above its size, later caches reuse heap
+        # pages instead of page-faulting fresh mappings on every prefill.
+        kv = np.empty((2, config.n_layers, config.max_seq_len, config.n_heads, config.d_head))
+        self.k, self.v = list(kv[0]), list(kv[1])
         self._v_read = [v.view() for v in self.v]
         for v in self._v_read:
             v.flags.writeable = False

@@ -130,8 +130,13 @@ class Vocabulary:
 
     @classmethod
     def from_manifest(cls, payload: dict) -> "Vocabulary":
-        """Rebuild with ``make_vocab``; the stored ``words`` must be its table."""
-        vocab = make_vocab(payload["object_words"], payload["n_background"])
+        """Rebuild with ``make_vocab``; the stored ``words`` must be its table, whose
+        size is checked first, so a stored ``n_background`` cannot build a larger one."""
+        n_background = require_int(payload["n_background"], "vocabulary n_background", FormatError)
+        size = len(SPECIALS) + 2 * len(payload["object_words"]) + n_background
+        if len(payload["words"]) != size:
+            raise FormatError(f"vocabulary stores {len(payload['words'])} words, not {size}")
+        vocab = make_vocab(payload["object_words"], n_background)
         if payload["words"] != list(vocab.words):
             raise FormatError("vocabulary words differ from make_vocab(object_words, n_background)")
         return vocab

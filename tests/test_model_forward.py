@@ -184,6 +184,16 @@ def test_kv_cache_capacity_and_views(tiny_model):
         cache.write(0, cache.capacity - 1, rows, rows)
 
 
+def test_kv_cache_layers_share_one_block(tiny_model):
+    """One allocation per cache, not one per layer and side."""
+    cache = KvCache(tiny_model.config)
+    block = cache.k[0].base
+    assert block is not None
+    assert all(a.base is block for a in cache.k + cache.v)
+    assert block.nbytes == sum(a.nbytes for a in cache.k + cache.v)
+    assert len({a.__array_interface__["data"][0] for a in cache.k + cache.v}) == len(cache.k) * 2
+
+
 def scene_layout(model, rng):
     n_patches = model.config.n_patches
     patch_pool = list(model.vocab.patch_token_ids) + list(model.vocab.background_ids)

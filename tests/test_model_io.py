@@ -1,13 +1,26 @@
 """Weight container round trips and corruption handling."""
 import dataclasses
+import hashlib
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vgalab import vocab as vocab_module
 from vgalab.errors import FormatError, InvalidParams, IoError, ShapeError
-from vgalab.mllm import Model, build_random_model, full_logits, load_model, save_model
+from vgalab.mllm import (
+    Model,
+    PlantedSpec,
+    build_planted_model,
+    build_random_model,
+    full_logits,
+    load_model,
+    save_model,
+)
 from vgalab.mllm.config import ModelConfig, SequenceLayout
 
 
@@ -61,6 +74,14 @@ def test_garbage_manifest_raises_format_error(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_deeply_nested_manifest_raises_format_error(tmp_path):
+    blob = b"[" * 100_000  # exhausts the JSON decoder's recursion limit
+    path = tmp_path / "deep.bin"
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(FormatError, match="not valid JSON"):
         load_model(path)
 
 
@@ -137,6 +158,9 @@ def test_shape_length_mismatch_raises_format_error(tmp_path, tiny_model):
         {"offset": "x"},
         {"length": [1]},
         {"shape": [-1, -1], "length": 4},  # a length that matches the shape
+        {"shape": [2**32, 2**32], "length": 0},  # an int64 product wraps to 0
+        {"offset": float("inf")},  # JSON Infinity
+        {"offset": 0.5},  # truncated, it would read embed.tok's bytes
     ],
 )
 def test_malformed_tensor_entry_raises_format_error(tmp_path, tiny_model, fields):
@@ -147,9 +171,44 @@ def test_malformed_tensor_entry_raises_format_error(tmp_path, tiny_model, fields
         load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
+def test_tensors_cannot_claim_more_bytes_than_the_blob(tmp_path, tiny_model):
+    """Each range fits, but together they would allocate the blob twice."""
+
+    def edit(manifest, blob):
+        manifest["unembed"].update(shape=[len(blob) // 4], offset=0, length=len(blob))
+
+    with pytest.raises(FormatError, match="unembed: tensors claim more bytes"):
+        load_model(_save_edited(tmp_path, tiny_model, edit))
+
+
 def test_unwritable_path_raises_io_error(tmp_path, tiny_model):
     with pytest.raises(IoError):
         save_model(tiny_model, tmp_path / "no" / "such" / "dir" / "m.bin")
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            lambda: build_planted_model(PlantedSpec(), 7),
+            "35efa52c7a46fe4337032093ce942f02ca27afea9e6145c10f8ae8ed06bb8d67",
+        ),
+        (
+            lambda: build_planted_model(PlantedSpec(sigma=6.0), 7),
+            "a85352a588a3bbbd7059238c3e22da6240e7f6b731d3addedd8b852759170689",
+        ),
+        (
+            lambda: build_random_model(0),
+            "d6ab38576a542f6b0af1663426301d41f11e3b889d6eafc91060d81ac55871ff",
+        ),
+    ],
+    ids=["planted", "planted_sigma6", "random0"],
+)
+def test_saved_bytes_are_pinned(tmp_path, build, digest):
+    """The container's bytes do not move when the writer changes."""
+    path = tmp_path / "model.bin"
+    save_model(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_different_models_differ_on_disk(tmp_path):
@@ -227,6 +286,31 @@ def test_vocabulary_disagreeing_with_make_vocab_raises_format_error(
         load_model(_save_edited(tmp_path, tiny_model, edit))
 
 
+def _bounded_make_vocab(n_words):
+    """``make_vocab`` that fails the test when asked for more than ``n_words`` entries."""
+    real = vocab_module.make_vocab
+
+    def make_vocab(object_words, n_background):
+        if isinstance(n_background, int):
+            n = len(vocab_module.SPECIALS) + 2 * len(tuple(object_words)) + n_background
+            assert n <= n_words, f"make_vocab asked for {n} words, the file stores {n_words}"
+        return real(object_words, n_background)
+
+    return make_vocab
+
+
+def test_vocabulary_size_is_checked_before_building_it(tmp_path, tiny_model, monkeypatch):
+    """A stored n_background of 10**9 must not reach ``make_vocab``, which would
+    build that table (minutes and gigabytes) before comparing it."""
+    monkeypatch.setattr(vocab_module, "make_vocab", _bounded_make_vocab(tiny_model.vocab.size))
+
+    def edit(manifest, blob):
+        manifest["__config__"]["vocab"]["n_background"] = 10**9
+
+    with pytest.raises(FormatError, match="vocabulary"):
+        load_model(_save_edited(tmp_path, tiny_model, edit))
+
+
 def _transpose_mlp_w1(manifest, blob):
     manifest["layers.0.mlp.w1"]["shape"].reverse()  # same byte length
 
@@ -278,3 +362,78 @@ def test_from_tensors_inverts_named_tensors(tiny_model):
     del tensors["unembed"]
     with pytest.raises(ShapeError, match="unembed"):
         Model.from_tensors(tiny_model.config, tiny_model.vocab, tensors)
+
+
+_TENSOR_FIELDS = ("shape", "offset", "length", "dtype")
+_CONFIG_FIELDS = ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len", "grid")
+_ODD_VALUES = st.one_of(
+    st.integers(-(2**65), 2**65),
+    st.sampled_from([0, 1, -1, 2**31, 2**32, 2**63, 2**64, 10**9]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-(2**33), 2**33), max_size=3),
+)
+_FILE_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(1, 255)),
+    st.tuples(st.just("prefix"), st.one_of(st.integers(-64, 64), st.integers(0, 2**64 - 1))),
+    st.tuples(
+        st.just("json"),
+        st.sampled_from(["embed.tok", "embed.pos", "layers.1.wv", "unembed"]),
+        st.dictionaries(st.sampled_from(_TENSOR_FIELDS), _ODD_VALUES, min_size=1),
+    ),
+    st.tuples(
+        st.just("json"),
+        st.just("model"),
+        st.dictionaries(st.sampled_from(_CONFIG_FIELDS), _ODD_VALUES, min_size=1),
+    ),
+    st.tuples(st.just("json"), st.just("vocab"), st.fixed_dictionaries({"n_background": _ODD_VALUES})),
+)
+
+
+def _edit_file(raw, edit):
+    """``raw`` after one edit: a truncation, a byte flip, a shifted manifest
+    length prefix, or new values for fields of one manifest entry."""
+    kind, *args = edit
+    if kind == "truncate":
+        return raw[: args[0] % (len(raw) + 1)]
+    if kind == "flip":
+        out = bytearray(raw)
+        out[args[0] % len(out)] ^= args[1]
+        return bytes(out)
+    (n,) = struct.unpack_from("<Q", raw)
+    if kind == "prefix":
+        return struct.pack("<Q", (n + args[0]) % 2**64) + raw[8:]
+    manifest = json.loads(raw[8 : 8 + n])
+    target, updates = args
+    (manifest["__config__"] if target in ("model", "vocab") else manifest)[target].update(updates)
+    encoded = json.dumps(manifest).encode()
+    return struct.pack("<Q", len(encoded)) + encoded + raw[8 + n :]
+
+
+@pytest.fixture(scope="module")
+def container_file(tmp_path_factory, tiny_model):
+    path = tmp_path_factory.mktemp("container") / "model.bin"
+    save_model(tiny_model, path)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(edit=_FILE_EDITS)
+@example(edit=("json", "embed.pos", {"shape": [2**32, 2**32], "length": 0}))
+@example(edit=("json", "vocab", {"n_background": 10**9}))
+@example(edit=("json", "embed.pos", {"offset": float("inf")}))
+def test_corrupt_file_raises_only_typed_errors(container_file, tiny_model, edit):
+    """Whatever the damage, ``load_model`` returns a model or raises
+    ``FormatError``/``IoError``, and never builds a vocabulary larger than
+    the file stores."""
+    raw, path = container_file
+    path.write_bytes(_edit_file(raw, edit))
+    bounded = _bounded_make_vocab(tiny_model.vocab.size)
+    with mock.patch.object(vocab_module, "make_vocab", bounded):
+        try:
+            load_model(path)
+        except (FormatError, IoError):
+            pass
