@@ -9,11 +9,11 @@ from .core import (
     PrefillResult,
     decode_step,
     forward_rows_count,
-    full_logits,
     generated_words,
     greedy_generate,
     prefill,
     prefill_shared,
+    reference_forward,
     reset_forward_rows,
 )
 from .planted import PlantedSpec, build_planted_model, build_random_model
@@ -33,12 +33,12 @@ __all__ = [
     "build_random_model",
     "decode_step",
     "forward_rows_count",
-    "full_logits",
     "generated_words",
     "greedy_generate",
     "load_model",
     "prefill",
     "prefill_shared",
+    "reference_forward",
     "reset_forward_rows",
     "save_model",
 ]

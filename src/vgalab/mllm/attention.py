@@ -1,8 +1,8 @@
 """Causal multi-head attention in two interchangeable flavors.
 
 ``attention_explicit`` materializes the attention matrix and can splice an
-additive guidance row into it: the reference path, also used for
-profiling BOS attention.
+additive guidance row into it: the kernel of ``core.reference_forward``,
+the oracle, which also profiles BOS attention.
 
 ``attention_fused`` streams over key blocks with an online softmax and
 never exposes weights, mimicking fused kernels whose internals are

@@ -35,11 +35,11 @@ layer. ``z_last`` [B, H, dh] holds every entry's last-row attention
 output, and ``v_cache`` is a read-only view of the cached value rows:
 those every entry shares, the visual prefix among them (for B = 1, also
 the rows the entry has just appended). ``on_token`` is the greedy loop's:
-it reports each generated token before the next decode step. The fused
-route applies a correction in value space (``GuidanceRow.apply``) to the
-entries it names; the explicit route, the reference, runs for one entry
-and recomputes the guided row with the same weights spliced into its
-attention matrix, and the two must agree.
+it reports each generated token before the next decode step. The forward
+pass applies a correction in value space (``GuidanceRow.apply``) to the
+entries it names. ``reference_forward`` is the oracle: an uncached
+recompute of one prompt with the explicit kernel, which splices the same
+weights into the guided row's attention matrix; the two must agree.
 """
 from __future__ import annotations
 
@@ -200,7 +200,7 @@ class KvCache:
 class PrefillResult:
     """Everything a guidance session needs after one pass over the prompt."""
 
-    cache: KvCache
+    cache: KvCache | None
     visual_logits: np.ndarray
     last_logits: np.ndarray
     bos_attention: tuple[float, ...] | None = None
@@ -217,6 +217,15 @@ def gelu(x: np.ndarray) -> np.ndarray:
     # tanh-form GELU; exactness vs erf is irrelevant at toy scale. The cube
     # is two multiplies: np.power(x, 3) costs ~14x as much for the same value.
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def _check_ids(config: ModelConfig, token_ids: np.ndarray, stop: int) -> None:
+    """Typed errors for ids that would run past ``max_seq_len`` (at absolute
+    position ``stop``) or lie outside the vocabulary."""
+    if stop > config.max_seq_len:
+        raise CapacityError(f"sequence of length {stop} exceeds max_seq_len {config.max_seq_len}")
+    if (token_ids < 0).any() or (token_ids >= config.vocab_size).any():
+        raise InvalidInput("token id out of vocabulary range")
 
 
 def _fold_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -246,8 +255,7 @@ def _forward_block(
     cache: KvCache,
     *,
     hook=None,
-    explicit: bool = False,
-) -> tuple[np.ndarray, list[float]]:
+) -> np.ndarray:
     """Push ``token_ids`` [B, n] (absolute positions start_pos..) through all layers.
 
     One row (B = 1) appends its keys and values to ``cache``. A batch
@@ -255,19 +263,12 @@ def _forward_block(
     entry, followed by each entry's own rows, so the entries never see each
     other, and writes nothing. ``hook``, if given, guides the entries' last
     rows on each of its ``guided_layers``, handed a read-only view of the
-    cached value rows.
-    Returns (logits [B, n, V], per-layer BOS attention of the last row when
-    ``explicit``, which runs for B = 1 only).
+    cached value rows. Returns the logits [B, n, V].
     """
     global _FORWARD_ROWS
     cfg = model.config
     b, n = token_ids.shape
-    if start_pos + n > cfg.max_seq_len:
-        raise CapacityError(
-            f"sequence of length {start_pos + n} exceeds max_seq_len {cfg.max_seq_len}"
-        )
-    if (token_ids < 0).any() or (token_ids >= cfg.vocab_size).any():
-        raise InvalidInput("token id out of vocabulary range")
+    _check_ids(cfg, token_ids, start_pos + n)
 
     x = (
         model.embed_tok[token_ids].astype(np.float64)
@@ -275,7 +276,6 @@ def _forward_block(
     )
     n_heads, d_head = cfg.n_heads, cfg.d_head
     guided = range(0) if hook is None else hook.guided_layers
-    bos_records: list[float] = []
 
     for layer_idx, lw in enumerate(model.layers):
         hn = rms_norm(x, lw.norm1)
@@ -290,49 +290,39 @@ def _forward_block(
             k_shared, v_cache = cache.view(layer_idx, start_pos)
             k_all, v_all = _join(k_shared, k), _join(v_cache, v)
 
-        if explicit:
-            z, alpha = attention_explicit(q, k_all, v_all)
-            bos_records.append(float(alpha[:, -1, 0].max()))
-        else:
-            z = attention_fused(q, k_all, v_all)
-
-        z = z.reshape(n, b, n_heads, d_head)
+        z = attention_fused(q, k_all, v_all).reshape(n, b, n_heads, d_head)
         if layer_idx in guided:
             z_last = z[-1]
             corr = hook.correction(layer_idx, z_last, v_cache)
-            if corr is not None and explicit:
-                # Reference route: recompute the row with the boost in its weights.
-                z_last[0] = attention_explicit(q[-1:], k_all, v_all, guidance=corr)[0][0]
-            elif corr is not None:
+            if corr is not None:
                 corr.apply(z_last)
 
         x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
 
     _FORWARD_ROWS += b * n
-    return x @ model.unembed, bos_records
+    return x @ model.unembed
 
 
 def _prefill(
-    model: Model, layouts: Sequence[SequenceLayout], hook, explicit: bool
-) -> tuple[KvCache, np.ndarray, np.ndarray, list[float]]:
+    model: Model, layouts: Sequence[SequenceLayout], hook
+) -> tuple[KvCache, np.ndarray, np.ndarray]:
     """Run the prompts' shared visual prefix once, then their text tails as one batch.
 
     The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
     a new cache; the hook, if any, binds to the read-only visual logits and
     the layouts, whose visual span every prompt shares; then the tails,
     of equal length, run as one [B, n] forward under the hook, which
-    extends the cache only for B = 1. Returns (cache, visual logits,
-    last-row logits [B, V], per-layer BOS attention when ``explicit``).
+    extends the cache only for B = 1. The first prompt is checked whole
+    before the prefix runs, so it fails before the hook binds. Returns
+    (cache, visual logits, last-row logits [B, V]).
     """
     first = layouts[0]
-    if first.length > model.config.max_seq_len:
-        raise CapacityError(
-            f"prompt of length {first.length} exceeds max_seq_len {model.config.max_seq_len}"
-        )
+    ids = first.ids_array()
+    _check_ids(model.config, ids, first.length)
     e = first.visual_end
     cache = KvCache(model.config)
-    logits, bos = _forward_block(model, first.ids_array()[None, :e], 0, cache, explicit=explicit)
+    logits = _forward_block(model, ids[None, :e], 0, cache)
     cache.advance(e)
     visual_logits = logits[0, first.visual_start : e]
     visual_logits.flags.writeable = False
@@ -341,10 +331,58 @@ def _prefill(
 
     if e < first.length:
         tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
-        logits, bos = _forward_block(model, tails, e, cache, hook=hook, explicit=explicit)
+        logits = _forward_block(model, tails, e, cache, hook=hook)
         if len(layouts) == 1:
             cache.advance(first.length - e)
-    return cache, visual_logits, logits[:, -1].copy(), bos
+    return cache, visual_logits, logits[:, -1].copy()
+
+
+def reference_forward(
+    model: Model, layout: SequenceLayout, hook=None
+) -> tuple[np.ndarray, list[float]]:
+    """Every row's logits [T, V] and the last row's per-layer BOS attention,
+    from a plain uncached recompute of the whole prompt: the oracle.
+
+    It shares no code with the cached forward pass beyond the weights,
+    ``rms_norm`` and ``gelu``: its own projections, the explicit kernel, no
+    cache. With a hook, an unguided pass gives the read-only visual logits
+    the hook binds to; then, when the prompt has a text tail, a second pass
+    hands the hook the last row on each of its guided layers and recomputes
+    that row with the returned weights spliced into its attention matrix.
+    The BOS attention is the last row's head-max weight on position 0, read
+    before the splice.
+    """
+    cfg = model.config
+    ids = layout.ids_array()
+    t, n_heads, d_head = layout.length, cfg.n_heads, cfg.d_head
+    _check_ids(cfg, ids, t)
+
+    def run(guided: range) -> tuple[np.ndarray, list[float]]:
+        x = model.embed_tok[ids].astype(np.float64) + model.embed_pos[:t].astype(np.float64)
+        bos = []
+        for layer, lw in enumerate(model.layers):
+            hn = rms_norm(x, lw.norm1)
+            q, k, v = ((hn @ w).reshape(t, n_heads, d_head) for w in (lw.wq, lw.wk, lw.wv))
+            v.flags.writeable = False
+            z, alpha = attention_explicit(q, k, v)
+            bos.append(float(alpha[:, -1, 0].max()))
+            if layer in guided:
+                row = hook.correction(layer, z[-1:], v)
+                if row is not None:
+                    z[-1] = attention_explicit(q[-1:], k, v, guidance=row)[0][0]
+            x = x + z.reshape(t, cfg.d_model) @ lw.wo
+            x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
+        return x @ model.unembed, bos
+
+    logits, bos = run(range(0))
+    if hook is None:
+        return logits, bos
+    visual_logits = logits[layout.visual_start : layout.visual_end]
+    visual_logits.flags.writeable = False
+    hook.on_visual(visual_logits, [layout], model.vocab)
+    if layout.visual_end == t:
+        return logits, bos
+    return run(hook.guided_layers)
 
 
 def prefill(
@@ -358,16 +396,16 @@ def prefill(
 
     The split lets an attached hook ground itself on the visual logits
     before the text rows (the only guided ones) are processed, without a
-    second pass. ``record_attention`` switches to the explicit kernel and
-    records each layer's last-row attention to position 0.
+    second pass. ``record_attention`` runs ``reference_forward`` instead
+    and records each layer's last-row attention to position 0; that result
+    keeps no cache.
     """
-    cache, visual_logits, last_logits, bos = _prefill(model, [layout], hook, record_attention)
-    return PrefillResult(
-        cache=cache,
-        visual_logits=visual_logits,
-        last_logits=last_logits[0],
-        bos_attention=tuple(bos) if record_attention else None,
-    )
+    if record_attention:
+        logits, bos = reference_forward(model, layout, hook)
+        visual_logits = logits[layout.visual_start : layout.visual_end]
+        return PrefillResult(None, visual_logits, logits[-1], tuple(bos))
+    cache, visual_logits, last_logits = _prefill(model, [layout], hook)
+    return PrefillResult(cache, visual_logits, last_logits[0])
 
 
 def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -> np.ndarray:
@@ -395,25 +433,16 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
             raise InvalidInput("text tails of unequal length cannot share one forward")
     if first.length == e:
         raise InvalidInput("prompts have no text tail after the prefix")
-    return _prefill(model, layouts, hook, explicit=False)[2]
+    return _prefill(model, layouts, hook)[2]
 
 
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
     """Append one token and return the next-token logits."""
     token_id = require_int(token_id, "token_id", InvalidInput)
-    if cache.length >= cache.capacity:
-        raise CapacityError(f"cache full at capacity {cache.capacity}")
     ids = np.asarray([[token_id]], dtype=np.int64)
-    logits, _ = _forward_block(model, ids, cache.length, cache, hook=hook)
+    logits = _forward_block(model, ids, cache.length, cache, hook=hook)
     cache.advance(1)
     return logits[0, 0]
-
-
-def full_logits(model: Model, layout: SequenceLayout) -> np.ndarray:
-    """Logits for every prompt position in one uncached pass (oracle path)."""
-    cache = KvCache(model.config)
-    logits, _ = _forward_block(model, layout.ids_array()[None], 0, cache)
-    return logits[0]
 
 
 def greedy_generate(

@@ -146,11 +146,14 @@ def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     """Head-balanced guidance scales ``coef[j] * gamma[j, h]`` [k, H] of k
-    rows [k, H, dh]; the unchecked core of ``vga.head_balance``.
+    rows [k, H, dh]: the guidance hook's head balancing, and the only
+    statement of it.
 
     gamma = ReLU(2 - H * gamma'), where gamma' is the unit mass of the
     row's clamped cosines ``cos(z[j, h], dz[j, h])`` over its heads
-    (uniform when they sum below ``DEGENERATE_EPS``). ``z`` and ``dz`` are
+    (uniform when they sum below ``DEGENERATE_EPS``). Heads whose output
+    already points along the correction get gamma below 1, the rest more;
+    the mean is 1 whenever the ReLU clips nothing. ``z`` and ``dz`` are
     finite float64 arrays of one shape and ``coef`` holds one Python float
     per row. Every value is bit for bit what
     ``coef * np.maximum(0, 2 - H * unit_mass(clamped_row_cosine(z, dz))[0])``

@@ -1,51 +1,21 @@
 """Vision-guided attention: grounding-driven correction of decoder attention.
 
-A ``VgaSession`` rides along a generation, or along the prompts of one
-scene answered as one batch, as the model's guidance hook. It holds one
-entry per prompt. At prefill it reads the visual-token logits, which every
-entry shares, and builds each entry's grounding vector (object-directed
-for question answering, salience-based for captions). At each guided
-layer it corrects the last row of each guided entry in value space:
+A ``VgaSession`` is the forward pass's guidance hook (the protocol is in
+``mllm.core``) for one generation, or for the prompts of one scene
+answered as one batch, with one entry per prompt. It grounds every entry
+on the shared visual-token logits when it binds, and on each guided layer
+corrects the last row of each guided entry in value space:
 
     z_hat_h = z_h + beta * gamma_h * rho * sum_i G_i * V_h[s+i]
 
 which is algebraically the same as adding ``beta * gamma_h * rho * G`` to
 that row's attention weights over the visual span, but never requires the
-weight matrix itself, so it composes with fused attention kernels. The
-per-head factors gamma_h rebalance guidance toward heads whose output
-already tracks the visual values; rho decays guidance as programmed
-suppression drains the grounding during captioning.
-
-The session speaks the forward pass's hook protocol (``mllm.core``):
-``guided_layers`` is ``[start_layer, end_layer)``, or empty for source
-none and beta = 0, which never guide, so the forward pass calls
-``correction`` on those layers only; ``on_visual`` binds the session to
-the visual logits and one layout per entry (another count raises
-``ShapeError``); ``on_token`` runs the PVG update.
-
-The work is shared across entries wherever the prompts share it, and
-costs few numpy calls, since the hook runs between the forward pass's
-products with little of it still in cache. On binding, the session takes
-one softmax of the visual logits (only when a vsc grounding or a PVG
-update reads it) and grounds every entry straight into one stack of
-weights [B, m]: for vsc, one ``take`` picks every named word's column
-and one ``unit_mass`` scales them all. ``Grounding`` objects are built
-from the stack only when ``groundings`` is read. The entries it guides
-are those with a nondegenerate grounding and rho > 0, at beta > 0; their
-indices, weights and beta * rho are picked once per grounding. On each
-guided layer one call then serves them all: one stacked mix
-``G[:, None, :] @ V`` of the shared visual value rows (one GEMV per
-entry, bit-equal to ``delta_z`` of each), one ``numerics.head_scales``
-call that balances every entry's heads on one batched dot and returns
-beta * rho * gamma [k, H], and one scaled add. A plain
-[k, m] @ [m, H*dh] product would be one GEMM, whose sums may round
-differently, so it is not used. A PVG update decays the whole stack as
-one array and picks the guided entries again. The hook works on arrays
-the forward pass computed from checked inputs (token ids, the model's
-finite weights, the visual logits, masks and the config), so it calls
-unchecked cores and checks only shapes. The mix is computed afresh on
-each guided layer; nothing is cached, since each layer has its own value
-rows and PVG replaces the groundings after every caption token.
+weight matrix, so it composes with fused attention kernels. The per-head
+factors gamma_h (``numerics.head_scales``) rebalance guidance toward heads
+whose output does not yet track the visual values; rho decays guidance as
+programmed suppression drains the grounding during captioning. The value
+mix is one GEMV per entry, never one GEMM over the entries, whose sums may
+round otherwise (see ``VgaSession.correction``).
 """
 from __future__ import annotations
 
@@ -64,7 +34,7 @@ from .grounding import (
     support_share,
     vss,
 )
-from .mllm import GuidanceRow, Model, SequenceLayout, prefill
+from .mllm import GuidanceRow, Model, SequenceLayout, reference_forward
 from .numerics import head_scales, stable_softmax, unit_mass
 from .vocab import Vocabulary
 
@@ -129,44 +99,6 @@ class VgaConfig:
         return "vsc" if self.mode == "vqa" else "vss"
 
 
-def delta_z(grounding: Grounding | np.ndarray, v_visual: np.ndarray) -> np.ndarray:
-    """Grounding-weighted sum of visual value rows, per head.
-
-    ``v_visual`` is the visual slice of the value cache, shaped
-    [m, heads, d_head]; the result is [heads, d_head]. No attention
-    weights are involved, which is what makes the correction compatible
-    with kernels that never materialize them.
-    """
-    g = grounding.weights if isinstance(grounding, Grounding) else grounding
-    g = np.asarray(g, dtype=np.float64)
-    v = np.asarray(v_visual, dtype=np.float64)
-    if g.ndim != 1 or v.ndim != 3:
-        raise ShapeError("expected grounding [m] and values [m, heads, d_head]")
-    m, n_heads, d_head = v.shape
-    if g.shape[0] != m:
-        raise ShapeError(f"grounding length {g.shape[0]} != visual rows {m}")
-    return (g @ v.reshape(m, n_heads * d_head)).reshape(n_heads, d_head)
-
-
-def head_balance(z_row: np.ndarray, dz_row: np.ndarray) -> np.ndarray:
-    """gamma = ReLU(2 - H * gamma'), gamma' = Norm(clamped cos(z_h, dz_h)).
-
-    Heads whose output already points along the visual correction get
-    gamma below 1 (they need less help), the rest get more; the mean stays
-    1 whenever the ReLU clips nothing. Degenerate similarities (all zero)
-    fall back to uniform, i.e. gamma = 1 everywhere. ``z_row`` and
-    ``dz_row`` are one row's [heads, d_head], or a stack [k, heads, d_head]
-    balanced row by row into gamma [k, heads]. They are finite float64
-    arrays; only their shapes are checked. ``numerics.head_scales``, the
-    core the guidance hook calls, computes gamma at a coefficient of 1.
-    """
-    if z_row.shape != dz_row.shape or z_row.ndim not in (2, 3):
-        raise ShapeError("z_row and dz_row must both be [heads, d_head] or [k, heads, d_head]")
-    if z_row.ndim == 2:
-        return head_scales(z_row[None], dz_row[None], [1.0])[0]
-    return head_scales(z_row, dz_row, [1.0] * len(z_row))
-
-
 class VgaSession:
     """Guidance state for one generation, or for the prompts of one scene
     answered in one batch; plugs into the decoder as its hook.
@@ -199,10 +131,14 @@ class VgaSession:
             )
         if isinstance(questions, str) or len(questions) == 0:
             raise ConfigError("questions must be a nonempty sequence, one string per entry")
+        if not all(isinstance(question, str) for question in questions):
+            raise ConfigError("every question must be a str")
         n = len(questions)
         gt_masks = (None,) * n if gt_masks is None else tuple(gt_masks)
         if len(gt_masks) != n:
             raise ConfigError(f"{len(gt_masks)} masks for {n} questions")
+        if not all(mask is None or isinstance(mask, MaskAnnotation) for mask in gt_masks):
+            raise ConfigError("every ground-truth mask must be a MaskAnnotation or None")
         self.config = config
         self.questions = tuple(questions)
         self.gt_masks = gt_masks
@@ -271,7 +207,7 @@ class VgaSession:
         entries, weights, mix_weights, coef = self._guided
         s, e = self.layout.visual_start, self.layout.visual_end
         v_visual = v_cache[s:e].reshape(e - s, n_heads * d_head)
-        # [k, 1, m] @ [m, H*dh]: one GEMV per entry, bit-equal to delta_z of
+        # [k, 1, m] @ [m, H*dh]: one GEMV per entry, bit-equal to g @ V of
         # each; the GEMM [k, m] @ [m, H*dh] may round otherwise
         delta = (mix_weights @ v_visual).reshape(len(coef), n_heads, d_head)
         if self.config.head_balancing:
@@ -314,15 +250,6 @@ class VgaSession:
                     Grounding(w, d) for w, d in zip(self._weights, self._degenerate)
                 ]
         return self._groundings
-
-    @groundings.setter
-    def groundings(self, groundings: Sequence[Grounding]) -> None:
-        if len(groundings) != len(self.questions):
-            raise ShapeError(f"{len(groundings)} groundings for {len(self.questions)} questions")
-        self._restack(
-            np.array([g.weights for g in groundings]), [g.degenerate for g in groundings]
-        )
-        self._groundings = list(groundings)
 
     # -- internals ----------------------------------------------------------
 
@@ -424,12 +351,11 @@ def new_session(
 def bos_profile(model: Model, layout: SequenceLayout) -> list[float]:
     """Per-layer attention of the last prompt row to position 0 (BOS).
 
-    Uses the reference attention kernel and max-pools over heads; the
-    rising profile across layers locates where the model starts parking
-    attention on its sink token.
+    Reads ``mllm.reference_forward``, which runs the explicit kernel, and
+    max-pools over heads; the rising profile across layers locates where
+    the model starts parking attention on its sink token.
     """
-    result = prefill(model, layout, record_attention=True)
-    return list(result.bos_attention)
+    return reference_forward(model, layout)[1]
 
 
 def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, bool]:
@@ -437,7 +363,11 @@ def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, 
 
     Returns (layer, fallback); fallback is True when no layer crosses the
     threshold, in which case layer 0 is suggested and a warning is issued.
+    ``theta`` must be a finite real number.
     """
+    theta = require_real(theta, "theta", InvalidInput)
+    if not np.isfinite(theta):
+        raise InvalidInput(f"theta must be finite, got {theta}")
     if len(profile) == 0:
         raise InvalidInput("profile must be nonempty")
     for idx, value in enumerate(profile):

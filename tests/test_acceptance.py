@@ -25,7 +25,7 @@ from vgalab.evalkit import (
     run_caption_eval,
     run_existence_eval,
 )
-from vgalab.grounding import EXIST_LOG_THRESHOLD, Grounding, vsc_vector
+from vgalab.grounding import EXIST_LOG_THRESHOLD, Grounding, MaskAnnotation, vsc_vector
 from vgalab.mllm import (
     GuidanceRow,
     SequenceLayout,
@@ -33,13 +33,13 @@ from vgalab.mllm import (
     attention_fused,
     build_random_model,
     decode_step,
-    full_logits,
     greedy_generate,
     prefill,
     prefill_shared,
+    reference_forward,
 )
-from vgalab.numerics import cosine_sim_clamped, sum_normalize
-from vgalab.vga import VgaConfig, VgaSession, delta_z, head_balance, new_session
+from vgalab.numerics import cosine_sim_clamped, head_scales, sum_normalize
+from vgalab.vga import VgaConfig, VgaSession, new_session
 
 REL_TOL = 1e-5
 ATOL_FLOOR = 1e-8
@@ -66,7 +66,7 @@ def random_qkv(rng, tq, tk, n_heads, d_head):
 
 def random_guidance(rng, v, beta):
     """A row for one entry over a random span of ``v`` [Tk, H, dh], its mix
-    from ``delta_z``."""
+    the weighted sum of the span's value rows."""
     tk, n_heads, _ = v.shape
     start = int(rng.integers(0, tk - 2))
     end = int(rng.integers(start + 1, tk))
@@ -78,7 +78,7 @@ def random_guidance(rng, v, beta):
         weights=weights[None],
         scales=(beta * rho * gamma)[None],
         span=(start, end),
-        delta=delta_z(weights, v[start:end])[None],
+        delta=(weights @ v[start:end].reshape(end - start, -1)).reshape(1, n_heads, -1),
     )
 
 
@@ -176,30 +176,35 @@ def test_guided_attention_rows_carry_injected_mass():
         )
 
 
+def gamma_of(z, dz):
+    """gamma [H] of one row [H, dh], from the hook's core at coefficient 1."""
+    return head_scales(z[None], dz[None], [1.0])[0]
+
+
 def test_head_balancing_reweights_and_conserves():
     """Hand values, exact symmetry fixpoint, nonnegativity, unit mean."""
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
     dz = np.array([[1.0, 0.0], [0.0, 1.0]])  # cosines [1, 0]
-    np.testing.assert_allclose(head_balance(z, dz), [0.0, 2.0], rtol=0, atol=HAND_TOL)
+    np.testing.assert_allclose(gamma_of(z, dz), [0.0, 2.0], rtol=0, atol=HAND_TOL)
 
     dz = np.array([[0.6, 0.8], [0.2, np.sqrt(1.0 - 0.04)]])  # cosines [.6, .2]
     gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
     np.testing.assert_allclose(gamma_prime, [0.75, 0.25], rtol=0, atol=HAND_TOL)
-    np.testing.assert_allclose(head_balance(z, dz), [0.5, 1.5], rtol=0, atol=HAND_TOL)
+    np.testing.assert_allclose(gamma_of(z, dz), [0.5, 1.5], rtol=0, atol=HAND_TOL)
 
     rng = np.random.default_rng(3)
     for n_heads in (2, 4, 8):  # identical heads pass through exactly
         row = rng.normal(size=8)
         drow = rng.normal(size=8)
-        gamma = head_balance(np.tile(row, (n_heads, 1)), np.tile(drow, (n_heads, 1)))
+        gamma = gamma_of(np.tile(row, (n_heads, 1)), np.tile(drow, (n_heads, 1)))
         assert np.all(gamma == 1.0)
-    assert np.all(head_balance(np.ones((4, 6)), np.zeros((4, 6))) == 1.0)
+    assert np.all(gamma_of(np.ones((4, 6)), np.zeros((4, 6))) == 1.0)
 
     unclipped = 0
     for _ in range(200):
         n_heads = int(rng.choice([2, 4, 8]))
         z, dz = rng.normal(size=(n_heads, 8)), rng.normal(size=(n_heads, 8))
-        gamma = head_balance(z, dz)
+        gamma = gamma_of(z, dz)
         assert np.all(gamma >= 0.0)
         gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
         if np.all(2.0 - n_heads * gamma_prime >= 0.0):
@@ -209,11 +214,14 @@ def test_head_balancing_reweights_and_conserves():
 
 
 def bound_suppression_session(model, lambda_, visual_probs, weights):
-    config = VgaConfig(mode="caption", lambda_=lambda_, guidance_source="vss")
-    session = new_session(model, config)
-    session.layout = SequenceLayout((0, 1, 2, 3), 1, 3)
+    """A caption session grounded on ``weights`` (each in [0, 1]) as a
+    ground-truth mask over m visual rows, decaying by ``visual_probs``."""
+    m = len(weights)
+    config = VgaConfig(mode="caption", lambda_=lambda_, guidance_source="ground_truth")
+    session = new_session(model, config, gt_mask=MaskAnnotation("x", weights))
+    layout = SequenceLayout(tuple(range(m + 2)), 1, 1 + m)
+    session.on_visual(np.zeros((m, 1)), [layout], model.vocab)
     session.visual_probs = np.asarray(visual_probs, dtype=np.float64)
-    session.groundings = [Grounding.from_values(np.asarray(weights, dtype=np.float64))]
     return session
 
 
@@ -416,7 +424,7 @@ def test_incremental_decode_matches_full_recompute(clean_model, noisy_model, sce
             grid_layout = SequenceLayout(
                 tuple(ids), layout.visual_start, layout.visual_end
             )
-            last = full_logits(clean_model, grid_layout)[-1]
+            last = reference_forward(clean_model, grid_layout)[0][-1]
             token = int(np.argmax(last))
             fresh_tokens.append(token)
             fresh_logits.append(np.asarray(last, dtype=np.float64))

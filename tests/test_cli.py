@@ -163,6 +163,23 @@ def test_profile_bos_reports_suggestion(workdir, capsys):
     assert payload["theta"] == 0.2
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_profile_bos_rejects_non_finite_theta(workdir, tmp_path, capsys, theta):
+    """A NaN or infinite threshold fails; no file is written, since JSON has
+    no NaN."""
+    out = tmp_path / "profile.json"
+    rc = run([
+        "profile-bos",
+        "--model", model_path(workdir),
+        "--scenes", scenes_path(workdir),
+        "--theta", theta,
+        "--out", str(out),
+    ])
+    assert rc == RUNTIME_ERROR
+    assert "theta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_exist_writes_report(workdir, tmp_path, capsys):
     out = tmp_path / "exist.json"
     rc = run([

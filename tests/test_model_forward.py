@@ -1,4 +1,7 @@
 """Attention kernels and the forward pass: causality, caching, greedy loop."""
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,15 +17,16 @@ from vgalab.mllm import (
     build_random_model,
     decode_step,
     forward_rows_count,
-    full_logits,
     greedy_generate,
     prefill,
     prefill_shared,
+    reference_forward,
     reset_forward_rows,
 )
+from vgalab.mllm import core
 from vgalab.mllm.core import gelu, rms_norm
 from vgalab.grounding import MaskAnnotation
-from vgalab.vga import VgaConfig, VgaSession, delta_z, new_session
+from vgalab.vga import VgaConfig, VgaSession, new_session
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
@@ -157,7 +161,7 @@ def test_guidance_row_splice_and_span_checks():
         weights=weights[None],
         scales=np.array([[0.5, 0.25]]),
         span=(1, 5),
-        delta=delta_z(weights, v[1:5])[None],
+        delta=(weights @ v[1:5].reshape(4, -1)).reshape(1, 2, 4),
     )
     _, alpha = attention_explicit(q, k, v, guidance=g)
     sums = alpha[:, -1, :].sum(axis=-1)
@@ -203,32 +207,127 @@ def scene_layout(model, rng):
     return SequenceLayout(token_ids=tuple(ids), visual_start=1, visual_end=1 + n_patches)
 
 
-def test_prefill_matches_full_logits(tiny_model):
+def guided_configs(model):
+    """Guidance over every layer from each source a random model can ground."""
+    every = model.config.n_layers
+    return [
+        VgaConfig(guidance_source="vsc", end_layer=every),
+        VgaConfig(guidance_source="even", beta=0.5, end_layer=every),
+        VgaConfig(guidance_source="ground_truth", start_layer=1, end_layer=every),
+        VgaConfig(mode="caption", guidance_source="vss", end_layer=every),
+        VgaConfig(mode="caption", guidance_source="reversed_vss", end_layer=every),
+    ]
+
+
+def session_for(model, config, layout, seed):
+    """A one-entry session naming the prompt's object word, with a mask
+    drawn from ``seed``."""
+    word = model.vocab.word_of(layout.token_ids[layout.visual_end])
+    mask = MaskAnnotation(word, np.random.default_rng(seed).random(layout.n_visual))
+    return new_session(model, config, f"is there a {word} ?", mask)
+
+
+def test_prefill_matches_reference_forward(tiny_model):
+    """The cached forward pass, vanilla and guided, against the uncached
+    explicit recompute of the whole prompt."""
     rng = np.random.default_rng(4)
     for _ in range(10):
         layout = scene_layout(tiny_model, rng)
         result = prefill(tiny_model, layout)
-        whole = full_logits(tiny_model, layout)
-        assert np.allclose(result.last_logits, whole[-1], atol=LOGIT_TOL)
-        assert np.allclose(
+        whole, bos = reference_forward(tiny_model, layout)
+        assert len(bos) == tiny_model.config.n_layers
+        np.testing.assert_allclose(result.last_logits, whole[-1], rtol=0, atol=LOGIT_TOL)
+        np.testing.assert_allclose(
             result.visual_logits,
             whole[layout.visual_start : layout.visual_end],
+            rtol=0,
             atol=LOGIT_TOL,
         )
+        for config in guided_configs(tiny_model):
+            seed = int(rng.integers(2**32))
+            fused = prefill(
+                tiny_model, layout, hook=session_for(tiny_model, config, layout, seed)
+            )
+            session = session_for(tiny_model, config, layout, seed)
+            guided, _ = reference_forward(tiny_model, layout, session)
+            assert session.layout is layout
+            np.testing.assert_allclose(fused.last_logits, guided[-1], rtol=0, atol=LOGIT_TOL)
+            assert np.abs(guided[-1] - whole[-1]).max() > 1e3 * LOGIT_TOL  # it guided
+
+
+def test_prefill_shared_rows_match_each_prompts_reference(tiny_model):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        prefix = scene_layout(tiny_model, rng).token_ids[: 1 + tiny_model.config.n_patches]
+        layouts = [  # one prompt per object word
+            SequenceLayout(prefix + (word, tiny_model.vocab.qmark_id), 1, len(prefix))
+            for word in tiny_model.vocab.object_ids
+        ]
+        plain = prefill_shared(tiny_model, layouts)
+        for row, layout in zip(plain, layouts):
+            want = reference_forward(tiny_model, layout)[0][-1]
+            np.testing.assert_allclose(row, want, rtol=0, atol=LOGIT_TOL)
+        for config in guided_configs(tiny_model):
+            seeds = [int(seed) for seed in rng.integers(2**32, size=len(layouts))]
+            alone = [session_for(tiny_model, config, lay, s) for lay, s in zip(layouts, seeds)]
+            questions = [session.questions[0] for session in alone]
+            masks = [session.gt_masks[0] for session in alone]
+            rows = prefill_shared(tiny_model, layouts, VgaSession(tiny_model, config, questions, masks))
+            assert np.abs(rows - plain).max(axis=1).min() > 1e3 * LOGIT_TOL  # every row guided
+            for row, layout, session in zip(rows, layouts, alone):
+                want = reference_forward(tiny_model, layout, session)[0][-1]
+                np.testing.assert_allclose(row, want, rtol=0, atol=LOGIT_TOL)
+
+
+def test_prompt_without_text_tail_is_never_guided(tiny_model):
+    """A prompt that ends at the visual span binds the hook and guides no
+    row, on both routes: the last row is a visual row, which runs unguided."""
+    rng = np.random.default_rng(12)
+    layout = scene_layout(tiny_model, rng)
+    bare = SequenceLayout(layout.token_ids[: layout.visual_end], 1, layout.visual_end)
+    plain, bos = reference_forward(tiny_model, bare)
+    for config in guided_configs(tiny_model):
+        seed = int(rng.integers(2**32))
+        session = session_for(tiny_model, config, layout, seed)
+        calls = []
+        session.correction = lambda *args: calls.append(args)
+        guided, guided_bos = reference_forward(tiny_model, bare, session)
+        assert session.layout is bare and calls == []
+        assert guided.tobytes() == plain.tobytes() and guided_bos == bos
+        session = session_for(tiny_model, config, layout, seed)
+        session.correction = lambda *args: calls.append(args)
+        fused = prefill(tiny_model, bare, hook=session)
+        assert session.layout is bare and calls == []
+        assert fused.last_logits.tobytes() == prefill(tiny_model, bare).last_logits.tobytes()
+        np.testing.assert_allclose(fused.last_logits, plain[-1], rtol=0, atol=LOGIT_TOL)
+
+
+def test_reference_forward_shares_no_code_with_the_cached_path():
+    """The oracle names none of the helpers of what it checks."""
+    tree = ast.parse(inspect.getsource(core.reference_forward))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "attention_explicit" in names
+    forbidden = {"_forward_block", "_prefill", "KvCache", "_fold_heads", "_join", "attention_fused"}
+    assert not names & forbidden
 
 
 def test_decode_step_extends_cache_consistently(tiny_model):
     rng = np.random.default_rng(5)
-    layout = scene_layout(tiny_model, rng)
-    result = prefill(tiny_model, layout)
-    tok = int(np.argmax(result.last_logits))
-    stepped = decode_step(tiny_model, result.cache, tok)
-    extended = SequenceLayout(
-        token_ids=layout.token_ids + (tok,),
-        visual_start=layout.visual_start,
-        visual_end=layout.visual_end,
-    )
-    assert np.allclose(stepped, full_logits(tiny_model, extended)[-1], atol=LOGIT_TOL)
+    for _ in range(3):
+        layout = scene_layout(tiny_model, rng)
+        result = prefill(tiny_model, layout)
+        logits = result.last_logits
+        for _ in range(5):
+            tok = int(np.argmax(logits))
+            logits = decode_step(tiny_model, result.cache, tok)
+            layout = SequenceLayout(
+                token_ids=layout.token_ids + (tok,),
+                visual_start=layout.visual_start,
+                visual_end=layout.visual_end,
+            )
+            whole, _ = reference_forward(tiny_model, layout)
+            np.testing.assert_allclose(logits, whole[-1], rtol=0, atol=LOGIT_TOL)
 
 
 @pytest.mark.parametrize("bad", [3.7, True, "3"])
@@ -268,11 +367,24 @@ def test_prefill_rejects_overlong_prompt(tiny_model):
 
 
 def test_forward_rejects_out_of_vocab(tiny_model):
-    layout = SequenceLayout(
-        token_ids=(0, tiny_model.vocab.size, 1), visual_start=0, visual_end=1
-    )
-    with pytest.raises(InvalidInput):
-        full_logits(tiny_model, layout)
+    """Both routes, the cached pass and the reference, raise typed errors
+    for an id past the vocabulary (in the prefix or the tail) and for an
+    overlong prompt, never a raw numpy error, and before the hook binds."""
+    size, cap = tiny_model.vocab.size, tiny_model.config.max_seq_len
+    for ids, end, error in (
+        ((0, size, 1), 1, InvalidInput),
+        ((size, 1, 2), 1, InvalidInput),
+        ((0,) * (cap + 1), 4, CapacityError),
+        ((0,) * cap + (size,), 4, CapacityError),
+    ):
+        layout = SequenceLayout(token_ids=ids, visual_start=0, visual_end=end)
+        for record_attention in (False, True):
+            with pytest.raises(error):
+                prefill(tiny_model, layout, record_attention=record_attention)
+            session = new_session(tiny_model, VgaConfig(guidance_source="even"))
+            with pytest.raises(error):
+                prefill(tiny_model, layout, hook=session, record_attention=record_attention)
+            assert session.layout is None
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,8 @@ from vgalab.mllm import (
     PlantedSpec,
     build_planted_model,
     build_random_model,
-    full_logits,
     load_model,
+    reference_forward,
     save_model,
 )
 from vgalab.mllm.config import ModelConfig, SequenceLayout
@@ -41,7 +41,7 @@ def test_round_trip_preserves_behavior(tmp_path, clean_model):
     ids = (clean_model.vocab.bos_id,) + clean_model.vocab.patch_token_ids[:2]
     layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=3)
     assert np.allclose(
-        full_logits(loaded, layout), full_logits(clean_model, layout), atol=0
+        reference_forward(loaded, layout)[0], reference_forward(clean_model, layout)[0], atol=0
     )
 
 

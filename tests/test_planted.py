@@ -8,9 +8,9 @@ from vgalab.mllm import (
     PlantedSpec,
     SequenceLayout,
     build_planted_model,
-    full_logits,
     greedy_generate,
     prefill,
+    reference_forward,
 )
 from vgalab.vocab import SPECIALS, make_vocab
 
@@ -185,5 +185,5 @@ def test_yes_no_rows_do_not_push_their_own_logits(clean_model):
     for answer in (vocab.yes_id, vocab.no_id):
         ids = (vocab.bos_id,) + patches + (vocab.id_of("dog"), vocab.qmark_id, answer)
         layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=1 + n)
-        logits = full_logits(clean_model, layout)[-1]
+        logits = reference_forward(clean_model, layout)[0][-1]
         assert int(np.argmax(logits)) == vocab.eos_id

@@ -19,16 +19,8 @@ from vgalab.grounding import (
     vss,
 )
 from vgalab.mllm import SequenceLayout, decode_step, prefill, prefill_shared
-from vgalab.numerics import cosine_sim_clamped, row_softmax, sum_normalize
-from vgalab.vga import (
-    VgaConfig,
-    VgaSession,
-    bos_profile,
-    delta_z,
-    head_balance,
-    new_session,
-    suggest_start_layer,
-)
+from vgalab.numerics import cosine_sim_clamped, head_scales, row_softmax, sum_normalize
+from vgalab.vga import VgaConfig, VgaSession, bos_profile, new_session, suggest_start_layer
 
 HAND_TOL = 1e-9
 LOOP_TOL = 1e-12
@@ -99,43 +91,69 @@ def test_session_takes_one_question_and_mask_per_entry(tiny_model):
             VgaSession(tiny_model, config, questions, masks)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda model: VgaSession(model, VgaConfig(), [3]),
+        lambda model: VgaSession(model, VgaConfig(), ["is there a dog ?", b"a cat ?"]),
+        lambda model: new_session(model, VgaConfig(), question=None),
+        lambda model: new_session(
+            model, VgaConfig(guidance_source="ground_truth"), gt_mask=np.ones(4)
+        ),
+        lambda model: VgaSession(
+            model, VgaConfig(), ["", ""], [MaskAnnotation("dog", np.ones(4)), "dog"]
+        ),
+    ],
+    ids=["int-question", "bytes-question", "none-question", "array-mask", "str-mask"],
+)
+def test_session_rejects_malformed_questions_and_masks(tiny_model, make):
+    """Checked when the session is made, before any forward pass runs."""
+    with pytest.raises(ConfigError):
+        make(tiny_model)
+
+
 # -- head balancing and the value-space correction ------------------------------
 
-def test_delta_z_matches_loop_oracle():
+def gamma_of(z, dz):
+    """gamma [H] of one row [H, dh], from the hook's core at coefficient 1."""
+    return head_scales(z[None], dz[None], [1.0])[0]
+
+
+def value_mix(g, v):
+    """sum_i g[i] * v[i] over visual rows v [m, H, dh], as the hook's GEMV."""
+    m, n_heads, d_head = v.shape
+    return (g @ v.reshape(m, -1)).reshape(n_heads, d_head)
+
+
+def test_value_mix_matches_loop_oracle():
     rng = np.random.default_rng(0)
     g = rng.random(5)
     g /= g.sum()
     v = rng.normal(size=(5, 3, 4))
-    got = delta_z(g, v)
+    got = value_mix(g, v)
     want = np.zeros((3, 4))
     for i in range(5):
         want += g[i] * v[i]
     assert np.allclose(got, want, atol=1e-12)
-    with pytest.raises(ShapeError):
-        delta_z(g[:4], v)
-    with pytest.raises(ShapeError):
-        delta_z(g, v[:, 0])
 
 
 def test_head_balance_hand_cases():
     dz = np.array([[1.0, 0.0], [1.0, 0.0]])
     # clamped sims [1, 0] -> gamma' [1, 0] -> gamma [0, 2]
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(head_balance(z, dz), [0.0, 2.0], atol=HAND_TOL)
+    assert np.allclose(gamma_of(z, dz), [0.0, 2.0], atol=HAND_TOL)
     # sims [0.6, 0.2] -> gamma' [0.75, 0.25] -> gamma [0.5, 1.5]
     z = np.array([[0.6, 0.8], [0.2, np.sqrt(0.96)]])
     gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
     assert np.allclose(gamma_prime, [0.75, 0.25], atol=HAND_TOL)
-    assert np.allclose(head_balance(z, dz), [0.5, 1.5], atol=HAND_TOL)
+    assert np.allclose(gamma_of(z, dz), [0.5, 1.5], atol=HAND_TOL)
 
 
 def test_head_balance_symmetric_and_degenerate_give_unit_gamma():
     z = np.tile(np.array([0.4, -0.3, 1.1]), (4, 1))
     dz = np.tile(np.array([0.9, 0.1, 0.5]), (4, 1))
-    assert np.all(head_balance(z, dz) == 1.0)
-    assert np.all(head_balance(z, np.zeros_like(z)) == 1.0)
-    with pytest.raises(ShapeError):
-        head_balance(z, dz[:2])
+    assert np.all(gamma_of(z, dz) == 1.0)
+    assert np.all(gamma_of(z, np.zeros_like(z)) == 1.0)
 
 
 @st.composite
@@ -161,7 +179,7 @@ def head_rows(draw):
 def test_head_balance_matches_per_head_loop(pair):
     z, dz = pair
     n_heads = z.shape[0]
-    gamma = head_balance(z, dz)
+    gamma = gamma_of(z, dz)
     sims = np.array([cosine_sim_clamped(z[h], dz[h]) for h in range(n_heads)])
     gamma_prime, _ = sum_normalize(sims)
     want = np.maximum(0.0, 2.0 - n_heads * gamma_prime)
@@ -212,7 +230,7 @@ class StaleMixSession(VgaSession):
             return None
         delta = self.stale.setdefault(layer, row.delta)
         rho = self.groundings[0].rho if self.config.mode == "caption" else 1.0
-        scales = self.config.beta * rho * head_balance(z_last, delta)
+        scales = self.config.beta * rho * head_scales(z_last, delta, [1.0])
         return row._replace(delta=delta, scales=scales)
 
 
@@ -235,7 +253,7 @@ def pvg_reference(hook):
 def assert_rows_match_reference(hook, groundings, n_heads):
     """Each guided entry's scales and mix in every row, byte for byte,
     against a per-head loop of ``cosine_sim_clamped``, ``sum_normalize`` and
-    ``delta_z`` on that entry alone, the mix itself held to the explicit sum
+    ``value_mix`` on that entry alone, the mix itself held to the explicit sum
     over visual rows. ``groundings[t][b]`` is entry b's grounding after t
     tokens. Returns the entry rows applied."""
     session = hook.session
@@ -252,7 +270,7 @@ def assert_rows_match_reference(hook, groundings, n_heads):
         assert row.span == (s, e)
         for j, b in enumerate(guided):
             g = entries[b]
-            delta = delta_z(g, v[s:e])
+            delta = value_mix(g.weights, v[s:e])
             loop = np.zeros_like(delta)
             for i in range(e - s):
                 loop += g.weights[i] * v[s + i]
@@ -510,7 +528,7 @@ def test_correction_respects_layer_range_and_beta(clean_model):
     assert row is not None
     assert row.span == (layout.visual_start, layout.visual_end)
     assert abs(row.weights.sum() - 1.0) < 1e-9
-    gamma = head_balance(z, row.delta)
+    gamma = head_scales(z, row.delta, [1.0])
     assert row.scales.tobytes() == (cfg.beta * gamma).tobytes()  # vqa mode pins rho to 1
 
     zero_beta = new_session(clean_model, VgaConfig(guidance_source="even", beta=0.0))
@@ -536,7 +554,7 @@ def test_correction_apply_adds_scaled_value_mix(clean_model):
     v_vis = v[layout.visual_start : layout.visual_end]
     got = z.copy()
     session.correction(0, z, v).apply(got)
-    want = z + 0.4 * 1.0 * delta_z(session.groundings[0], v_vis)
+    want = z + 0.4 * 1.0 * value_mix(session.groundings[0].weights, v_vis)
     assert np.allclose(got, want, atol=1e-12)
     assert session.correction(5, z, v) is None
 
@@ -647,6 +665,9 @@ def test_bos_profile_and_start_layer_suggestion(clean_model):
     assert (layer, fallback) == (0, True)
     with pytest.raises(InvalidInput):
         suggest_start_layer([])
+    for theta in (float("nan"), float("inf"), -float("inf"), "0.2", None, True):
+        with pytest.raises(InvalidInput):
+            suggest_start_layer(profile, theta=theta)
 
 
 def test_on_visual_binds_from_prefill(clean_model):
