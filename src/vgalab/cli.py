@@ -34,7 +34,15 @@ from .evalkit import (
 from .grounding import vsc_vector, vss_values
 from .mllm import Model, generated_words, greedy_generate, load_model, prefill, save_model
 from .mllm.planted import PlantedSpec, build_planted_model, build_random_model
-from .vga import MODES, SOURCES, VgaConfig, bos_profile, new_session, suggest_start_layer
+from .vga import (
+    MODES,
+    SOURCES,
+    VgaConfig,
+    bos_profile,
+    check_theta,
+    new_session,
+    suggest_start_layer,
+)
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -252,6 +260,7 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_profile_bos(args) -> int:
+    check_theta(args.theta)  # before the model loads and the reference runs
     model = load_model(args.model)
     scene = _load_scene(args)
     if args.word:

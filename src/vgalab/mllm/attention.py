@@ -54,8 +54,17 @@ class GuidanceRow(NamedTuple):
 
     def apply(self, z_last: np.ndarray) -> None:
         """Guide ``z_last`` [B, H, dh], the entries' last rows, in place: each
-        guided entry's row gains its scaled value mix."""
-        z_last[self.entries] += self.scales[..., None] * self.delta
+        guided entry's row gains its scaled value mix, ``z + s * delta``
+        elementwise. A slice picks the rows as a view, which takes the sum
+        in place; an index array picks a copy, which is written back."""
+        boost = self.scales[..., None] * self.delta
+        if len(boost) == len(z_last):  # every entry guided: the slice is all of z_last
+            z_last += boost
+        elif type(self.entries) is slice:
+            rows = z_last[self.entries]
+            rows += boost
+        else:
+            z_last[self.entries] += boost
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -65,8 +65,7 @@ def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
     ``degenerate`` is a bool for a vector and a list of bools, one per row,
     for a stack; each row is bit for bit what the vector call on it returns.
     A stack of one row (every guided generation) is scaled as a vector,
-    with a Python float for its total: ~2.5 us less per call than
-    ``_unit_mass_rows``, four calls per PVG caption token.
+    with a Python float for its total, which is the same sum and quotient.
     """
     if values.ndim == 2 and len(values) > 1:
         return _unit_mass_rows(values)
@@ -109,28 +108,27 @@ def _clamped_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
     Python floats: the one statement of the formula.
 
     The dots of every row (a.a, a.b, b.a, b.b) run as one batched BLAS
-    call, the pair of arrays against itself. The rows are few (one per
-    head on the guidance path), so they are finished on Python floats,
-    which costs less than a chain of numpy calls on a handful of elements.
-    A row whose norm product underflows to zero, though neither norm is
-    zero, gets what the clamped IEEE division would give: 1 for a positive
-    dot, else 0. The clamp is spelled with comparisons, not ``min`` and
-    ``max`` calls, which cost ~3x as much per row.
+    call, the pair of arrays against itself, each bit for bit the 1-d
+    ``np.dot`` of that row. The rows are few (one per head on the guidance
+    path), so they are finished on Python floats rather than by a chain of
+    numpy calls on a handful of elements. A row whose norm product
+    underflows to zero, though neither norm is zero, gets what the clamped
+    IEEE division would give: 1 for a positive dot, else 0. The clamp is
+    spelled with comparisons, equal to ``min(1, max(0, cos))``.
     """
-    pair = np.concatenate((a, b)).reshape(2, *a.shape)
-    # [2, 1, ..., 1, n] @ [2, ..., n, 1]: matmul's vector-vector path is the
-    # BLAS dot np.dot uses, so every row comes out bit-identical to the 1-d
-    # call on that row
-    gram = pair[:, None, ..., None, :] @ pair[..., :, None]
+    n = a.shape[-1]
+    pair = np.concatenate((a, b))
+    # [2, 1, rows, 1, n] @ [2, rows, n, 1]: matmul's vector-vector path is
+    # the BLAS dot np.dot uses, so every row comes out bit-identical to the
+    # 1-d call on that row
+    gram = pair.reshape(2, 1, -1, 1, n) @ pair.reshape(2, -1, n, 1)
     aa, ab, _, bb = gram.reshape(4, -1).tolist()
     sqrt = math.sqrt
     sims = []
     for xx, xy, yy in zip(aa, ab, bb):
         if xx == 0.0 or yy == 0.0:
             sims.append(0.0)
-            continue
-        norms = sqrt(xx) * sqrt(yy)
-        if norms == 0.0:
+        elif (norms := sqrt(xx) * sqrt(yy)) == 0.0:
             sims.append(1.0 if xy > 0.0 else 0.0)
         else:
             cos = xy / norms
@@ -157,20 +155,19 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     finite float64 arrays of one shape and ``coef`` holds one Python float
     per row. Every value is bit for bit what
     ``coef * np.maximum(0, 2 - H * unit_mass(clamped_row_cosine(z, dz))[0])``
-    gives, in fewer numpy calls: one batched dot for the cosines, numpy's
-    ``add.reduce`` for each row's total (a Python sum rounds otherwise from
-    8 heads on, where numpy sums pairwise) and Python floats for the rest.
+    gives: one batched dot for the cosines, then Python floats. A row's
+    total is the sum numpy's ``add.reduce`` takes, which adds fewer than 8
+    values left to right, as ``sum`` does, and more pairwise.
     """
     n_heads = z.shape[1]
     sims = _clamped_cosines(z, dz)
-    totals = np.add.reduce(np.array(sims).reshape(len(coef), n_heads), 1).tolist()
     rows = []
-    for j, (c, total) in enumerate(zip(coef, totals)):
-        if total < DEGENERATE_EPS:
-            gammas = [2.0 - n_heads * (1.0 / n_heads)] * n_heads
-        else:
-            gammas = [2.0 - n_heads * (s / total) for s in sims[j * n_heads : (j + 1) * n_heads]]
-        rows.append([c * (g if g > 0.0 else 0.0) for g in gammas])
+    for j, c in enumerate(coef):
+        row = sims[j * n_heads : (j + 1) * n_heads]
+        total = sum(row) if n_heads < 8 else float(np.add.reduce(np.array(row)))
+        if total < DEGENERATE_EPS:  # uniform gamma': each head's share is 1/H
+            row, total = [1.0 / n_heads] * n_heads, 1.0
+        rows.append([c * (g if (g := 2.0 - n_heads * (s / total)) > 0.0 else 0.0) for s in row])
     return np.array(rows)
 
 

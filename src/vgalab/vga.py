@@ -40,6 +40,7 @@ from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
 SOURCES = ("auto", "none", "even", "vsc", "vss", "reversed_vss", "ground_truth")
+_ONE = slice(0, 1)
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,22 @@ class VgaSession:
             raise ConfigError(
                 f"guidance range [{start}, {end}) invalid for {n_layers} layers"
             )
-        if isinstance(questions, str) or len(questions) == 0:
-            raise ConfigError("questions must be a nonempty sequence, one string per entry")
+        wrong = "questions must be a nonempty sequence, one string per entry"
+        questions = _entries_of(questions, wrong)
+        if len(questions) == 0:
+            raise ConfigError(wrong)
         if not all(isinstance(question, str) for question in questions):
             raise ConfigError("every question must be a str")
         n = len(questions)
-        gt_masks = (None,) * n if gt_masks is None else tuple(gt_masks)
+        if gt_masks is None:
+            gt_masks = (None,) * n
+        gt_masks = _entries_of(gt_masks, "gt_masks must be a sequence, one mask or None per entry")
         if len(gt_masks) != n:
             raise ConfigError(f"{len(gt_masks)} masks for {n} questions")
         if not all(mask is None or isinstance(mask, MaskAnnotation) for mask in gt_masks):
             raise ConfigError("every ground-truth mask must be a MaskAnnotation or None")
         self.config = config
-        self.questions = tuple(questions)
+        self.questions = questions
         self.gt_masks = gt_masks
         self.start_layer = start
         self.end_layer = end
@@ -153,16 +158,23 @@ class VgaSession:
         self.layout: SequenceLayout | None = None
         self.visual_probs: np.ndarray | None = None
         # programmed suppression: decays the groundings after each token
-        self._decays = config.mode == "caption" and config.pvg_enabled and config.lambda_ != 0.0
+        self._decays = (
+            config.mode == "caption"
+            and config.pvg_enabled
+            and config.lambda_ != 0.0
+            and self.source != "none"
+        )
         # every entry's grounding weights [n, m] and degenerate flags, None
         # until bound (and for source none); _groundings caches them as
         # Grounding objects for readers
         self._weights: np.ndarray | None = None
         self._degenerate: list[bool] = []
         self._groundings: list[Grounding | None] | None = None
-        # the guided entries: indices, weights [k, m], the same as [k, 1, m]
-        # for the mix, and beta * rho, one float each; None when no entry is
-        # guided
+        # what each guided layer reads, set at bind and after each PVG
+        # update: the visual span, and the guided entries' picker, weights
+        # [k, m], the same as [k, 1, m] for the mix, and beta * rho, one
+        # Python float each (None when no entry is guided)
+        self._span: tuple[int, int] | None = None
         self._guided: tuple | None = None
         if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
             raise ConfigError("ground_truth guidance requires a mask annotation per entry")
@@ -185,9 +197,10 @@ class VgaSession:
         # one softmax for every entry, taken only when something reads its
         # columns: vsc grounding, or programmed suppression of a grounding;
         # the forward pass's logits are finite, so the unchecked core serves
-        if self.source == "vsc" or (self._decays and self.source != "none"):
+        if self.source == "vsc" or self._decays:
             self.visual_probs = stable_softmax(logits)
         self.layout = layout
+        self._span = (layout.visual_start, layout.visual_end)
         if self.source != "none":
             self._restack(*self._ground(logits, layout.n_visual, vocab))
 
@@ -197,24 +210,30 @@ class VgaSession:
         ``z_last`` [B, H, dh] is every entry's last-row attention output and
         ``v_cache`` the cached value rows every entry reads, the visual span
         among them. The forward pass calls it on ``guided_layers`` only.
+        Only the work that depends on ``z_last`` and the values runs here:
+        the value mix, one GEMV per guided entry ([k, 1, m] @ [m, H*dh],
+        bit-equal to ``g @ V`` of each, where the GEMM [k, m] @ [m, H*dh]
+        may round otherwise), and the head scales of ``head_scales``.
         """
-        self._require_bound()
-        b, n_heads, d_head = z_last.shape
-        if b != len(self.questions):
-            raise ShapeError(f"{b} batch entries for {len(self.questions)} questions")
-        if self._guided is None or layer not in self.guided_layers:
+        if self._span is None:
+            raise ConfigError("session is not bound to a visual context yet")
+        if len(z_last) != len(self.questions):
+            raise ShapeError(f"{len(z_last)} batch entries for {len(self.questions)} questions")
+        guided = self._guided
+        if guided is None or layer not in self.guided_layers:
             return None
-        entries, weights, mix_weights, coef = self._guided
-        s, e = self.layout.visual_start, self.layout.visual_end
-        v_visual = v_cache[s:e].reshape(e - s, n_heads * d_head)
-        # [k, 1, m] @ [m, H*dh]: one GEMV per entry, bit-equal to g @ V of
-        # each; the GEMM [k, m] @ [m, H*dh] may round otherwise
-        delta = (mix_weights @ v_visual).reshape(len(coef), n_heads, d_head)
+        entries, weights, mix, coef = guided
+        s, e = self._span
+        _, n_heads, d_head = z_last.shape
+        width = n_heads * d_head
+        delta = (mix @ v_cache[s:e].reshape(e - s, width)).reshape(len(coef), n_heads, d_head)
         if self.config.head_balancing:
-            scales = head_scales(z_last[entries], delta, coef)
+            # every entry guided (always for one entry): z_last is their rows
+            rows = z_last if len(coef) == len(z_last) else z_last[entries]
+            scales = head_scales(rows, delta, coef)
         else:
             scales = np.array([[c] * n_heads for c in coef])
-        return GuidanceRow(entries, weights, scales, (s, e), delta)
+        return GuidanceRow(entries, weights, scales, self._span, delta)
 
     def on_token(self, token_id: int) -> None:
         """Programmed visual guidance: decay the groundings where the token was seen.
@@ -224,20 +243,28 @@ class VgaSession:
         G <- Norm(ReLU((1+lambda) G - lambda G_w)) lifts everything
         slightly and subtracts where the token was seen, so the next
         word's guidance looks away from what is already described. Every
-        entry's grounding decays alike, as one [B, m] array.
+        entry's grounding decays alike, as one [B, m] array, each row bit
+        for bit the update of that entry alone.
         """
-        token_id = require_int(token_id, "token_id", InvalidInput)
-        if not self._decays or self.source == "none":
+        if type(token_id) is not int:
+            token_id = require_int(token_id, "token_id", InvalidInput)
+        if not self._decays:
             return
-        self._require_bound()
-        n_vocab = self.visual_probs.shape[1]
-        if not 0 <= token_id < n_vocab:
-            raise InvalidInput(f"token id {token_id} out of range for vocab size {n_vocab}")
-        # a softmax column: finite and nonnegative by construction
-        g_w, _ = unit_mass(self.visual_probs[:, token_id])
+        probs = self.visual_probs
+        if self._span is None:
+            raise ConfigError("session is not bound to a visual context yet")
+        if not 0 <= token_id < probs.shape[1]:
+            raise InvalidInput(f"token id {token_id} out of range for vocab size {probs.shape[1]}")
+        # a softmax column: finite and nonnegative by construction; the
+        # unit mass is a new array, so it is scaled in place
+        g_w, _ = unit_mass(probs[:, token_id])
         lam = self.config.lambda_
+        g_w *= lam
+        decayed = self._weights * (1.0 + lam)
+        decayed -= g_w
+        np.maximum(0.0, decayed, out=decayed)
         # each row is what Grounding.from_values makes of that entry
-        self._restack(*unit_mass(np.maximum(0.0, (1.0 + lam) * self._weights - lam * g_w)))
+        self._restack(*unit_mass(decayed))
 
     @property
     def groundings(self) -> list[Grounding | None]:
@@ -253,21 +280,28 @@ class VgaSession:
 
     # -- internals ----------------------------------------------------------
 
-    def _require_bound(self) -> None:
-        if self.layout is None:
-            raise ConfigError("session is not bound to a visual context yet")
-
     def _restack(self, weights: np.ndarray, degenerate: list[bool]) -> None:
         """Take every entry's grounding weights [n, m] and degenerate flags,
-        and pick what the guided entries bring to every guided layer: their
-        indices, weights and beta * rho. An entry with a degenerate grounding
-        or rho = 0 stays unguided, as does every entry at beta = 0; rho is
-        1 in vqa mode and ``Grounding.rho`` of the entry in caption mode."""
+        and keep what every guided layer reads of the guided entries: their
+        picker, weights and beta * rho. An entry with a degenerate grounding
+        or rho = 0 stays unguided, as does every entry when no layer is
+        guided; rho is 1 in vqa mode and ``Grounding.rho`` of the entry in
+        caption mode. The picker is a slice when the entries are contiguous
+        (always for one entry), so the rows are picked and guided as views,
+        else an index array."""
         self._weights, self._degenerate, self._groundings = weights, degenerate, None
+        if not self.guided_layers:
+            self._guided = None
+            return
         beta, vqa = self.config.beta, self.config.mode == "vqa"
+        if len(degenerate) == 1:
+            # one entry (every generation): the stack is its own guided rows
+            rho = 0.0 if degenerate[0] else 1.0 if vqa else support_share(weights)
+            self._guided = (_ONE, weights, weights[:, None, :], [beta * rho]) if rho else None
+            return
         index, coef = [], []
         for i, d in enumerate(degenerate):
-            if beta == 0.0 or d:
+            if d:
                 continue
             rho = 1.0 if vqa else support_share(weights[i])
             if rho != 0.0:
@@ -276,9 +310,6 @@ class VgaSession:
         if not index:
             self._guided = None
             return
-        # a slice when contiguous (always at B = 1) picks and guides the rows
-        # as views; an index array copies them, ~13-29 us more per PVG
-        # caption token (three guided layers)
         contiguous = index[-1] - index[0] + 1 == len(index)
         entries = slice(index[0], index[-1] + 1) if contiguous else np.array(index)
         guided = weights[entries]
@@ -309,8 +340,7 @@ class VgaSession:
         """vsc weights: each object word's softmax column at unit mass.
 
         Every named word's column is picked off the shared softmax into one
-        C-ordered stack [w, m] by one ``take`` (about half the cost of a
-        fancy index right after the prefix forward) and scaled by one
+        C-ordered stack [w, m] by one ``take`` and scaled by one
         ``unit_mass`` call, each row bit for bit the vector call on that
         column. An entry naming one word takes its row; one naming several
         merges theirs as ``merge_groundings`` does (elementwise max, unit
@@ -338,6 +368,17 @@ class VgaSession:
         return np.array(rows), flags
 
 
+def _entries_of(values, message: str) -> tuple:
+    """``values``, one item per entry, as a tuple; a str or a value that is
+    not a sequence raises ``ConfigError`` with ``message``."""
+    if isinstance(values, str):
+        raise ConfigError(message)
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(message) from None
+
+
 def new_session(
     model: Model,
     config: VgaConfig,
@@ -358,6 +399,15 @@ def bos_profile(model: Model, layout: SequenceLayout) -> list[float]:
     return reference_forward(model, layout)[1]
 
 
+def check_theta(theta: float) -> float:
+    """``theta`` as a Python float; a value that is not a finite real number
+    raises ``InvalidInput``."""
+    theta = require_real(theta, "theta", InvalidInput)
+    if not np.isfinite(theta):
+        raise InvalidInput(f"theta must be finite, got {theta}")
+    return theta
+
+
 def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, bool]:
     """First layer whose BOS attention reaches theta.
 
@@ -365,9 +415,7 @@ def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, 
     threshold, in which case layer 0 is suggested and a warning is issued.
     ``theta`` must be a finite real number.
     """
-    theta = require_real(theta, "theta", InvalidInput)
-    if not np.isfinite(theta):
-        raise InvalidInput(f"theta must be finite, got {theta}")
+    theta = check_theta(theta)
     if len(profile) == 0:
         raise InvalidInput("profile must be nonempty")
     for idx, value in enumerate(profile):

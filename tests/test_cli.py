@@ -166,18 +166,20 @@ def test_profile_bos_reports_suggestion(workdir, capsys):
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 def test_profile_bos_rejects_non_finite_theta(workdir, tmp_path, capsys, theta):
     """A NaN or infinite threshold fails; no file is written, since JSON has
-    no NaN."""
+    no NaN. The threshold is checked before anything loads, so a missing
+    model file still reports the threshold."""
     out = tmp_path / "profile.json"
-    rc = run([
-        "profile-bos",
-        "--model", model_path(workdir),
-        "--scenes", scenes_path(workdir),
-        "--theta", theta,
-        "--out", str(out),
-    ])
-    assert rc == RUNTIME_ERROR
-    assert "theta" in capsys.readouterr().err
-    assert not out.exists()
+    for model in (model_path(workdir), str(tmp_path / "missing.vgm")):
+        rc = run([
+            "profile-bos",
+            "--model", model,
+            "--scenes", scenes_path(workdir),
+            "--theta", theta,
+            "--out", str(out),
+        ])
+        assert rc == RUNTIME_ERROR
+        assert "theta" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_exist_writes_report(workdir, tmp_path, capsys):

@@ -103,8 +103,18 @@ def test_session_takes_one_question_and_mask_per_entry(tiny_model):
         lambda model: VgaSession(
             model, VgaConfig(), ["", ""], [MaskAnnotation("dog", np.ones(4)), "dog"]
         ),
+        lambda model: VgaSession(model, VgaConfig(), 3),
+        lambda model: VgaSession(model, VgaConfig(), ["a"], 5),
     ],
-    ids=["int-question", "bytes-question", "none-question", "array-mask", "str-mask"],
+    ids=[
+        "int-question",
+        "bytes-question",
+        "none-question",
+        "array-mask",
+        "str-mask",
+        "int-questions",
+        "int-masks",
+    ],
 )
 def test_session_rejects_malformed_questions_and_masks(tiny_model, make):
     """Checked when the session is made, before any forward pass runs."""
@@ -299,17 +309,68 @@ def record_pvg_caption(model, scene, session, n_tokens):
     return hook
 
 
-CAPTION_TOKENS = 12
+CAPTION_TOKENS = 48  # the benchmark's caption max_len
 
 
 def test_pvg_caption_rows_match_per_head_reference(clean_model, scenes12):
-    session = new_session(clean_model, VgaConfig(mode="caption", pvg_enabled=True))
-    hook = record_pvg_caption(clean_model, scenes12[0], session, CAPTION_TOKENS)
-    groundings = pvg_reference(hook)
-    assert len({g.weights.tobytes() for g, in groundings}) == CAPTION_TOKENS + 1  # PVG moved G
-    applied = assert_rows_match_reference(hook, groundings, clean_model.config.n_heads)
-    guided_layers = session.end_layer - session.start_layer
-    assert applied == (CAPTION_TOKENS + 1) * guided_layers  # prefill row + every step
+    for scene in scenes12[:3]:
+        session = new_session(clean_model, VgaConfig(mode="caption", pvg_enabled=True))
+        hook = record_pvg_caption(clean_model, scene, session, CAPTION_TOKENS)
+        groundings = pvg_reference(hook)
+        assert len({g.weights.tobytes() for g, in groundings}) == CAPTION_TOKENS + 1  # PVG moved G
+        applied = assert_rows_match_reference(hook, groundings, clean_model.config.n_heads)
+        guided_layers = session.end_layer - session.start_layer
+        assert applied == (CAPTION_TOKENS + 1) * guided_layers  # prefill row + every step
+
+
+def test_two_entry_caption_session_matches_one_entry_sessions(clean_model, scenes12):
+    """A two-entry PVG caption session and two one-entry sessions, bound
+    alike and fed the same tokens, hold byte-equal groundings after every
+    token and return byte-equal rows on every guided layer: the one-entry
+    state is the batched state of one entry. Ground-truth masks of two
+    present objects give the entries different groundings, and the second
+    entry's attention rows are the first's with the heads reversed."""
+    config = VgaConfig(mode="caption", pvg_enabled=True, guidance_source="ground_truth")
+    scene = next(s for s in scenes12 if sum(q.present for q in s.questions) >= 2)
+    masks = [_gt_mask_for(scene, q.word) for q in scene.questions if q.present][:2]
+    layout = build_caption_layout(clean_model, scene)
+    hook = record_pvg_caption(
+        clean_model, scene, new_session(clean_model, config, gt_mask=masks[0]), CAPTION_TOKENS
+    )
+    batched = VgaSession(clean_model, config, ["", ""], masks)
+    alone = [new_session(clean_model, config, gt_mask=mask) for mask in masks]
+    for session in (batched, *alone):
+        session.on_visual(hook.visual_logits, [layout] * len(session.questions), clean_model.vocab)
+    seen, compared = 0, 0
+    for layer, z, v, n_seen, _ in hook.calls:
+        while seen < n_seen:
+            for session in (batched, *alone):
+                session.on_token(hook.tokens[seen])
+            seen += 1
+            for b, session in enumerate(alone):
+                got, want = batched.groundings[b], session.groundings[0]
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert (got.rho, got.degenerate) == (want.rho, want.degenerate)
+        rows = np.concatenate((z, z[:, ::-1]))
+        row = batched.correction(layer, rows, v)
+        guided = np.arange(2)[row.entries].tolist()
+        assert guided == [0, 1]
+        applied = rows.copy()
+        row.apply(applied)
+        for b, session in enumerate(alone):
+            want = session.correction(layer, rows[b : b + 1], v)
+            for got_part, want_part in zip(row[1:], want[1:]):
+                if isinstance(got_part, tuple):
+                    assert got_part == want_part
+                else:
+                    assert got_part[b].tobytes() == want_part[0].tobytes()
+            alone_row = rows[b : b + 1].copy()
+            want.apply(alone_row)
+            assert applied[b].tobytes() == alone_row[0].tobytes()
+            compared += 1
+    assert seen == CAPTION_TOKENS
+    guided_layers = batched.end_layer - batched.start_layer
+    assert compared == 2 * (CAPTION_TOKENS + 1) * guided_layers
 
 
 def test_stale_mix_after_pvg_update_fails_the_reference(clean_model, scenes12):
