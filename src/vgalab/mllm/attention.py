@@ -58,9 +58,7 @@ class GuidanceRow(NamedTuple):
         elementwise. A slice picks the rows as a view, which takes the sum
         in place; an index array picks a copy, which is written back."""
         boost = self.scales[..., None] * self.delta
-        if len(boost) == len(z_last):  # every entry guided: the slice is all of z_last
-            z_last += boost
-        elif type(self.entries) is slice:
+        if type(self.entries) is slice:
             rows = z_last[self.entries]
             rows += boost
         else:

@@ -156,19 +156,26 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     per row. Every value is bit for bit what
     ``coef * np.maximum(0, 2 - H * unit_mass(clamped_row_cosine(z, dz))[0])``
     gives: one batched dot for the cosines, then Python floats. A row's
-    total is the sum numpy's ``add.reduce`` takes, which adds fewer than 8
-    values left to right, as ``sum`` does, and more pairwise.
+    total must be the sum numpy's ``add.reduce`` takes. Below numpy's
+    pairwise-sum block size of 8 values that is a left-to-right sum, which
+    ``sum`` takes too; from 8 heads on every row's total comes from one
+    ``add.reduce`` over the stacked rows. The 8 is numpy's internal block
+    size, so ``test_head_scales_is_the_composition_of_the_cores_byte_for_byte``
+    draws 1 to 12 heads: a numpy release that moves the block size fails it.
     """
     n_heads = z.shape[1]
     sims = _clamped_cosines(z, dz)
-    rows = []
-    for j, c in enumerate(coef):
-        row = sims[j * n_heads : (j + 1) * n_heads]
-        total = sum(row) if n_heads < 8 else float(np.add.reduce(np.array(row)))
+    rows = [sims[j * n_heads : (j + 1) * n_heads] for j in range(len(coef))]
+    if n_heads < 8:
+        totals = [sum(row) for row in rows]
+    else:
+        totals = np.add.reduce(np.array(sims).reshape(len(coef), n_heads), 1).tolist()
+    scales = []
+    for c, row, total in zip(coef, rows, totals):
         if total < DEGENERATE_EPS:  # uniform gamma': each head's share is 1/H
             row, total = [1.0 / n_heads] * n_heads, 1.0
-        rows.append([c * (g if (g := 2.0 - n_heads * (s / total)) > 0.0 else 0.0) for s in row])
-    return np.array(rows)
+        scales.append([c * (g if (g := 2.0 - n_heads * (s / total)) > 0.0 else 0.0) for s in row])
+    return np.array(scales)
 
 
 def cosine_sim_clamped(a, b) -> float | np.ndarray:

@@ -40,7 +40,6 @@ from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
 SOURCES = ("auto", "none", "even", "vsc", "vss", "reversed_vss", "ground_truth")
-_ONE = slice(0, 1)
 
 
 @dataclass(frozen=True)
@@ -228,9 +227,7 @@ class VgaSession:
         width = n_heads * d_head
         delta = (mix @ v_cache[s:e].reshape(e - s, width)).reshape(len(coef), n_heads, d_head)
         if self.config.head_balancing:
-            # every entry guided (always for one entry): z_last is their rows
-            rows = z_last if len(coef) == len(z_last) else z_last[entries]
-            scales = head_scales(rows, delta, coef)
+            scales = head_scales(z_last[entries], delta, coef)
         else:
             scales = np.array([[c] * n_heads for c in coef])
         return GuidanceRow(entries, weights, scales, self._span, delta)
@@ -246,8 +243,7 @@ class VgaSession:
         entry's grounding decays alike, as one [B, m] array, each row bit
         for bit the update of that entry alone.
         """
-        if type(token_id) is not int:
-            token_id = require_int(token_id, "token_id", InvalidInput)
+        token_id = require_int(token_id, "token_id", InvalidInput)
         if not self._decays:
             return
         probs = self.visual_probs
@@ -294,11 +290,6 @@ class VgaSession:
             self._guided = None
             return
         beta, vqa = self.config.beta, self.config.mode == "vqa"
-        if len(degenerate) == 1:
-            # one entry (every generation): the stack is its own guided rows
-            rho = 0.0 if degenerate[0] else 1.0 if vqa else support_share(weights)
-            self._guided = (_ONE, weights, weights[:, None, :], [beta * rho]) if rho else None
-            return
         index, coef = [], []
         for i, d in enumerate(degenerate):
             if d:
