@@ -12,8 +12,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .errors import VgalabError
 from .evalkit import (
     NEGATIVE_MODES,
@@ -32,7 +30,7 @@ from .evalkit import (
     save_scenes,
 )
 from .grounding import vsc_vector, vss_values
-from .mllm import Model, generated_words, greedy_generate, load_model, prefill, save_model
+from .mllm import generated_words, greedy_generate, load_model, prefill, save_model
 from .mllm.planted import PlantedSpec, build_planted_model, build_random_model
 from .vga import (
     MODES,
@@ -110,6 +108,16 @@ def _write_json(payload: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(report, out: str | None) -> int:
+    """Save ``report`` to ``out``, or print it when no path is given."""
+    if out:
+        save_report(report, out)
+        print(f"wrote report to {out}")
+    else:
+        _write_json(report.to_dict(), None)
+    return 0
 
 
 def build_parser() -> _Parser:
@@ -254,7 +262,7 @@ def _cmd_ground(args) -> int:
         "values": [float(x) for x in values],
     }
     _write_json(payload, args.out + ".json")
-    export_heatmap(np.asarray(values), scene.grid, args.out + ".pgm")
+    export_heatmap(values, scene.grid, args.out + ".pgm")
     print(f"wrote {args.out}.json and {args.out}.pgm")
     return 0
 
@@ -283,40 +291,21 @@ def _cmd_eval_exist(args) -> int:
     model = load_model(args.model)
     scenes = load_scenes(args.scenes)
     config = _config_from(args, mode="vqa")
-    report = run_existence_eval(model, scenes, config, jobs=args.jobs)
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote report to {args.out}")
-    else:
-        _write_json(report.to_dict(), None)
-    return 0
+    return _emit_report(run_existence_eval(model, scenes, config, jobs=args.jobs), args.out)
 
 
 def _cmd_eval_caption(args) -> int:
     model = load_model(args.model)
     scenes = load_scenes(args.scenes)
     config = _config_from(args, mode="caption")
-    report = run_caption_eval(
-        model, scenes, config, max_len=args.max_len, jobs=args.jobs
-    )
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote report to {args.out}")
-    else:
-        _write_json(report.to_dict(), None)
-    return 0
+    report = run_caption_eval(model, scenes, config, max_len=args.max_len, jobs=args.jobs)
+    return _emit_report(report, args.out)
 
 
 def _cmd_eval_ground(args) -> int:
     model = load_model(args.model)
     scenes = load_scenes(args.scenes)
-    report = grounding_quality_eval(model, scenes, source=args.source)
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote report to {args.out}")
-    else:
-        _write_json(report.to_dict(), None)
-    return 0
+    return _emit_report(grounding_quality_eval(model, scenes, source=args.source), args.out)
 
 
 def _cmd_bench_ttft(args) -> int:

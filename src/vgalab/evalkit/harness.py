@@ -24,13 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..errors import InvalidParams, require_int
-from ..grounding import (
-    MaskAnnotation,
-    dice,
-    image_confidence,
-    vsc_vector,
-    vss_values,
-)
+from ..grounding import MaskAnnotation, dice, vsc_vector, vss_values
 from ..mllm import (
     Model,
     SequenceLayout,
@@ -41,6 +35,7 @@ from ..mllm import (
     prefill_shared,
 )
 from ..vga import VgaConfig, VgaSession, new_session
+from .heatmap import minmax_scale
 from .metrics import EvalReport, amber_metrics, chair_metrics, f1_score
 from .scenes import Question, Scene, build_caption_layout, build_vqa_layout, question_text, size_class
 
@@ -245,14 +240,6 @@ def run_caption_eval(
     )
 
 
-def _minmax_scale(values: np.ndarray) -> np.ndarray:
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi - lo < 1e-12:
-        return np.full_like(values, 0.5)
-    return (values - lo) / (hi - lo)
-
-
 def grounding_quality_eval(model: Model, scenes: list[Scene], source: str = "vsc") -> EvalReport:
     """Mean soft Dice between per-patch scores and planted masks.
 
@@ -272,7 +259,7 @@ def grounding_quality_eval(model: Model, scenes: list[Scene], source: str = "vsc
         logits = prefill(model, layout).visual_logits
         salience = None
         if source == "vss":
-            salience = _minmax_scale(vss_values(logits))
+            salience = minmax_scale(vss_values(logits))
         for mask in scene.objects:
             if source == "vsc":
                 vec = vsc_vector(logits, model.vocab.id_of(mask.word))
@@ -292,21 +279,6 @@ def grounding_quality_eval(model: Model, scenes: list[Scene], source: str = "vsc
         mean_dice=float(np.mean(scores)),
         dice_by_size=by_size,
     )
-
-
-def collect_image_confidences(
-    model: Model, scenes: list[Scene]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(confidence, present) pairs over every scene question."""
-    values: list[float] = []
-    labels: list[bool] = []
-    for scene in scenes:
-        layout = build_caption_layout(model, scene)
-        logits = prefill(model, layout).visual_logits
-        for q in scene.questions:
-            values.append(image_confidence(logits, model.vocab.id_of(q.word)))
-            labels.append(q.present)
-    return np.asarray(values), np.asarray(labels)
 
 
 @dataclass(frozen=True)

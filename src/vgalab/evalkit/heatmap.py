@@ -3,24 +3,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInput, IoError, ShapeError
-from ..grounding import Grounding
+from ..errors import InvalidInput, IoError, ShapeError, require_grid
 
 _SCALE_EPS = 1e-12
 
 
-def export_heatmap(grounding, grid: tuple[int, int], path: str) -> None:
-    """Write a min-max scaled 8-bit heatmap of the grounding over the grid.
+def minmax_scale(values: np.ndarray) -> np.ndarray:
+    """``values`` mapped onto [0, 1]; a flat vector (range below 1e-12)
+    maps to 0.5 everywhere."""
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi - lo < _SCALE_EPS:
+        return np.full_like(values, 0.5)
+    return (values - lo) / (hi - lo)
 
-    Accepts a ``Grounding`` or any 1-d array of length rows*cols. A flat
-    vector (no dynamic range) renders as mid-gray so "uniform" and
-    "empty" stay visually distinct from "peaked at the first patch".
+
+def export_heatmap(values, grid: tuple[int, int], path: str) -> None:
+    """Write a min-max scaled 8-bit heatmap of a grounding vector over the grid.
+
+    ``values`` is a 1-d array of length rows*cols. A flat vector (no
+    dynamic range) renders as mid-gray so "uniform" and "empty" stay
+    visually distinct from "peaked at the first patch".
     """
-    values = np.asarray(
-        grounding.weights if isinstance(grounding, Grounding) else grounding,
-        dtype=np.float64,
-    )
-    rows, cols = grid
+    values = np.asarray(values, dtype=np.float64)
+    rows, cols = require_grid(grid, "heatmap grid", InvalidInput)
     if rows < 1 or cols < 1:
         raise InvalidInput("grid dims must be positive")
     if values.ndim != 1 or values.shape[0] != rows * cols:
@@ -30,14 +36,7 @@ def export_heatmap(grounding, grid: tuple[int, int], path: str) -> None:
     if not np.all(np.isfinite(values)):
         raise InvalidInput("grounding values must be finite")
 
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi - lo < _SCALE_EPS:
-        pixels = np.full(values.shape, 128, dtype=np.uint8)
-    else:
-        scaled = np.round((values - lo) / (hi - lo) * 255.0)
-        pixels = scaled.astype(np.uint8)
-
+    pixels = np.round(minmax_scale(values) * 255.0).astype(np.uint8)
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as fh:

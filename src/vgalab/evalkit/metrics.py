@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInput, InvalidParams, IoError, ShapeError
+from ..errors import InvalidInput, InvalidParams, IoError, ShapeError, require_int, require_real
 
 log = logging.getLogger(__name__)
 
@@ -98,6 +98,7 @@ def amber_metrics(
         raise InvalidInput("need at least one caption")
     if not (len(generated) == len(annotated) == len(hallu_targets)):
         raise ShapeError("generated/annotated/hallu_targets lengths disagree")
+    f1 = require_real(f1, "f1", InvalidParams)
     if not np.isfinite(f1) or not 0.0 <= f1 <= 1.0:
         raise InvalidParams(f"f1 must lie in [0, 1], got {f1}")
     gen = _as_sets(generated)
@@ -137,30 +138,6 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def ranking_auc(values: np.ndarray, labels: np.ndarray) -> float:
-    """Probability a random positive outscores a random negative; ties count half."""
-    v = np.asarray(values, dtype=np.float64)
-    y = np.asarray(labels).astype(bool)
-    if v.ndim != 1 or v.shape != y.shape:
-        raise ShapeError("values and labels must be equal-length vectors")
-    n1 = int(y.sum())
-    n0 = int((~y).sum())
-    if n1 == 0 or n0 == 0:
-        raise InvalidInput("both label classes must be present")
-    order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v), dtype=np.float64)
-    sorted_v = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
-    u = float(ranks[y].sum()) - n1 * (n1 + 1) / 2.0
-    return u / (n1 * n0)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """One evaluation run's scores plus enough metadata to reproduce it.
@@ -189,12 +166,13 @@ class EvalReport:
     config: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.n_items < 0:
+        if require_int(self.n_items, "n_items", InvalidParams) < 0:
             raise InvalidParams("n_items must be >= 0")
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if value is None:
                 continue
+            value = require_real(value, name, InvalidParams)
             if not np.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise InvalidParams(f"{name} must lie in [0, 1], got {value}")
 

@@ -133,6 +133,10 @@ def partner_table(words: tuple[str, ...]) -> dict[str, str]:
 
 
 def size_class(patch_count: int, n_patches: int) -> str:
+    patch_count = require_int(patch_count, "patch count", InvalidParams)
+    n_patches = require_int(n_patches, "n_patches", InvalidParams)
+    if not 0 <= patch_count <= n_patches or n_patches == 0:
+        raise InvalidParams(f"patch count {patch_count} does not fit {n_patches} patches")
     frac = patch_count / n_patches
     if frac <= SMALL_FRACTION:
         return "small"

@@ -127,6 +127,8 @@ def merge_groundings(groundings: list[Grounding]) -> Grounding:
     """Elementwise max across groundings, renormalized to sum 1."""
     if not groundings:
         raise InvalidInput("merge_groundings requires at least one grounding")
+    if not all(isinstance(gr, Grounding) for gr in groundings):
+        raise InvalidInput("merge_groundings takes Grounding values")
     size = groundings[0].size
     for gr in groundings[1:]:
         if gr.size != size:
@@ -168,10 +170,13 @@ def vss(visual_logits: np.ndarray, k: int = DEFAULT_TOP_K, sign: str = "raw") ->
     return Grounding.from_values(vss_values(visual_logits, k=k, sign=sign))
 
 
-def dice(c: np.ndarray | Grounding, g: np.ndarray | MaskAnnotation) -> float:
+def dice(c: np.ndarray, g: np.ndarray | MaskAnnotation) -> float:
     """Soft overlap score 2*sum(c*g) / (sum(c) + sum(g)) in [0, 1]."""
-    a = np.asarray(c.weights if isinstance(c, Grounding) else c, dtype=np.float64)
-    b = np.asarray(g.overlaps if isinstance(g, MaskAnnotation) else g, dtype=np.float64)
+    try:
+        a = np.asarray(c, dtype=np.float64)
+        b = np.asarray(g.overlaps if isinstance(g, MaskAnnotation) else g, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"dice inputs must be arrays of reals: {exc}") from None
     if a.ndim != 1 or b.ndim != 1:
         raise ShapeError("dice expects 1-d vectors")
     if a.shape != b.shape:

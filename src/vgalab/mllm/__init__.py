@@ -14,7 +14,6 @@ from .core import (
     prefill,
     prefill_shared,
     reference_forward,
-    reset_forward_rows,
 )
 from .planted import PlantedSpec, build_planted_model, build_random_model
 
@@ -39,6 +38,5 @@ __all__ = [
     "prefill",
     "prefill_shared",
     "reference_forward",
-    "reset_forward_rows",
     "save_model",
 ]

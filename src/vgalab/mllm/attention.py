@@ -42,8 +42,8 @@ class GuidanceRow(NamedTuple):
     guided entry j receives ``weights[j]`` scaled by ``scales[j, h]`` (beta *
     rho * gamma_h). ``delta`` [k, H, dh] is the value mix those weights
     select, ``sum_i weights[j, i] * v[span[0] + i]`` per head. A named
-    tuple, immutable and cheaper to build than a frozen dataclass: the hook
-    builds one per guided layer of every generated token.
+    tuple, immutable and light to build: the hook builds one per guided
+    layer of every generated token.
     """
 
     entries: slice | np.ndarray

@@ -56,18 +56,13 @@ from .config import ModelConfig, SequenceLayout
 
 _NORM_EPS = 1e-6
 
-# Rows pushed through the network since the last reset; guided and vanilla
-# generation must tally identical counts for the same prompts.
+# Rows pushed through the network since the process started; guided and
+# vanilla generation must add identical counts for the same prompts.
 _FORWARD_ROWS = 0
 
 
 def forward_rows_count() -> int:
     return _FORWARD_ROWS
-
-
-def reset_forward_rows() -> None:
-    global _FORWARD_ROWS
-    _FORWARD_ROWS = 0
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     # tanh-form GELU; exactness vs erf is irrelevant at toy scale. The cube
-    # is two multiplies: np.power(x, 3) costs ~14x as much for the same value.
+    # is two multiplies, the value np.power(x, 3) gives at a fraction of its cost.
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 

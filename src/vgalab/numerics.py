@@ -4,11 +4,11 @@
 entry points for arrays from outside the program: they check shapes,
 raise InvalidInput on NaN/Inf (and on negative mass) instead of
 propagating poison, preserve float dtypes and compute in float64
-otherwise. ``stable_softmax``, ``unit_mass`` and ``clamped_row_cosine``
-are their unchecked cores, the only statement of each formula but one;
-the guidance hook calls them directly on arrays the forward pass built
-from checked inputs. ``head_scales`` finishes the hook's head balancing
-in one call on the cosines of ``clamped_row_cosine``, and states the
+otherwise. ``stable_softmax`` and ``unit_mass`` are the unchecked cores
+of the first two, the only statement of each formula but one; the
+guidance hook calls them directly on arrays the forward pass built from
+checked inputs. ``head_scales`` finishes the hook's head balancing in
+one call on the cosines of ``_clamped_cosines``, and states the
 unit-mass rule a second time, on Python floats (the ``DEGENERATE_EPS``
 uniform fallback and the division by each row's total);
 ``test_head_scales_is_the_composition_of_the_cores_byte_for_byte`` holds
@@ -64,29 +64,19 @@ def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
 
     ``degenerate`` is a bool for a vector and a list of bools, one per row,
     for a stack; each row is bit for bit what the vector call on it returns.
-    A stack of one row (every guided generation) is scaled as a vector,
-    with a Python float for its total, which is the same sum and quotient.
     """
-    if values.ndim == 2 and len(values) > 1:
-        return _unit_mass_rows(values)
+    if values.ndim == 2:
+        totals = np.add.reduce(values, 1, None, None, True)  # keepdims
+        degenerate = [total < DEGENERATE_EPS for total, in totals.tolist()]
+        # a degenerate row divides by the floor, not by ~0, and is then overwritten
+        out = values / np.maximum(totals, DEGENERATE_EPS)
+        if True in degenerate:
+            out[degenerate] = 1.0 / values.shape[1]
+        return out, degenerate
     total = float(np.add.reduce(values, None))  # values.sum() minus its Python-level wrapper
-    degenerate = total < DEGENERATE_EPS
-    if degenerate:
-        out = np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype)
-    else:
-        out = values / total
-    return out, degenerate if values.ndim == 1 else [degenerate]
-
-
-def _unit_mass_rows(values: np.ndarray) -> tuple[np.ndarray, list[bool]]:
-    """``unit_mass`` of a stack [k, n], row by row."""
-    totals = np.add.reduce(values, 1, None, None, True)  # keepdims
-    degenerate = [total < DEGENERATE_EPS for total, in totals.tolist()]
-    # a degenerate row divides by the floor, not by ~0, and is then overwritten
-    out = values / np.maximum(totals, DEGENERATE_EPS)
-    if True in degenerate:
-        out[degenerate] = 1.0 / values.shape[1]
-    return out, degenerate
+    if total < DEGENERATE_EPS:
+        return np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype), True
+    return values / total, False
 
 
 def sum_normalize(values) -> tuple[np.ndarray, bool]:
@@ -136,12 +126,6 @@ def _clamped_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
     return sims
 
 
-def clamped_row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unchecked core of ``cosine_sim_clamped``; ``a`` and ``b`` are finite
-    float arrays of one shape. Returns one similarity per row."""
-    return np.array(_clamped_cosines(a, b), dtype=np.result_type(a, b)).reshape(a.shape[:-1])
-
-
 def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     """Head-balanced guidance scales ``coef[j] * gamma[j, h]`` [k, H] of k
     rows [k, H, dh]: the guidance hook's head balancing, and the only
@@ -153,11 +137,12 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     already points along the correction get gamma below 1, the rest more;
     the mean is 1 whenever the ReLU clips nothing. ``z`` and ``dz`` are
     finite float64 arrays of one shape and ``coef`` holds one Python float
-    per row. Every value is bit for bit what
-    ``coef * np.maximum(0, 2 - H * unit_mass(clamped_row_cosine(z, dz))[0])``
-    gives: one batched dot for the cosines, then Python floats. A row's
-    total must be the sum numpy's ``add.reduce`` takes. Below numpy's
-    pairwise-sum block size of 8 values that is a left-to-right sum, which
+    per row. Every value is bit for bit ``coef * np.maximum(0, 2 - H *
+    gamma')`` with gamma' the ``unit_mass`` of the [k, H] stack of
+    ``cosine_sim_clamped`` over the heads: one batched dot for the cosines,
+    then Python floats. A row's total must be the sum numpy's
+    ``add.reduce`` takes. Below numpy's pairwise-sum block size of 8
+    values that is a left-to-right sum, which
     ``sum`` takes too; from 8 heads on every row's total comes from one
     ``add.reduce`` over the stacked rows. The 8 is numpy's internal block
     size, so ``test_head_scales_is_the_composition_of_the_cores_byte_for_byte``
@@ -188,5 +173,5 @@ def cosine_sim_clamped(a, b) -> float | np.ndarray:
     vb = _as_float_array(b, "b")
     if va.shape != vb.shape:
         raise ShapeError(f"length mismatch: {va.shape} vs {vb.shape}")
-    sim = clamped_row_cosine(va, vb)
-    return float(sim) if va.ndim == 1 else sim
+    sim = np.array(_clamped_cosines(va, vb), dtype=np.result_type(va, vb))
+    return float(sim[0]) if va.ndim == 1 else sim

@@ -404,11 +404,13 @@ def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, 
 
     Returns (layer, fallback); fallback is True when no layer crosses the
     threshold, in which case layer 0 is suggested and a warning is issued.
-    ``theta`` must be a finite real number.
+    ``theta`` must be a finite real number, and so must every profile value.
     """
     theta = check_theta(theta)
     if len(profile) == 0:
         raise InvalidInput("profile must be nonempty")
+    if not np.isfinite(profile).all():
+        raise InvalidInput("profile values must be finite")
     for idx, value in enumerate(profile):
         if value >= theta:
             return idx, False

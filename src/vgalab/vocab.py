@@ -144,6 +144,8 @@ class Vocabulary:
 
 def make_vocab(object_words=DEFAULT_OBJECT_WORDS, n_background: int = 12) -> Vocabulary:
     """Assemble the full table: specials, text words, patch tokens, textures."""
+    if isinstance(object_words, str):
+        raise InvalidSpec(f"object words must be a sequence of words, not {object_words!r}")
     object_words = tuple(object_words)
     if not object_words:
         raise InvalidSpec("at least one object word is required")

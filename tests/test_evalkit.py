@@ -18,9 +18,9 @@ from vgalab.evalkit import (
     SceneParams,
     amber_metrics,
     bench_ttft,
+    build_caption_layout,
     build_vqa_layout,
     chair_metrics,
-    collect_image_confidences,
     export_heatmap,
     f1_score,
     grounding_quality_eval,
@@ -28,7 +28,6 @@ from vgalab.evalkit import (
     make_scenes,
     model_answer_fn,
     partner_table,
-    ranking_auc,
     run_caption_eval,
     run_existence_eval,
     save_report,
@@ -39,8 +38,8 @@ from vgalab.evalkit import (
 )
 from vgalab.evalkit.metrics import EvalReport
 from vgalab.evalkit.scenes import _draw_distinct
-from vgalab.grounding import Grounding
-from vgalab.mllm import forward_rows_count, reset_forward_rows
+from vgalab.grounding import Grounding, image_confidence
+from vgalab.mllm import forward_rows_count, prefill
 from vgalab.vga import VgaConfig
 from vgalab.vocab import DEFAULT_OBJECT_WORDS, make_vocab
 
@@ -120,6 +119,9 @@ def test_size_class_boundaries():
     assert size_class(4, 64) == "medium"
     assert size_class(15, 64) == "medium"
     assert size_class(16, 64) == "large"  # 25% >= 25%
+    for patch_count, n_patches in ((0, 0), (5, 4), (-1, 64), (2.0, 64), (2, "64"), (True, 64)):
+        with pytest.raises(InvalidParams):
+            size_class(patch_count, n_patches)
 
 
 def test_scene_params_validation():
@@ -241,8 +243,9 @@ def test_amber_hand_examples():
 
 
 def test_amber_validation():
-    with pytest.raises(InvalidParams):
-        amber_metrics([{"dog"}], [{"dog"}], [set()], f1=1.2)
+    for f1 in (1.2, "x", True, None):
+        with pytest.raises(InvalidParams):
+            amber_metrics([{"dog"}], [{"dog"}], [set()], f1=f1)
     with pytest.raises(ShapeError):
         amber_metrics([{"dog"}], [{"dog"}], [], f1=0.5)
     with pytest.raises(InvalidInput):
@@ -255,32 +258,15 @@ def test_f1_score_values():
     assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
 
 
-def auc_pair_oracle(values, labels):
-    pos = values[labels]
-    neg = values[~labels]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-    return wins / (len(pos) * len(neg))
-
-
-def test_ranking_auc_matches_pair_counting():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(4, 30))
-        labels = np.zeros(n, dtype=bool)
-        labels[: max(1, n // 3)] = True
-        rng.shuffle(labels)
-        values = np.round(rng.normal(size=n), 1)  # rounding forces ties
-        want = auc_pair_oracle(values, labels)
-        assert ranking_auc(values, labels) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(InvalidInput):
-        ranking_auc(np.ones(3), np.array([True, True, True]))
-
-
 def test_eval_report_validation_and_save(tmp_path):
     with pytest.raises(InvalidParams):
         EvalReport(task="existence", n_items=4, accuracy=1.2)
     with pytest.raises(InvalidParams):
         EvalReport(task="existence", n_items=-1)
+    with pytest.raises(InvalidParams):
+        EvalReport(task="x", n_items="3")
+    with pytest.raises(InvalidParams):
+        EvalReport(task="x", n_items=3, accuracy="0.5")
     report = EvalReport(task="existence", n_items=4, accuracy=0.75, config={"beta": 0.2})
     path = tmp_path / "report.json"
     save_report(report, str(path))
@@ -336,11 +322,11 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
     # batch over it, in every worker, with the same reports as the
     # one-question answerer.
     guided = VgaConfig(guidance_source="vsc")
-    reset_forward_rows()
+    rows_before = forward_rows_count()
     shared = run_existence_eval(clean_model, scenes12, guided)
     layout = build_vqa_layout(clean_model, scenes12[0], scenes12[0].questions[0].word)
     tail = layout.length - layout.visual_end
-    assert forward_rows_count() == sum(
+    assert forward_rows_count() - rows_before == sum(
         layout.visual_end + tail * len(s.questions) for s in scenes12
     )
     assert shared == run_existence_eval(clean_model, scenes12, guided, jobs=2)
@@ -395,11 +381,18 @@ def test_grounding_quality_eval_buckets(clean_model, scenes12):
         grounding_quality_eval(clean_model, [], source="vsc")
 
 
-def test_collect_image_confidences_separates_classes(clean_model, scenes12):
-    values, labels = collect_image_confidences(clean_model, scenes12)
-    assert values.shape == labels.shape
-    assert values.min() > 0
-    assert ranking_auc(values, labels) == 1.0
+def test_image_confidence_ranks_every_present_object_first(clean_model, scenes12):
+    """Ranking AUC 1.0 over every scene question: each present object's
+    image confidence exceeds each absent one's."""
+    present, absent = [], []
+    for scene in scenes12:
+        logits = prefill(clean_model, build_caption_layout(clean_model, scene)).visual_logits
+        for q in scene.questions:
+            conf = image_confidence(logits, clean_model.vocab.id_of(q.word))
+            (present if q.present else absent).append(conf)
+    assert present and absent
+    assert min(absent) > 0
+    assert min(present) > max(absent)
 
 
 def test_bench_ttft_counts_rows(clean_model, scenes12):
@@ -442,7 +435,7 @@ def test_heatmap_writes_scaled_pgm(tmp_path):
 
 def test_heatmap_flat_input_renders_midgray(tmp_path):
     path = tmp_path / "flat.pgm"
-    export_heatmap(Grounding.from_values(np.ones(4)), (2, 2), str(path))
+    export_heatmap(Grounding.from_values(np.ones(4)).weights, (2, 2), str(path))
     _, _, _, pixels = read_pgm(path)
     assert np.all(pixels == 128)
 
@@ -454,3 +447,7 @@ def test_heatmap_validation(tmp_path):
         export_heatmap(np.full(4, np.nan), (2, 2), str(tmp_path / "x.pgm"))
     with pytest.raises(IoError):
         export_heatmap(np.ones(4), (2, 2), str(tmp_path / "no" / "dir" / "x.pgm"))
+    for grid in (("a", 2), (2.0, 2), (2, True), 4, (0, 4)):
+        with pytest.raises(InvalidInput):
+            export_heatmap(np.ones(4), grid, str(tmp_path / "x.pgm"))
+    assert not (tmp_path / "x.pgm").exists()

@@ -116,6 +116,8 @@ def test_merge_takes_elementwise_max_then_normalizes():
         merge_groundings([])
     with pytest.raises(ShapeError):
         merge_groundings([a, Grounding.from_values(np.ones(3))])
+    with pytest.raises(InvalidInput):
+        merge_groundings([np.ones(3)])
 
 
 def vss_oracle(logits, k):
@@ -238,6 +240,10 @@ def test_dice_validation():
         dice(np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(InvalidInput):
         dice(np.zeros(3), np.zeros(3))
+    with pytest.raises(InvalidInput):
+        dice("ab", np.ones(2))
+    with pytest.raises(InvalidInput):
+        dice(np.ones(2), [None, 1.0])
 
 
 def test_extract_objects_order_dedup_case():

@@ -21,7 +21,6 @@ from vgalab.mllm import (
     prefill,
     prefill_shared,
     reference_forward,
-    reset_forward_rows,
 )
 from vgalab.mllm import core
 from vgalab.mllm.core import gelu, rms_norm
@@ -465,16 +464,16 @@ def test_greedy_is_deterministic_and_bounded(tiny_model):
     rng = np.random.default_rng(6)
     layout = scene_layout(tiny_model, rng)
     first = greedy_generate(tiny_model, layout, max_len=7)
-    reset_forward_rows()
+    rows_before = forward_rows_count()
     second = greedy_generate(tiny_model, layout, max_len=7)
     assert first == second
     assert 1 <= len(first) <= 7
     # The token that fills max_len is not fed back: n tokens cost n - 1 steps.
     assert tiny_model.vocab.eos_id not in first
-    assert forward_rows_count() == layout.length + len(first) - 1
-    reset_forward_rows()
+    assert forward_rows_count() - rows_before == layout.length + len(first) - 1
+    rows_before = forward_rows_count()
     greedy_generate(tiny_model, layout, max_len=1)
-    assert forward_rows_count() == layout.length
+    assert forward_rows_count() - rows_before == layout.length
     for max_len in (0, 2.5, True, "1"):
         with pytest.raises(InvalidInput):
             greedy_generate(tiny_model, layout, max_len=max_len)
@@ -493,11 +492,9 @@ def test_greedy_stops_at_eos(clean_model, scenes12):
 def test_forward_row_counter_tracks_rows(tiny_model):
     rng = np.random.default_rng(7)
     layout = scene_layout(tiny_model, rng)
-    reset_forward_rows()
+    rows_before = forward_rows_count()
     prefill(tiny_model, layout)
-    assert forward_rows_count() == layout.length
-    reset_forward_rows()
-    assert forward_rows_count() == 0
+    assert forward_rows_count() - rows_before == layout.length
 
 
 def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):

@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 from vgalab.errors import InvalidInput, ShapeError
 from vgalab.numerics import (
     DEGENERATE_EPS,
-    _unit_mass_rows,
-    clamped_row_cosine,
     cosine_sim_clamped,
     head_scales,
     row_softmax,
@@ -83,17 +81,17 @@ def test_sum_normalize_unit_mass_or_degenerate(values):
     st.data(),
 )
 def test_unit_mass_of_a_stack_is_the_vector_call_per_row(dtype, k, n, data):
-    """Each row, degenerate ones among them, comes out byte for byte, from
-    ``unit_mass`` and from the stack path it skips for a single row."""
+    """Each row, degenerate ones among them, comes out byte for byte, a
+    stack of one row (every guided generation) too."""
     rows = data.draw(arrays(dtype, (k, n), elements=st.floats(0, 1e6, width=32)))
     if data.draw(st.booleans()):
         rows[data.draw(st.integers(0, k - 1))] = 0.0
-    for stacked, degenerate in (unit_mass(rows), _unit_mass_rows(rows)):
-        assert stacked.dtype == dtype and len(degenerate) == k
-        for row, got, flag in zip(rows, stacked, degenerate):
-            want, want_flag = unit_mass(row)
-            assert got.tobytes() == want.tobytes()
-            assert flag == want_flag
+    stacked, degenerate = unit_mass(rows)
+    assert stacked.dtype == dtype and len(degenerate) == k
+    for row, got, flag in zip(rows, stacked, degenerate):
+        want, want_flag = unit_mass(row)
+        assert got.tobytes() == want.tobytes()
+        assert flag == want_flag
 
 
 def test_sum_normalize_degenerate_is_uniform():
@@ -126,15 +124,16 @@ def test_cosine_range_and_symmetry(a, b):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 30), st.data())
-def test_clamped_row_cosine_takes_each_rows_dots_from_np_dot(k, heads, n, data):
-    """A stack [k, heads, n] is bit for bit the clamped cosine of np.dot's
-    a.a, a.b and b.b on each row."""
-    a = data.draw(arrays(np.float64, (k, heads, n), elements=finite_floats))
-    b = data.draw(arrays(np.float64, (k, heads, n), elements=finite_floats))
-    got = clamped_row_cosine(a, b)
-    assert got.shape == (k, heads)
-    for x, y, sim in zip(a.reshape(-1, n), b.reshape(-1, n), got.ravel().tolist()):
+@given(st.integers(1, 20), st.integers(1, 30), st.data())
+def test_cosine_sim_clamped_takes_each_rows_dots_from_np_dot(rows, n, data):
+    """A matrix [rows, n] is bit for bit the clamped cosine of np.dot's a.a,
+    a.b and b.b on each row, and a vector is its one row."""
+    a = data.draw(arrays(np.float64, (rows, n), elements=finite_floats))
+    b = data.draw(arrays(np.float64, (rows, n), elements=finite_floats))
+    got = cosine_sim_clamped(a, b)
+    assert got.shape == (rows,)
+    assert cosine_sim_clamped(a[0], b[0]) == got[0]
+    for x, y, sim in zip(a, b, got.tolist()):
         xx, xy, yy = float(np.dot(x, x)), float(np.dot(x, y)), float(np.dot(y, y))
         na, nb = math.sqrt(xx), math.sqrt(yy)
         if na == 0.0 or nb == 0.0:
@@ -178,8 +177,10 @@ def test_head_scales_is_the_composition_of_the_cores_byte_for_byte(stack):
     """The one-call core equals cosine -> unit mass -> ReLU(2 - H gamma') ->
     coef * gamma composed from the array cores, for one row and for stacks."""
     z, dz, coef = stack
-    gamma_prime, _ = unit_mass(clamped_row_cosine(z, dz))
-    want = np.array(coef)[:, None] * np.maximum(0.0, 2.0 - z.shape[1] * gamma_prime)
+    k, n_heads, d_head = z.shape
+    cosines = cosine_sim_clamped(z.reshape(-1, d_head), dz.reshape(-1, d_head))
+    gamma_prime, _ = unit_mass(cosines.reshape(k, n_heads))
+    want = np.array(coef)[:, None] * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
     got = head_scales(z, dz, coef)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

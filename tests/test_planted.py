@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from vgalab.errors import InvalidInput, InvalidSpec
-from vgalab.grounding import exists, image_confidence, vsc_vector
+from vgalab.grounding import exists, image_confidence, object_grounding, vsc_vector, vss
 from vgalab.mllm import (
     PlantedSpec,
     SequenceLayout,
@@ -45,6 +45,11 @@ def test_make_vocab_rejects_non_integer_background(n_background):
         make_vocab(("dog", "cat"), n_background=n_background)
 
 
+def test_make_vocab_rejects_a_str_of_object_words():
+    with pytest.raises(InvalidSpec, match="object words"):
+        make_vocab("dog")
+
+
 def test_make_vocab_stores_numpy_integer_background_as_int():
     vocab = make_vocab(("dog", "cat"), n_background=np.int64(3))
     assert type(vocab.n_background) is int and len(vocab.background_ids) == 3
@@ -69,8 +74,8 @@ def test_planted_spec_validation(sigma):
         build_planted_model(PlantedSpec(sigma=sigma), seed=0)
 
 
-def scene_logits(model, coverage):
-    """Visual logits for a hand-built scene; coverage maps word -> cell list."""
+def scene_prefill(model, coverage):
+    """Prefill of a hand-built caption prompt; coverage maps word -> cell list."""
     n = model.config.n_patches
     patches = [model.vocab.background_ids[i % 3] for i in range(n)]
     for word, cells in coverage.items():
@@ -78,7 +83,12 @@ def scene_logits(model, coverage):
             patches[cell] = model.vocab.patch_token_of(word)
     ids = (model.vocab.bos_id,) + tuple(patches) + (model.vocab.caption_id,)
     layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=1 + n)
-    return prefill(model, layout).visual_logits
+    return prefill(model, layout)
+
+
+def scene_logits(model, coverage):
+    """Visual logits for a hand-built scene; coverage maps word -> cell list."""
+    return scene_prefill(model, coverage).visual_logits
 
 
 def test_covered_patches_unembed_to_their_word(clean_model):
@@ -111,6 +121,29 @@ def test_vsc_landscape_matches_coverage(clean_model):
     covered = conf[cells]
     uncovered = np.delete(conf, cells)
     assert covered.min() > 10 * uncovered.max()
+
+
+def test_groundings_concentrate_on_planted_patches(clean_model):
+    """A present word's map puts most of its mass on its own patches, an
+    absent word's map spreads over the background, and salience favours
+    object patches over background ones."""
+    coverage = {"dog": list(range(6)), "cat": list(range(20, 24))}
+    logits = scene_logits(clean_model, coverage)
+    vocab = clean_model.vocab
+    on_object = np.zeros(clean_model.config.n_patches, dtype=bool)
+    on_object[coverage["dog"] + coverage["cat"]] = True
+    dog = object_grounding(logits, vocab.id_of("dog"))
+    assert dog.weights[coverage["dog"]].sum() > 0.5
+    assert dog.rho == 1.0  # softmax confidence is positive on every patch
+    assert object_grounding(logits, vocab.id_of("tree")).weights[~on_object].sum() > 0.9
+    salience = vss(logits).weights
+    assert salience[on_object].mean() > salience[~on_object].mean()
+
+
+def test_caption_row_names_a_planted_object(clean_model):
+    coverage = {"dog": list(range(6)), "cat": list(range(20, 24))}
+    first = int(np.argmax(scene_prefill(clean_model, coverage).last_logits))
+    assert clean_model.vocab.word_of(first) in coverage
 
 
 def test_vqa_answers_track_presence(clean_model, scenes12):

@@ -18,7 +18,7 @@ from vgalab.grounding import (
     object_grounding,
     vss,
 )
-from vgalab.mllm import SequenceLayout, decode_step, prefill, prefill_shared
+from vgalab.mllm import SequenceLayout, decode_step, greedy_generate, prefill, prefill_shared
 from vgalab.numerics import cosine_sim_clamped, head_scales, row_softmax, sum_normalize
 from vgalab.vga import VgaConfig, VgaSession, bos_profile, new_session, suggest_start_layer
 
@@ -703,6 +703,45 @@ def test_on_token_rejects_non_integer_ids(clean_model, mode, bad):
     session.on_token(np.int64(clean_model.vocab.id_of("dog")))  # numpy integers pass
 
 
+def test_pvg_caption_decays_each_named_object_and_terminates(clean_model):
+    """Step by step through a guided caption of a two-object scene: each
+    generated object word lowers its own patches' grounding mass, the mass
+    stays 1, and the caption ends at EOS within 40 tokens, as the greedy
+    loop decodes it."""
+    vocab = clean_model.vocab
+    n = clean_model.config.n_patches
+    coverage = {"dog": list(range(6)), "cat": list(range(20, 24))}
+    patches = [vocab.background_ids[i % len(vocab.background_ids)] for i in range(n)]
+    for word, cells in coverage.items():
+        for cell in cells:
+            patches[cell] = vocab.patch_token_of(word)
+    ids = (vocab.bos_id,) + tuple(patches) + (vocab.caption_id,)
+    layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=1 + n)
+    config = VgaConfig(mode="caption")
+    session = new_session(clean_model, config)
+    result = prefill(clean_model, layout, hook=session)
+    logits = result.last_logits
+    tokens = []
+    for _ in range(40):
+        token = int(np.argmax(logits))
+        tokens.append(token)
+        before = session.groundings[0].weights.copy()
+        session.on_token(token)
+        after = session.groundings[0].weights
+        cells = coverage.get(vocab.word_of(token))
+        if cells is not None:
+            assert after[cells].sum() < before[cells].sum()
+        assert abs(after.sum() - 1.0) < 1e-9
+        if token == vocab.eos_id:
+            break
+        logits = decode_step(clean_model, result.cache, token, hook=session)
+    assert tokens[-1] == vocab.eos_id
+    assert {vocab.word_of(t) for t in tokens} >= set(coverage)
+    assert tokens == greedy_generate(
+        clean_model, layout, vga=new_session(clean_model, config), max_len=40
+    )
+
+
 def test_pvg_update_requires_bound_session(tiny_model):
     session = new_session(tiny_model, VgaConfig(mode="caption"))
     session.groundings[0] = Grounding.from_values(np.ones(4))
@@ -721,11 +760,23 @@ def test_bos_profile_and_start_layer_suggestion(clean_model):
     layer, fallback = suggest_start_layer(profile, theta=0.2)
     assert not fallback
     assert layer >= 3
+    # the caption row reaches the threshold too
+    caption = SequenceLayout(
+        token_ids=layout.token_ids[: layout.visual_end] + (clean_model.vocab.caption_id,),
+        visual_start=layout.visual_start,
+        visual_end=layout.visual_end,
+    )
+    caption_profile = bos_profile(clean_model, caption)
+    assert len(caption_profile) == clean_model.config.n_layers
+    assert not suggest_start_layer(caption_profile, theta=0.2)[1]
     with pytest.warns(UserWarning):
         layer, fallback = suggest_start_layer(profile, theta=0.99)
     assert (layer, fallback) == (0, True)
     with pytest.raises(InvalidInput):
         suggest_start_layer([])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInput):
+            suggest_start_layer([0.5, bad], theta=0.2)
     for theta in (float("nan"), float("inf"), -float("inf"), "0.2", None, True):
         with pytest.raises(InvalidInput):
             suggest_start_layer(profile, theta=theta)
