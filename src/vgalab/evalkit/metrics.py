@@ -132,7 +132,12 @@ def amber_metrics(
 
 
 def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean with the 0/0 convention mapped to 0."""
+    """Harmonic mean with the 0/0 convention mapped to 0. Both arguments
+    must be real numbers in [0, 1]; anything else raises ``InvalidParams``."""
+    for name, value in (("precision", precision), ("recall", recall)):
+        value = require_real(value, name, InvalidParams)
+        if not np.isfinite(value) or not 0.0 <= value <= 1.0:
+            raise InvalidParams(f"{name} must lie in [0, 1], got {value}")
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -166,8 +171,15 @@ class EvalReport:
     config: dict | None = None
 
     def __post_init__(self) -> None:
-        if require_int(self.n_items, "n_items", InvalidParams) < 0:
+        n_items = require_int(self.n_items, "n_items", InvalidParams)
+        if n_items < 0:
             raise InvalidParams("n_items must be >= 0")
+        if not 0 <= require_int(self.unmapped, "unmapped", InvalidParams) <= n_items:
+            raise InvalidParams(f"unmapped must lie in [0, n_items], got {self.unmapped}")
+        if self.mean_caption_len is not None:
+            length = require_real(self.mean_caption_len, "mean_caption_len", InvalidParams)
+            if not np.isfinite(length) or length < 0.0:
+                raise InvalidParams(f"mean_caption_len must be finite and >= 0, got {length}")
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if value is None:

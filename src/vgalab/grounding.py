@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, require_int
+from .errors import InvalidInput, ShapeError, require_int, require_real
 from .numerics import row_softmax, sum_normalize
 from .vocab import Vocabulary
 
@@ -110,9 +110,14 @@ def image_confidence(visual_logits: np.ndarray, word: int) -> float:
 
 
 def exists(conf: float, threshold: float = EXIST_LOG_THRESHOLD) -> bool:
-    """Existence decision: ln(conf) strictly above the log-threshold."""
+    """Existence decision: ln(conf) strictly above the log-threshold.
+    Both must be finite real numbers, and ``conf`` positive."""
+    conf = require_real(conf, "confidence", InvalidInput)
+    threshold = require_real(threshold, "threshold", InvalidInput)
     if not np.isfinite(conf):
         raise InvalidInput("confidence must be finite")
+    if not np.isfinite(threshold):
+        raise InvalidInput("threshold must be finite")
     if conf <= 0.0:
         raise InvalidInput("confidence must be positive")
     return bool(np.log(conf) > threshold)

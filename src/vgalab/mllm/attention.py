@@ -8,14 +8,19 @@ the oracle, which also profiles BOS attention.
 never exposes weights, mimicking fused kernels whose internals are
 unavailable. It works head-major ([H, T, dh], one batched ``matmul`` per
 block for the scores and one for the values) and masks only the blocks
-that hold keys past the first query row's position. Its online-softmax
-carry needs no guard against a row that has seen no key yet: key 0 is in
-the first block and visible to every row, so each row's running max is
-finite after that block. Guidance for this path is applied *outside* the
-kernel by ``GuidanceRow.apply``, the value-space form of the same splice
-(output + beta * gamma_h * rho * sum_i G_i V_i), on the last row of every
-guided batch entry at once; equivalence of the two routes is a tested
-invariant.
+that hold keys past the first query row's position. A masked block takes
+its max and exp over the visible keys only (``where=``), so no -inf is
+written or sent through ``np.exp``, whose special-value path is several
+times slower than its finite one; the carry, denominator and accumulator
+are updated in place. Every step runs the same IEEE operations on the
+same operands as a kernel that fills masked scores with -inf, so the
+bytes are the same. The online-softmax carry needs no guard against a
+row that has seen no key yet: key 0 is in the first block and visible to
+every row, so each row's running max is finite after that block.
+Guidance for this path is applied *outside* the kernel by
+``GuidanceRow.apply``, the value-space form of the same splice (output +
+beta * gamma_h * rho * sum_i G_i V_i), on the last row of every guided
+batch entry at once; equivalence of the two routes is a tested invariant.
 
 Shapes: q is [Tq, H, dh]; k and v are [Tk, H, dh] with Tk >= Tq. Query row
 i sits at absolute position (Tk - Tq + i) and attends keys 0..that
@@ -23,6 +28,7 @@ position (causal). Computation accumulates in float64.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -123,14 +129,18 @@ def attention_fused(q, k, v) -> np.ndarray:
 
     Works head-major: each key block is one batched ``matmul`` over heads
     for the scores and one for the value reduction, with the running max
-    and denominator kept as [H, Tq, 1].
+    and denominator kept as [H, Tq, 1] and the carry, denominator and
+    accumulator updated in place. A block that holds keys past the first
+    query row's position takes its max and exp over the visible keys only;
+    its masked weights keep the zeros they start as, so no -inf is ever
+    written or exponentiated.
     """
     q, k, v = _check_qkv(q, k, v)
     tq, n_heads, d_head = q.shape
     tk = k.shape[0]
     offset = tk - tq
 
-    qh = q.transpose(1, 0, 2) * (1.0 / np.sqrt(d_head))  # [H, Tq, dh]
+    qh = q.transpose(1, 0, 2) * (1.0 / math.sqrt(d_head))  # [H, Tq, dh]
     kh = k.transpose(1, 2, 0)  # [H, dh, Tk]
     vh = v.transpose(1, 0, 2)  # [H, Tk, dh]
     rows = (np.arange(tq) + offset)[:, None]
@@ -140,22 +150,34 @@ def attention_fused(q, k, v) -> np.ndarray:
         stop = min(start + _KEY_BLOCK, tk)
         scores = qh @ kh[:, :, start:stop]  # [H, Tq, block]
         if stop - 1 > offset:  # some key lies past row 0's position
-            scores = np.where(np.arange(start, stop) <= rows, scores, -np.inf)
-        block_max = scores.max(axis=-1, keepdims=True)
+            visible = np.arange(start, stop) <= rows
+            block_max = scores.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+            weights = np.zeros_like(scores)
+        else:
+            visible = True
+            block_max = scores.max(axis=-1, keepdims=True)
+            weights = scores  # exponentiated in place
         if acc is None:
             # Key 0 sits in this block and every row sees it, so the running
             # max is finite from here on: a later block that a row cannot see
-            # at all gives exp(-inf - finite) = 0, and no carry needs a guard.
+            # at all has max -inf and leaves that row's max as it was, and no
+            # carry needs a guard.
             running_max = block_max
-            weights = np.exp(scores - running_max)
+            scores -= running_max
+            np.exp(scores, out=weights, where=visible)
             denom = weights.sum(axis=-1, keepdims=True)
             acc = weights @ vh[:, start:stop]
             continue
         new_max = np.maximum(running_max, block_max)
-        carry = np.exp(running_max - new_max)
-        weights = np.exp(scores - new_max)
-        denom = denom * carry + weights.sum(axis=-1, keepdims=True)
-        acc = acc * carry + weights @ vh[:, start:stop]
+        running_max -= new_max
+        carry = np.exp(running_max, out=running_max)
+        scores -= new_max
+        np.exp(scores, out=weights, where=visible)
+        denom *= carry
+        denom += weights.sum(axis=-1, keepdims=True)
+        acc *= carry
+        acc += weights @ vh[:, start:stop]
         running_max = new_max
 
-    return (acc / denom).transpose(1, 0, 2)
+    acc /= denom
+    return acc.transpose(1, 0, 2)

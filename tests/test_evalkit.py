@@ -256,6 +256,11 @@ def test_f1_score_values():
     assert f1_score(0.0, 0.0) == 0.0
     assert f1_score(1.0, 1.0) == 1.0
     assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
+    for bad in (float("nan"), float("inf"), -0.1, 1.5, "a", None, True):
+        with pytest.raises(InvalidParams):
+            f1_score(bad, 0.5)
+        with pytest.raises(InvalidParams):
+            f1_score(0.5, bad)
 
 
 def test_eval_report_validation_and_save(tmp_path):
@@ -267,6 +272,13 @@ def test_eval_report_validation_and_save(tmp_path):
         EvalReport(task="x", n_items="3")
     with pytest.raises(InvalidParams):
         EvalReport(task="x", n_items=3, accuracy="0.5")
+    for bad in ({"unmapped": "a"}, {"unmapped": -3}, {"unmapped": 2}, {"unmapped": 1.0}):
+        with pytest.raises(InvalidParams):
+            EvalReport(task="x", n_items=1, **bad)
+    for bad in ("a", -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParams):
+            EvalReport(task="x", n_items=1, mean_caption_len=bad)
+    assert EvalReport(task="x", n_items=1, unmapped=1, mean_caption_len=0.0).unmapped == 1
     report = EvalReport(task="existence", n_items=4, accuracy=0.75, config={"beta": 0.2})
     path = tmp_path / "report.json"
     save_report(report, str(path))

@@ -95,6 +95,12 @@ def test_exists_is_strict_in_log_space():
         exists(0.0)
     with pytest.raises(InvalidInput):
         exists(float("nan"))
+    for bad in ("a", None, True):
+        with pytest.raises(InvalidInput):
+            exists(bad)
+    for bad in ("a", None, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput):
+            exists(0.5, threshold=bad)
 
 
 @given(logit_matrices)

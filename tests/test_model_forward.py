@@ -22,7 +22,9 @@ from vgalab.mllm import (
     prefill_shared,
     reference_forward,
 )
+from vgalab.evalkit import build_caption_layout, build_vqa_layout, question_text
 from vgalab.mllm import core
+from vgalab.mllm.attention import _KEY_BLOCK, _check_qkv
 from vgalab.mllm.core import gelu, rms_norm
 from vgalab.grounding import MaskAnnotation
 from vgalab.vga import VgaConfig, VgaSession, new_session
@@ -53,6 +55,46 @@ def test_fused_matches_explicit_without_guidance():
         assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
 
+def _masked_fill_attention_fused(q, k, v) -> np.ndarray:
+    """``attention_fused`` as it stood when masked blocks were filled with
+    -inf and the carry was rebuilt out of place: the byte oracle for the
+    kernel, which must give the same bytes."""
+    q, k, v = _check_qkv(q, k, v)
+    tq, n_heads, d_head = q.shape
+    tk = k.shape[0]
+    offset = tk - tq
+
+    qh = q.transpose(1, 0, 2) * (1.0 / np.sqrt(d_head))  # [H, Tq, dh]
+    kh = k.transpose(1, 2, 0)  # [H, dh, Tk]
+    vh = v.transpose(1, 0, 2)  # [H, Tk, dh]
+    rows = (np.arange(tq) + offset)[:, None]
+
+    running_max = denom = acc = None
+    for start in range(0, tk, _KEY_BLOCK):
+        stop = min(start + _KEY_BLOCK, tk)
+        scores = qh @ kh[:, :, start:stop]  # [H, Tq, block]
+        if stop - 1 > offset:  # some key lies past row 0's position
+            scores = np.where(np.arange(start, stop) <= rows, scores, -np.inf)
+        block_max = scores.max(axis=-1, keepdims=True)
+        if acc is None:
+            # Key 0 sits in this block and every row sees it, so the running
+            # max is finite from here on: a later block that a row cannot see
+            # at all gives exp(-inf - finite) = 0, and no carry needs a guard.
+            running_max = block_max
+            weights = np.exp(scores - running_max)
+            denom = weights.sum(axis=-1, keepdims=True)
+            acc = weights @ vh[:, start:stop]
+            continue
+        new_max = np.maximum(running_max, block_max)
+        carry = np.exp(running_max - new_max)
+        weights = np.exp(scores - new_max)
+        denom = denom * carry + weights.sum(axis=-1, keepdims=True)
+        acc = acc * carry + weights @ vh[:, start:stop]
+        running_max = new_max
+
+    return (acc / denom).transpose(1, 0, 2)
+
+
 @st.composite
 def attention_problems(draw):
     """(tq, tk, heads, d_head, scale, seed) with 1 <= tq <= tk <= 200."""
@@ -72,6 +114,9 @@ def attention_problems(draw):
 @example((1, 65, 2, 8, 4.0, 4))
 @example((64, 128, 3, 5, 1.0, 5))
 @example((128, 128, 1, 3, 0.1, 6))
+@example((1, 80, 4, 24, 1.0, 7))  # caption decode steps
+@example((1, 113, 4, 24, 1.0, 8))
+@example((2, 67, 16, 24, 1.0, 9))  # a four-prompt tail batch over the shared prefix
 @settings(max_examples=150, deadline=None)
 def test_fused_matches_explicit_on_any_shape(problem):
     tq, tk, heads, d_head, scale, seed = problem
@@ -81,6 +126,7 @@ def test_fused_matches_explicit_on_any_shape(problem):
     z_fused = attention_fused(scale * q, scale * k, v)
     assert z_fused.shape == (tq, heads, d_head)
     np.testing.assert_allclose(z_fused, z_ref, rtol=0, atol=KERNEL_TOL)
+    assert z_fused.tobytes() == _masked_fill_attention_fused(scale * q, scale * k, v).tobytes()
     # A batch rides on the head axis (the forward pass folds B prompts'
     # heads side by side): each entry's slice is the unbatched call's bytes.
     # One query row against one head reads that head's values as a single
@@ -98,6 +144,39 @@ def test_fused_matches_explicit_on_any_shape(problem):
             np.testing.assert_allclose(sliced, alone, rtol=0, atol=KERNEL_TOL)
         else:
             assert sliced.tobytes() == alone.tobytes()
+
+
+def test_forward_bytes_match_the_masked_fill_kernel(clean_model, noisy_model, scenes125, monkeypatch):
+    """Vanilla and vsc-guided ``prefill`` (last and visual logits) and
+    ``prefill_shared``, and a PVG caption's tokens, are the same bytes
+    under the masked-fill kernel as under ``attention_fused``."""
+
+    def outputs(model, scene):
+        words = [q.word for q in scene.questions]
+        layouts = [build_vqa_layout(model, scene, word) for word in words]
+        out = []
+        for config in (None, VgaConfig(guidance_source="vsc")):
+            hook = None if config is None else new_session(model, config, question_text(words[0]))
+            result = prefill(model, layouts[0], hook=hook)
+            out += [result.last_logits.tobytes(), result.visual_logits.tobytes()]
+            questions = [question_text(word) for word in words]
+            hook = None if config is None else VgaSession(model, config, questions)
+            out.append(prefill_shared(model, layouts, hook).tobytes())
+        session = new_session(model, VgaConfig(mode="caption"))
+        out.append(greedy_generate(model, build_caption_layout(model, scene), session, max_len=48))
+        return out
+
+    cases = [(model, scene) for model in (clean_model, noisy_model) for scene in scenes125[:5]]
+    current = [outputs(model, scene) for model, scene in cases]
+    calls = []
+
+    def frozen(q, k, v):
+        calls.append(q.shape)
+        return _masked_fill_attention_fused(q, k, v)
+
+    monkeypatch.setattr(core, "attention_fused", frozen)
+    assert [outputs(model, scene) for model, scene in cases] == current
+    assert calls
 
 
 def test_gelu_cube_matches_power_form():
