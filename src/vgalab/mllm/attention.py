@@ -72,6 +72,8 @@ class GuidanceRow(NamedTuple):
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not (isinstance(q, np.ndarray) and isinstance(k, np.ndarray) and isinstance(v, np.ndarray)):
+        raise InvalidInput("q, k, v must be numpy arrays")
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError("q, k, v must be [T, n_heads, d_head]")
     if k.shape != v.shape:
@@ -133,7 +135,9 @@ def attention_fused(q, k, v) -> np.ndarray:
     accumulator updated in place. A block that holds keys past the first
     query row's position takes its max and exp over the visible keys only;
     its masked weights keep the zeros they start as, so no -inf is ever
-    written or exponentiated.
+    written or exponentiated. Only such a block builds a row mask. The
+    reductions call ``np.maximum.reduce`` and ``np.add.reduce`` directly,
+    which skips the Python frames of ``.max`` and ``.sum``.
     """
     q, k, v = _check_qkv(q, k, v)
     tq, n_heads, d_head = q.shape
@@ -143,19 +147,18 @@ def attention_fused(q, k, v) -> np.ndarray:
     qh = q.transpose(1, 0, 2) * (1.0 / math.sqrt(d_head))  # [H, Tq, dh]
     kh = k.transpose(1, 2, 0)  # [H, dh, Tk]
     vh = v.transpose(1, 0, 2)  # [H, Tk, dh]
-    rows = (np.arange(tq) + offset)[:, None]
 
     running_max = denom = acc = None
     for start in range(0, tk, _KEY_BLOCK):
         stop = min(start + _KEY_BLOCK, tk)
         scores = qh @ kh[:, :, start:stop]  # [H, Tq, block]
         if stop - 1 > offset:  # some key lies past row 0's position
-            visible = np.arange(start, stop) <= rows
-            block_max = scores.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+            visible = np.arange(start, stop) <= np.arange(offset, tk)[:, None]
+            block_max = np.maximum.reduce(scores, axis=-1, keepdims=True, where=visible, initial=-np.inf)
             weights = np.zeros_like(scores)
         else:
             visible = True
-            block_max = scores.max(axis=-1, keepdims=True)
+            block_max = np.maximum.reduce(scores, axis=-1, keepdims=True)
             weights = scores  # exponentiated in place
         if acc is None:
             # Key 0 sits in this block and every row sees it, so the running
@@ -165,7 +168,7 @@ def attention_fused(q, k, v) -> np.ndarray:
             running_max = block_max
             scores -= running_max
             np.exp(scores, out=weights, where=visible)
-            denom = weights.sum(axis=-1, keepdims=True)
+            denom = np.add.reduce(weights, axis=-1, keepdims=True)
             acc = weights @ vh[:, start:stop]
             continue
         new_max = np.maximum(running_max, block_max)
@@ -174,7 +177,7 @@ def attention_fused(q, k, v) -> np.ndarray:
         scores -= new_max
         np.exp(scores, out=weights, where=visible)
         denom *= carry
-        denom += weights.sum(axis=-1, keepdims=True)
+        denom += np.add.reduce(weights, axis=-1, keepdims=True)
         acc *= carry
         acc += weights @ vh[:, start:stop]
         running_max = new_max

@@ -6,6 +6,16 @@ final unembedding with no output norm. Weights are stored float32; the
 hidden stream is upcast to float64 once at the embedding so every
 downstream op accumulates in f64.
 
+Each layer's ``wq``, ``wk`` and ``wv`` are the slabs of one read-only,
+C-contiguous float32 [3, d, d] block (``Model.qkv``), which ``Model``
+stacks once the tensors pass their checks and which replaces the three
+arrays. The forward pass projects Q, K and V with one
+``hn[:, None] @ block`` call, each slab's [n, d] @ [d, d] product the
+bytes of the separate ``hn @ wq`` (``wk``, ``wv``). The container file,
+``named_tensors`` and ``LayerWeights`` still name the three tensors one by
+one. ``rms_norm`` and ``gelu`` allocate only the array they return, and
+leave their argument as it was; the residual adds are in place.
+
 Prefill runs in two phases over a single pass of the prompt: the visual
 prefix first (yielding per-patch vocabulary logits), then the remaining
 text rows attending the cached prefix. The prefix runs without a hook, so
@@ -43,7 +53,7 @@ weights into the guided row's attention matrix; the two must agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Iterator, Sequence
 
@@ -106,7 +116,8 @@ def tensor_table(config: ModelConfig) -> Iterator[tuple[str, int | None, str, tu
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable weight bundle; arrays are float32 and write-protected."""
+    """Immutable weight bundle; arrays are float32 and write-protected, and
+    each layer's wq, wk and wv are the slabs of its ``qkv`` block."""
 
     config: ModelConfig
     vocab: Vocabulary
@@ -114,6 +125,8 @@ class Model:
     embed_pos: np.ndarray
     layers: tuple[LayerWeights, ...]
     unembed: np.ndarray
+    # Per layer, the [3, d, d] block whose slabs are that layer's wq, wk, wv.
+    qkv: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -132,6 +145,16 @@ class Model:
             if not np.all(np.isfinite(arr)):
                 raise InvalidInput(f"{name} contains NaN or Inf")
             arr.flags.writeable = False
+        # Stacked only now, so a bad wq/wk/wv fails the checks above by
+        # name; the slabs replace the three arrays, which are not kept.
+        blocks = tuple(np.stack((lw.wq, lw.wk, lw.wv)) for lw in self.layers)
+        for block in blocks:
+            block.flags.writeable = False
+        layers = tuple(
+            replace(lw, wq=block[0], wk=block[1], wv=block[2]) for lw, block in zip(self.layers, blocks)
+        )
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "qkv", blocks)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every tensor by container name, in file order."""
@@ -202,16 +225,42 @@ class PrefillResult:
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # np.mean's own arithmetic (sum, then divide by the count), without its
-    # Python wrapper: this runs twice per layer of every forward.
-    scale = np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
-    return x / scale * gain
+    # x / sqrt(mean(x**2) + eps) * gain with np.mean's own arithmetic (sum,
+    # then divide by the count), without its Python wrapper: this runs twice
+    # per layer of every forward. The result is the one full-size array; the
+    # [..., 1] scale is cheaper out of place.
+    out = np.square(x)
+    scale = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
+    np.divide(x, scale, out=out)
+    out *= gain
+    return out
+
+
+_GELU_K = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh-form GELU; exactness vs erf is irrelevant at toy scale. The cube
-    # is two multiplies, the value np.power(x, 3) gives at a fraction of its cost.
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    # tanh-form GELU, 0.5 * x * (1 + tanh(k * (x + 0.044715 * x**3))), in
+    # place in the one array it returns; exactness vs erf is irrelevant at
+    # toy scale. The cube is two multiplies, the value np.power(x, 3) gives
+    # at a fraction of its cost. The 0.5 halves 1 + tanh, a multiple of
+    # 2**-53 in [0, 2], exactly, so the last product rounds once, to the
+    # bytes of (0.5 * x) * (1 + tanh).
+    out = x * x
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= _GELU_K
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x
+    return out
+
+
+def _check_layout(layout) -> None:
+    if not isinstance(layout, SequenceLayout):
+        raise InvalidInput(f"expected a SequenceLayout, got {type(layout).__name__}")
 
 
 def _check_ids(config: ModelConfig, token_ids: np.ndarray, stop: int) -> None:
@@ -272,11 +321,11 @@ def _forward_block(
     n_heads, d_head = cfg.n_heads, cfg.d_head
     guided = range(0) if hook is None else hook.guided_layers
 
-    for layer_idx, lw in enumerate(model.layers):
+    for layer_idx, (lw, qkv) in enumerate(zip(model.layers, model.qkv)):
+        # [B, 1, n, d] @ [3, d, d]: one call, whose every [n, d] @ [d, d]
+        # product is the one a separate hn @ wq (wk, wv) computes
         hn = rms_norm(x, lw.norm1)
-        q = _fold_heads(hn @ lw.wq, n_heads)
-        k = _fold_heads(hn @ lw.wk, n_heads)
-        v = _fold_heads(hn @ lw.wv, n_heads)
+        q, k, v = (_fold_heads(p, n_heads) for p in (hn[:, None] @ qkv).swapaxes(0, 1))
         if b == 1:
             cache.write(layer_idx, start_pos, k, v)
             k_all, v_all = cache.view(layer_idx, start_pos + n)
@@ -286,14 +335,18 @@ def _forward_block(
             k_all, v_all = _join(k_shared, k), _join(v_cache, v)
 
         z = attention_fused(q, k_all, v_all).reshape(n, b, n_heads, d_head)
+        # Free the [B, 3, n, d] rows now, not when the next layer rebinds
+        # q, k, v after allocating its own: held that long, they moved later
+        # blocks onto fresh heap pages and raised ttft-cold's peak RSS ~1 MB.
+        del q, k, v
         if layer_idx in guided:
             z_last = z[-1]
             corr = hook.correction(layer_idx, z_last, v_cache)
             if corr is not None:
                 corr.apply(z_last)
 
-        x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
-        x = x + gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
+        x += z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
+        x += gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
 
     _FORWARD_ROWS += b * n
     return x @ model.unembed
@@ -347,6 +400,7 @@ def reference_forward(
     The BOS attention is the last row's head-max weight on position 0, read
     before the splice.
     """
+    _check_layout(layout)
     cfg = model.config
     ids = layout.ids_array()
     t, n_heads, d_head = layout.length, cfg.n_heads, cfg.d_head
@@ -395,6 +449,7 @@ def prefill(
     and records each layer's last-row attention to position 0; that result
     keeps no cache.
     """
+    _check_layout(layout)
     if record_attention:
         logits, bos = reference_forward(model, layout, hook)
         visual_logits = logits[layout.visual_start : layout.visual_end]
@@ -417,8 +472,10 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
     contiguous head by another path). No cache is kept, so the prompts
     cannot be decoded further.
     """
-    if not layouts:
-        raise InvalidInput("need one or more prompts")
+    if not isinstance(layouts, Sequence) or not layouts:
+        raise InvalidInput("need a sequence of one or more prompts")
+    for layout in layouts:
+        _check_layout(layout)
     first = layouts[0]
     e = first.visual_end
     for layout in layouts:

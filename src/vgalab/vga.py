@@ -407,6 +407,9 @@ def suggest_start_layer(profile: list[float], theta: float = 0.2) -> tuple[int, 
     ``theta`` must be a finite real number, and so must every profile value.
     """
     theta = check_theta(theta)
+    if not isinstance(profile, (Sequence, np.ndarray)):
+        raise InvalidInput(f"profile must be a sequence of reals, got {type(profile).__name__}")
+    profile = [require_real(value, "profile value", InvalidInput) for value in profile]
     if len(profile) == 0:
         raise InvalidInput("profile must be nonempty")
     if not np.isfinite(profile).all():

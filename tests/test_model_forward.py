@@ -95,6 +95,59 @@ def _masked_fill_attention_fused(q, k, v) -> np.ndarray:
     return (acc / denom).transpose(1, 0, 2)
 
 
+def _out_of_place_rms_norm(x, gain):
+    """``rms_norm`` as it stood with out-of-place ops and ``.sum``."""
+    scale = np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + 1e-6)
+    return x / scale * gain
+
+
+def _one_expression_gelu(x):
+    """``gelu`` as it stood, one out-of-place expression."""
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def _three_product_forward_block(model, token_ids, start_pos, cache, *, hook=None):
+    """``core._forward_block`` as it stood with three projection products,
+    out-of-place residual adds, ``_out_of_place_rms_norm``, ``_one_expression_gelu`` and
+    ``_masked_fill_attention_fused``, less the forward-row counter: the byte
+    oracle for the whole layer."""
+    cfg = model.config
+    b, n = token_ids.shape
+    core._check_ids(cfg, token_ids, start_pos + n)
+
+    x = (
+        model.embed_tok[token_ids].astype(np.float64)
+        + model.embed_pos[start_pos : start_pos + n].astype(np.float64)
+    )
+    n_heads, d_head = cfg.n_heads, cfg.d_head
+    guided = range(0) if hook is None else hook.guided_layers
+
+    for layer_idx, lw in enumerate(model.layers):
+        hn = _out_of_place_rms_norm(x, lw.norm1)
+        q = core._fold_heads(hn @ lw.wq, n_heads)
+        k = core._fold_heads(hn @ lw.wk, n_heads)
+        v = core._fold_heads(hn @ lw.wv, n_heads)
+        if b == 1:
+            cache.write(layer_idx, start_pos, k, v)
+            k_all, v_all = cache.view(layer_idx, start_pos + n)
+            v_cache = v_all
+        else:
+            k_shared, v_cache = cache.view(layer_idx, start_pos)
+            k_all, v_all = core._join(k_shared, k), core._join(v_cache, v)
+
+        z = _masked_fill_attention_fused(q, k_all, v_all).reshape(n, b, n_heads, d_head)
+        if layer_idx in guided:
+            z_last = z[-1]
+            corr = hook.correction(layer_idx, z_last, v_cache)
+            if corr is not None:
+                corr.apply(z_last)
+
+        x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
+        x = x + _one_expression_gelu(_out_of_place_rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
+
+    return x @ model.unembed
+
+
 @st.composite
 def attention_problems(draw):
     """(tq, tk, heads, d_head, scale, seed) with 1 <= tq <= tk <= 200."""
@@ -146,10 +199,14 @@ def test_fused_matches_explicit_on_any_shape(problem):
             assert sliced.tobytes() == alone.tobytes()
 
 
-def test_forward_bytes_match_the_masked_fill_kernel(clean_model, noisy_model, scenes125, monkeypatch):
+def test_forward_bytes_match_the_masked_fill_kernel(
+    clean_model, noisy_model, tiny_model, scenes125, monkeypatch
+):
     """Vanilla and vsc-guided ``prefill`` (last and visual logits) and
     ``prefill_shared``, and a PVG caption's tokens, are the same bytes
-    under the masked-fill kernel as under ``attention_fused``."""
+    under ``_three_product_forward_block`` (three projection products, out-of-place
+    layer math, the masked-fill kernel) as under ``_forward_block``; on the
+    random model, prompts of random patches under every guidance source."""
 
     def outputs(model, scene):
         words = [q.word for q in scene.questions]
@@ -166,23 +223,74 @@ def test_forward_bytes_match_the_masked_fill_kernel(clean_model, noisy_model, sc
         out.append(greedy_generate(model, build_caption_layout(model, scene), session, max_len=48))
         return out
 
-    cases = [(model, scene) for model in (clean_model, noisy_model) for scene in scenes125[:5]]
-    current = [outputs(model, scene) for model, scene in cases]
+    def tiny_outputs(seed):
+        rng = np.random.default_rng(seed)
+        first = scene_layout(tiny_model, rng)
+        e = first.visual_end
+        layouts = [first] + [
+            SequenceLayout(first.token_ids[:e] + scene_layout(tiny_model, rng).token_ids[e:], 1, e)
+            for _ in range(2)
+        ]
+        out = [prefill(tiny_model, first).last_logits.tobytes()]
+        out.append(prefill_shared(tiny_model, layouts).tobytes())
+        for config in guided_configs(tiny_model):
+            sessions = [session_for(tiny_model, config, layout, seed) for layout in layouts]
+            result = prefill(tiny_model, first, hook=sessions[0])
+            out += [result.last_logits.tobytes(), result.visual_logits.tobytes()]
+            questions = [session.questions[0] for session in sessions]
+            masks = [session.gt_masks[0] for session in sessions]
+            batch = VgaSession(tiny_model, config, questions, masks)
+            out.append(prefill_shared(tiny_model, layouts, batch).tobytes())
+            session = session_for(tiny_model, config, first, seed)
+            out.append(greedy_generate(tiny_model, first, session, max_len=24))
+        return out
+
+    def run_all():
+        models = (clean_model, noisy_model)
+        planted = [outputs(model, scene) for model in models for scene in scenes125[:5]]
+        return planted + [tiny_outputs(seed) for seed in range(3)]
+
+    current = run_all()
     calls = []
 
-    def frozen(q, k, v):
-        calls.append(q.shape)
-        return _masked_fill_attention_fused(q, k, v)
+    def frozen(model, token_ids, start_pos, cache, *, hook=None):
+        calls.append(token_ids.shape)
+        return _three_product_forward_block(model, token_ids, start_pos, cache, hook=hook)
 
-    monkeypatch.setattr(core, "attention_fused", frozen)
-    assert [outputs(model, scene) for model, scene in cases] == current
+    monkeypatch.setattr(core, "_forward_block", frozen)
+    assert run_all() == current
     assert calls
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 65])
+def test_stacked_projection_is_each_separate_product(noisy_model, b, n):
+    """One ``hn[:, None] @ qkv`` gives, slab by slab, the bytes of the
+    separate ``hn @ wq`` (wk, wv) products, for decode rows, batched tails
+    and the visual prefix."""
+    hn = np.random.default_rng(b * 100 + n).normal(size=(b, n, noisy_model.config.d_model))
+    for lw, block in zip(noisy_model.layers, noisy_model.qkv):
+        stacked = hn[:, None] @ block
+        for j, w in enumerate((lw.wq, lw.wk, lw.wv)):
+            assert stacked[:, j].tobytes() == (hn @ w).tobytes()
 
 
 def test_gelu_cube_matches_power_form():
     x = np.linspace(-30.0, 30.0, 60001)
     power_form = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))))
     np.testing.assert_allclose(gelu(x), power_form, rtol=0, atol=GELU_TOL)
+    # The in-place form is the one-expression form byte for byte, on the
+    # grid, down to subnormal inputs and up to where the cube overflows, and
+    # on [4, 2, 192] draws (an MLP hidden block of a four-entry, two-row
+    # tail); it leaves its input as it was.
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-160, 1e300, -1e300, 1e308])
+    rng = np.random.default_rng(0)
+    draws = [scale * rng.normal(size=(4, 2, 192)) for scale in (1e-3, 1.0, 3.0, 30.0) for _ in range(25)]
+    for grid in [x, extremes] + draws:
+        before = grid.copy()
+        with np.errstate(over="ignore"):  # the cube of 1e300
+            assert gelu(grid).tobytes() == _one_expression_gelu(grid).tobytes()
+        assert grid.tobytes() == before.tobytes()
     far = gelu(np.array([-1e3, 1e3]))
     assert np.isfinite(far).all()
     assert far.tolist() == [0.0, 1e3]
@@ -199,10 +307,13 @@ def test_rms_norm_matches_mean_form(rows, width, scale, seed):
     rng = np.random.default_rng(seed)
     x = scale * rng.normal(size=(rows, width))
     gain = rng.normal(size=width).astype(np.float32)
+    before, gain_before = x.copy(), gain.copy()
     mean_form = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-6) * gain
     assert rms_norm(x, gain).tobytes() == mean_form.tobytes()
+    assert _out_of_place_rms_norm(x, gain).tobytes() == mean_form.tobytes()
     batched = rms_norm(x.reshape(1, rows, width), gain)
     assert batched.tobytes() == mean_form.tobytes()
+    assert x.tobytes() == before.tobytes() and gain.tobytes() == gain_before.tobytes()
 
 
 def test_attention_is_causal():
@@ -228,6 +339,11 @@ def test_attention_shape_errors():
         attention_fused(k, q, q)  # more queries than keys
     with pytest.raises(ShapeError):
         attention_explicit(q, k, v[:4])
+    for kernel in (attention_explicit, attention_fused):
+        with pytest.raises(InvalidInput):
+            kernel(q.tolist(), k.tolist(), v.tolist())  # nested lists are not arrays
+        with pytest.raises(InvalidInput):
+            kernel(q, k, v.tolist())
 
 
 def test_guidance_row_splice_and_span_checks():
@@ -446,9 +562,25 @@ def test_prefill_rejects_overlong_prompt(tiny_model):
 
 def test_forward_rejects_out_of_vocab(tiny_model):
     """Both routes, the cached pass and the reference, raise typed errors
-    for an id past the vocabulary (in the prefix or the tail) and for an
-    overlong prompt, never a raw numpy error, and before the hook binds."""
+    for an id past the vocabulary (in the prefix or the tail), for an
+    overlong prompt and for a prompt that is not a ``SequenceLayout``,
+    never a raw numpy error or AttributeError, and before the hook binds."""
     size, cap = tiny_model.vocab.size, tiny_model.config.max_seq_len
+    layout = SequenceLayout(token_ids=(0, 1, 2), visual_start=0, visual_end=1)
+    for bad in (tuple(layout.token_ids), None):
+        session = new_session(tiny_model, VgaConfig(guidance_source="even"))
+        for call in (
+            lambda: prefill(tiny_model, bad),
+            lambda: prefill(tiny_model, bad, hook=session, record_attention=True),
+            lambda: prefill_shared(tiny_model, [bad]),
+            lambda: prefill_shared(tiny_model, 5),
+            lambda: prefill_shared(tiny_model, [layout, bad]),
+            lambda: greedy_generate(tiny_model, bad, session),
+            lambda: reference_forward(tiny_model, bad, session),
+        ):
+            with pytest.raises(InvalidInput):
+                call()
+        assert session.layout is None
     for ids, end, error in (
         ((0, size, 1), 1, InvalidInput),
         ((size, 1, 2), 1, InvalidInput),

@@ -334,15 +334,55 @@ def test_tensor_failing_model_checks_raises_format_error(tmp_path, tiny_model, e
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda a: a.astype(np.float64), lambda a: a.T, lambda a: a.tolist()],
-    ids=["float64", "transposed", "list"],
+    "name, corrupt",
+    [
+        ("layers.0.mlp.w1", lambda a: a.astype(np.float64)),
+        ("layers.0.mlp.w1", lambda a: a.T),
+        ("layers.0.mlp.w1", lambda a: a.tolist()),
+        ("layers.1.wk", lambda a: a.astype(np.float64)),
+        ("layers.1.wk", lambda a: a[:-1]),
+        ("layers.1.wk", lambda a: a.tolist()),
+    ],
+    ids=["float64", "transposed", "list", "wk-float64", "wk-short", "wk-list"],
 )
-def test_model_rejects_wrong_dtype_or_shape(tiny_model, corrupt):
+def test_model_rejects_wrong_dtype_or_shape(tiny_model, name, corrupt):
+    """A bad wq/wk/wv fails the tensor checks by name, before the stacking
+    of the three could raise a raw numpy error."""
     tensors = tiny_model.named_tensors()
-    tensors["layers.0.mlp.w1"] = corrupt(tensors["layers.0.mlp.w1"])
-    with pytest.raises(ShapeError, match=r"layers\.0\.mlp\.w1"):
+    tensors[name] = corrupt(tensors[name])
+    with pytest.raises(ShapeError, match=name.replace(".", r"\.")):
         Model.from_tensors(tiny_model.config, tiny_model.vocab, tensors)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_planted_model(PlantedSpec(), 7), lambda: build_random_model(3)],
+    ids=["planted", "random"],
+)
+def test_projections_are_slabs_of_one_read_only_block(tmp_path, build):
+    """Per layer, wq, wk and wv are the slabs of one C-contiguous, read-only
+    float32 [3, d, d] block, built or loaded; the loaded blocks hold the
+    built bytes, and saving either model writes the same file."""
+    built = build()
+    path = tmp_path / "model.bin"
+    save_model(built, path)
+    loaded = load_model(path)
+    d = built.config.d_model
+    for model in (built, loaded):
+        assert len(model.qkv) == model.config.n_layers
+        for lw, block in zip(model.layers, model.qkv):
+            assert block.shape == (3, d, d) and block.dtype == np.float32
+            assert block.flags.c_contiguous and not block.flags.writeable
+            for j, w in enumerate((lw.wq, lw.wk, lw.wv)):
+                assert w.base is block and np.shares_memory(w, block)
+                assert w.__array_interface__["data"] == block[j].__array_interface__["data"]
+    for a, b in zip(built.qkv, loaded.qkv):
+        assert a.tobytes() == b.tobytes()
+    for name, tensor in built.named_tensors().items():
+        assert tensor.tobytes() == loaded.named_tensors()[name].tobytes(), name
+    again = tmp_path / "again.bin"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_loaded_model_arrays_are_read_only(tmp_path, tiny_model):

@@ -774,6 +774,10 @@ def test_bos_profile_and_start_layer_suggestion(clean_model):
     assert (layer, fallback) == (0, True)
     with pytest.raises(InvalidInput):
         suggest_start_layer([])
+    for bad in ("abc", "", 0.5, None, [0.5, "0.9"], [0.5, None], [[0.5]]):
+        with pytest.raises(InvalidInput):
+            suggest_start_layer(bad, theta=0.2)
+    assert suggest_start_layer(np.array(profile), theta=0.2) == suggest_start_layer(profile, theta=0.2)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidInput):
             suggest_start_layer([0.5, bad], theta=0.2)
