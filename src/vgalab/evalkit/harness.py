@@ -79,7 +79,7 @@ def model_answer_fn(
     layout: SequenceLayout,
     config: VgaConfig,
 ) -> int:
-    """Default answer to one question: the greedy first token of a guided prefill.
+    """One question's answer: the greedy first token of a guided prefill.
 
     ``run_existence_eval`` answers a whole scene at once, bit for bit the
     same tokens.
@@ -102,19 +102,15 @@ def run_existence_eval(
     model: Model,
     scenes: list[Scene],
     config: VgaConfig,
-    answer_fn=None,
     jobs: int = 1,
 ) -> EvalReport:
     """Ask every scene question, map the first token to yes/no, aggregate.
 
-    ``answer_fn(model, scene, question, layout, config) -> token id`` can
-    replace the model-driven answerer (e.g. a hard-coded oracle when
-    testing the harness itself). Unmappable answers count as incorrect
-    and are logged. The default answerer runs a scene's visual prefix once
-    and answers all its questions in one batched forward over it, guided by
-    one session for the scene: the tokens ``model_answer_fn`` gives one
-    question at a time. ``jobs`` (an int >= 1) worker threads split the
-    scenes.
+    A scene's visual prefix runs once and all its questions are answered
+    in one batched forward over it, guided by one session for the scene:
+    the tokens ``model_answer_fn`` gives one question at a time.
+    Unmappable answers count as incorrect and are logged. ``jobs`` (an int
+    >= 1) worker threads split the scenes.
     """
     jobs = _positive_int(jobs, "jobs")
     if not scenes:
@@ -126,15 +122,8 @@ def run_existence_eval(
         if not scene.questions:
             return []
         layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
-        if answer_fn is not None:
-            tokens = [
-                int(answer_fn(model, scene, q, layout, config))
-                for q, layout in zip(scene.questions, layouts)
-            ]
-        else:
-            session = _answer_session(model, scene, scene.questions, config)
-            logits = prefill_shared(model, layouts, session)
-            tokens = [int(t) for t in np.argmax(logits, axis=-1)]
+        session = _answer_session(model, scene, scene.questions, config)
+        tokens = np.argmax(prefill_shared(model, layouts, session), axis=-1).tolist()
         out = []
         for q, token in zip(scene.questions, tokens):
             correct, said_yes, mapped = _score_answer(model, token, q.present)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, ShapeError, require_int, require_real
-from .numerics import row_softmax, sum_normalize
+from .numerics import _as_float_array, stable_softmax, sum_normalize
 from .vocab import Vocabulary
 
 EXIST_LOG_THRESHOLD = -2.5
@@ -85,13 +85,9 @@ class MaskAnnotation:
         return int(np.count_nonzero(self.overlaps))
 
 
-def _check_visual_logits(visual_logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(visual_logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"visual logits must be [m, V], got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise InvalidInput("visual logits must be finite")
-    return logits
+def _check_visual_logits(visual_logits) -> np.ndarray:
+    """Outside visual logits [m, V] as a finite float64 array."""
+    return _as_float_array(visual_logits, "visual logits", 2).astype(np.float64, copy=False)
 
 
 def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
@@ -101,7 +97,7 @@ def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
     m, v = logits.shape
     if not 0 <= word < v:
         raise InvalidInput(f"token id {word} out of range for vocab size {v}")
-    return row_softmax(logits)[:, word]
+    return stable_softmax(logits)[:, word]
 
 
 def image_confidence(visual_logits: np.ndarray, word: int) -> float:

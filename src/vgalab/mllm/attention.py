@@ -74,6 +74,10 @@ class GuidanceRow(NamedTuple):
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (isinstance(q, np.ndarray) and isinstance(k, np.ndarray) and isinstance(v, np.ndarray)):
         raise InvalidInput("q, k, v must be numpy arrays")
+    # integer or float: a complex array would lose its imaginary part in the
+    # cast below, and an object, string or bool array is no attention input
+    if q.dtype.kind not in "iuf" or k.dtype.kind not in "iuf" or v.dtype.kind not in "iuf":
+        raise InvalidInput(f"q, k, v must hold real numbers, got {q.dtype}, {k.dtype}, {v.dtype}")
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError("q, k, v must be [T, n_heads, d_head]")
     if k.shape != v.shape:

@@ -24,7 +24,8 @@ class ModelConfig:
     """Static shape information for a decoder.
 
     ``grid`` is (rows, cols) of the visual patch grid; rows*cols is the
-    number of visual tokens a prompt's visual span must contain. Every
+    number of visual tokens a prompt's visual span must contain (the
+    forward pass raises ``ShapeError`` otherwise). Every
     dimension must be a Python or numpy integer (not a bool, float or
     string) and is stored as a Python int.
     """

@@ -31,14 +31,16 @@ logits between the phases, and on each layer it guides it receives the
 last row of every entry at once, with which it may guide any of them.
 The hook is duck-typed:
 
-    guided_layers                             range of the layers it guides
-    on_visual(visual_logits, layouts, vocab)  -> None
-    correction(layer, z_last, v_cache)        -> GuidanceRow | None
-    on_token(token_id)                        -> None
+    guided_layers                         range of the layers it guides
+    on_visual(visual_logits, layouts)     -> None
+    correction(layer, z_last, v_cache)    -> GuidanceRow | None
+    on_token(token_id)                    -> None
 
-``on_visual`` gets every prompt's layout, one per batch entry, all sharing
-the visual span of ``layouts[0]``; a hook that serves another number of
-entries rejects them there. The forward pass calls ``correction``, and
+``on_visual`` gets the visual logits [n_visual, V] and every prompt's
+layout, one per batch entry, all sharing the visual span of
+``layouts[0]``; a hook that serves another number of entries rejects them
+there. A ``VgaSession`` reads V from the model it is built on and keeps
+the shared span as its ``span``. The forward pass calls ``correction``, and
 takes the last rows for it, only on a layer in ``guided_layers``, so a
 hook with an empty range (one that can never guide) costs no call per
 layer. ``z_last`` [B, H, dh] holds every entry's last-row attention
@@ -200,7 +202,9 @@ class KvCache:
     def length(self) -> int:
         return self._len
 
-    def write(self, layer: int, start: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+    def write(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Write one layer's rows after the first ``length``; ``advance`` keeps them."""
+        start = self._len
         stop = start + k_rows.shape[0]
         if stop > self.capacity:
             raise CapacityError(f"cache capacity {self.capacity} exceeded at position {stop}")
@@ -221,7 +225,6 @@ class PrefillResult:
     cache: KvCache | None
     visual_logits: np.ndarray
     last_logits: np.ndarray
-    bos_attention: tuple[float, ...] | None = None
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -258,9 +261,24 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_layout(layout) -> None:
-    if not isinstance(layout, SequenceLayout):
-        raise InvalidInput(f"expected a SequenceLayout, got {type(layout).__name__}")
+def _check_model(model) -> None:
+    if not isinstance(model, Model):
+        raise InvalidInput(f"expected a Model, got {type(model).__name__}")
+
+
+def _check_prompts(model: Model, layouts: Sequence[SequenceLayout]) -> None:
+    """Typed errors for a ``model`` that is not a ``Model``, and for prompts
+    that are not a nonempty sequence of ``SequenceLayout`` whose visual
+    spans each hold the model's patch grid."""
+    _check_model(model)
+    if not isinstance(layouts, Sequence) or not layouts:
+        raise InvalidInput("need a sequence of one or more prompts")
+    n_patches = model.config.n_patches
+    for layout in layouts:
+        if not isinstance(layout, SequenceLayout):
+            raise InvalidInput(f"expected a SequenceLayout, got {type(layout).__name__}")
+        if layout.n_visual != n_patches:
+            raise ShapeError(f"visual span of {layout.n_visual} tokens for a {n_patches}-patch grid")
 
 
 def _check_ids(config: ModelConfig, token_ids: np.ndarray, stop: int) -> None:
@@ -292,31 +310,27 @@ def _join(shared: np.ndarray, own: np.ndarray) -> np.ndarray:
     return out.reshape(e + n, bh, dh)
 
 
-def _forward_block(
-    model: Model,
-    token_ids: np.ndarray,
-    start_pos: int,
-    cache: KvCache,
-    *,
-    hook=None,
-) -> np.ndarray:
-    """Push ``token_ids`` [B, n] (absolute positions start_pos..) through all layers.
+def _forward_block(model: Model, token_ids: np.ndarray, cache: KvCache, *, hook=None) -> np.ndarray:
+    """Push ``token_ids`` [B, n] through all layers, at the positions after
+    the cache's ``length`` rows.
 
-    One row (B = 1) appends its keys and values to ``cache``. A batch
-    (B > 1) reads the cache's first ``start_pos`` rows, shared by every
-    entry, followed by each entry's own rows, so the entries never see each
-    other, and writes nothing. ``hook``, if given, guides the entries' last
+    One row (B = 1) appends its keys and values to ``cache`` and advances it
+    once every layer has run, so an error leaves its length as it was. A
+    batch (B > 1) reads the cache's rows, shared by every entry, followed
+    by each entry's own rows, so the entries never see each other, and
+    writes nothing. ``hook``, if given, guides the entries' last
     rows on each of its ``guided_layers``, handed a read-only view of the
     cached value rows. Returns the logits [B, n, V].
     """
     global _FORWARD_ROWS
     cfg = model.config
     b, n = token_ids.shape
-    _check_ids(cfg, token_ids, start_pos + n)
+    start = cache.length
+    _check_ids(cfg, token_ids, start + n)
 
     x = (
         model.embed_tok[token_ids].astype(np.float64)
-        + model.embed_pos[start_pos : start_pos + n].astype(np.float64)
+        + model.embed_pos[start : start + n].astype(np.float64)
     )
     n_heads, d_head = cfg.n_heads, cfg.d_head
     guided = range(0) if hook is None else hook.guided_layers
@@ -327,11 +341,11 @@ def _forward_block(
         hn = rms_norm(x, lw.norm1)
         q, k, v = (_fold_heads(p, n_heads) for p in (hn[:, None] @ qkv).swapaxes(0, 1))
         if b == 1:
-            cache.write(layer_idx, start_pos, k, v)
-            k_all, v_all = cache.view(layer_idx, start_pos + n)
+            cache.write(layer_idx, k, v)
+            k_all, v_all = cache.view(layer_idx, start + n)
             v_cache = v_all
         else:
-            k_shared, v_cache = cache.view(layer_idx, start_pos)
+            k_shared, v_cache = cache.view(layer_idx, start)
             k_all, v_all = _join(k_shared, k), _join(v_cache, v)
 
         z = attention_fused(q, k_all, v_all).reshape(n, b, n_heads, d_head)
@@ -348,6 +362,8 @@ def _forward_block(
         x += z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x += gelu(rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
 
+    if b == 1:
+        cache.advance(n)
     _FORWARD_ROWS += b * n
     return x @ model.unembed
 
@@ -360,28 +376,24 @@ def _prefill(
     The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
     a new cache; the hook, if any, binds to the read-only visual logits and
     the layouts, whose visual span every prompt shares; then the tails,
-    of equal length, run as one [B, n] forward under the hook, which
-    extends the cache only for B = 1. The first prompt is checked whole
-    before the prefix runs, so it fails before the hook binds. Returns
-    (cache, visual logits, last-row logits [B, V]).
+    of equal length, run as one [B, n] forward under the hook. The first
+    prompt is checked whole before the prefix runs, so it fails before the
+    hook binds. Returns (cache, visual logits, last-row logits [B, V]).
     """
     first = layouts[0]
     ids = first.ids_array()
     _check_ids(model.config, ids, first.length)
     e = first.visual_end
     cache = KvCache(model.config)
-    logits = _forward_block(model, ids[None, :e], 0, cache)
-    cache.advance(e)
+    logits = _forward_block(model, ids[None, :e], cache)
     visual_logits = logits[0, first.visual_start : e]
     visual_logits.flags.writeable = False
     if hook is not None:
-        hook.on_visual(visual_logits, layouts, model.vocab)
+        hook.on_visual(visual_logits, layouts)
 
     if e < first.length:
         tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
-        logits = _forward_block(model, tails, e, cache, hook=hook)
-        if len(layouts) == 1:
-            cache.advance(first.length - e)
+        logits = _forward_block(model, tails, cache, hook=hook)
     return cache, visual_logits, logits[:, -1].copy()
 
 
@@ -400,7 +412,7 @@ def reference_forward(
     The BOS attention is the last row's head-max weight on position 0, read
     before the splice.
     """
-    _check_layout(layout)
+    _check_prompts(model, [layout])
     cfg = model.config
     ids = layout.ids_array()
     t, n_heads, d_head = layout.length, cfg.n_heads, cfg.d_head
@@ -428,7 +440,7 @@ def reference_forward(
         return logits, bos
     visual_logits = logits[layout.visual_start : layout.visual_end]
     visual_logits.flags.writeable = False
-    hook.on_visual(visual_logits, [layout], model.vocab)
+    hook.on_visual(visual_logits, [layout])
     if layout.visual_end == t:
         return logits, bos
     return run(hook.guided_layers)
@@ -445,15 +457,13 @@ def prefill(
 
     The split lets an attached hook ground itself on the visual logits
     before the text rows (the only guided ones) are processed, without a
-    second pass. ``record_attention`` runs ``reference_forward`` instead
-    and records each layer's last-row attention to position 0; that result
-    keeps no cache.
+    second pass. ``record_attention`` runs the oracle, ``reference_forward``,
+    instead; that result keeps no cache.
     """
-    _check_layout(layout)
+    _check_prompts(model, [layout])
     if record_attention:
-        logits, bos = reference_forward(model, layout, hook)
-        visual_logits = logits[layout.visual_start : layout.visual_end]
-        return PrefillResult(None, visual_logits, logits[-1], tuple(bos))
+        logits = reference_forward(model, layout, hook)[0]
+        return PrefillResult(None, logits[layout.visual_start : layout.visual_end], logits[-1])
     cache, visual_logits, last_logits = _prefill(model, [layout], hook)
     return PrefillResult(cache, visual_logits, last_logits[0])
 
@@ -472,10 +482,7 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
     contiguous head by another path). No cache is kept, so the prompts
     cannot be decoded further.
     """
-    if not isinstance(layouts, Sequence) or not layouts:
-        raise InvalidInput("need a sequence of one or more prompts")
-    for layout in layouts:
-        _check_layout(layout)
+    _check_prompts(model, layouts)
     first = layouts[0]
     e = first.visual_end
     for layout in layouts:
@@ -490,11 +497,15 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
 
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
     """Append one token and return the next-token logits."""
+    _check_model(model)
+    if not isinstance(cache, KvCache):
+        raise InvalidInput(f"expected a KvCache, got {type(cache).__name__}")
+    cfg = model.config
+    rows = (cfg.max_seq_len, cfg.n_heads, cfg.d_head)
+    if len(cache.k) != cfg.n_layers or cache.k[0].shape != rows:
+        raise ShapeError("the cache was built for a model of another shape")
     token_id = require_int(token_id, "token_id", InvalidInput)
-    ids = np.asarray([[token_id]], dtype=np.int64)
-    logits = _forward_block(model, ids, cache.length, cache, hook=hook)
-    cache.advance(1)
-    return logits[0, 0]
+    return _forward_block(model, np.asarray([[token_id]], dtype=np.int64), cache, hook=hook)[0, 0]
 
 
 def greedy_generate(

@@ -7,10 +7,12 @@ propagating poison, preserve float dtypes and compute in float64
 otherwise. ``stable_softmax`` and ``unit_mass`` are the unchecked cores
 of the first two, the only statement of each formula but one; the
 guidance hook calls them directly on arrays the forward pass built from
-checked inputs. ``head_scales`` finishes the hook's head balancing in
-one call on the cosines of ``_clamped_cosines``, and states the
-unit-mass rule a second time, on Python floats (the ``DEGENERATE_EPS``
-uniform fallback and the division by each row's total);
+checked inputs, and ``grounding`` calls ``stable_softmax`` on visual
+logits it has checked once through ``_as_float_array``. ``head_scales``
+finishes the hook's head balancing in one call on the cosines of
+``_clamped_cosines``, and states the unit-mass rule a second time, on
+Python floats (the ``DEGENERATE_EPS`` uniform fallback and the division
+by each row's total);
 ``test_head_scales_is_the_composition_of_the_cores_byte_for_byte`` holds
 it byte-equal to ``unit_mass``.
 """

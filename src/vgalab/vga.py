@@ -36,7 +36,6 @@ from .grounding import (
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, reference_forward
 from .numerics import head_scales, stable_softmax, unit_mass
-from .vocab import Vocabulary
 
 MODES = ("vqa", "caption")
 SOURCES = ("auto", "none", "even", "vsc", "vss", "reversed_vss", "ground_truth")
@@ -108,7 +107,7 @@ class VgaSession:
     guidance) and guides batch entry b of the forward pass. Construct it
     unbound (``new_session`` makes a one-entry session) and hand it to
     prefill, ``prefill_shared`` or the greedy loop; it grounds its entries
-    when the visual logits arrive. The session is single-owner and
+    when the visual logits arrive, and keeps their visual span as ``span``. The session is single-owner and
     single-use: programmed suppression mutates the groundings across decode
     steps in caption mode, so binding it to a second visual context raises
     ``ConfigError`` instead of handing the next generation a decayed
@@ -144,6 +143,7 @@ class VgaSession:
         if not all(mask is None or isinstance(mask, MaskAnnotation) for mask in gt_masks):
             raise ConfigError("every ground-truth mask must be a MaskAnnotation or None")
         self.config = config
+        self.vocab = model.vocab
         self.questions = questions
         self.gt_masks = gt_masks
         self.start_layer = start
@@ -154,7 +154,8 @@ class VgaSession:
         guides = config.beta != 0.0 and self.source != "none"
         self.guided_layers = range(start, end) if guides else range(0)
         self.fallback_uniform = [False] * n
-        self.layout: SequenceLayout | None = None
+        # the visual span [start, end) the session is bound to, None until then
+        self.span: tuple[int, int] | None = None
         self.visual_probs: np.ndarray | None = None
         # programmed suppression: decays the groundings after each token
         self._decays = (
@@ -169,39 +170,37 @@ class VgaSession:
         self._weights: np.ndarray | None = None
         self._degenerate: list[bool] = []
         self._groundings: list[Grounding | None] | None = None
-        # what each guided layer reads, set at bind and after each PVG
-        # update: the visual span, and the guided entries' picker, weights
-        # [k, m], the same as [k, 1, m] for the mix, and beta * rho, one
-        # Python float each (None when no entry is guided)
-        self._span: tuple[int, int] | None = None
+        # what each guided layer reads besides the span, set at bind and
+        # after each PVG update: the guided entries' picker, weights [k, m],
+        # the same as [k, 1, m] for the mix, and beta * rho, one Python
+        # float each (None when no entry is guided)
         self._guided: tuple | None = None
         if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
             raise ConfigError("ground_truth guidance requires a mask annotation per entry")
 
     # -- hook protocol ------------------------------------------------------
 
-    def on_visual(
-        self, visual_logits: np.ndarray, layouts: Sequence[SequenceLayout], vocab: Vocabulary
-    ) -> None:
+    def on_visual(self, visual_logits: np.ndarray, layouts: Sequence[SequenceLayout]) -> None:
         """Bind to the visual logits [n_visual, V] that ``layouts``, one per
-        entry, share, and ground every entry on them."""
-        if self.layout is not None:
+        entry, share, and ground every entry on them; V is the size of the
+        model's vocabulary."""
+        if self.span is not None:
             raise ConfigError("session is already bound; start a new session per generation")
         if len(layouts) != len(self.questions):
             raise ShapeError(f"{len(layouts)} prompts for {len(self.questions)} questions")
         layout = layouts[0]
         logits = np.asarray(visual_logits, dtype=np.float64)
-        if logits.ndim != 2 or logits.shape[0] != layout.n_visual:
-            raise ShapeError("visual logits must be [n_visual, V] for the layout")
+        want = (layout.n_visual, self.vocab.size)
+        if logits.shape != want:
+            raise ShapeError(f"visual logits must be [n_visual, V] = {want}, got {logits.shape}")
         # one softmax for every entry, taken only when something reads its
         # columns: vsc grounding, or programmed suppression of a grounding;
         # the forward pass's logits are finite, so the unchecked core serves
         if self.source == "vsc" or self._decays:
             self.visual_probs = stable_softmax(logits)
-        self.layout = layout
-        self._span = (layout.visual_start, layout.visual_end)
+        self.span = (layout.visual_start, layout.visual_end)
         if self.source != "none":
-            self._restack(*self._ground(logits, layout.n_visual, vocab))
+            self._restack(*self._ground(logits, layout.n_visual))
 
     def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
         """The guided entries' row for this layer, or None when none is guided.
@@ -214,7 +213,7 @@ class VgaSession:
         bit-equal to ``g @ V`` of each, where the GEMM [k, m] @ [m, H*dh]
         may round otherwise), and the head scales of ``head_scales``.
         """
-        if self._span is None:
+        if self.span is None:
             raise ConfigError("session is not bound to a visual context yet")
         if len(z_last) != len(self.questions):
             raise ShapeError(f"{len(z_last)} batch entries for {len(self.questions)} questions")
@@ -222,7 +221,7 @@ class VgaSession:
         if guided is None or layer not in self.guided_layers:
             return None
         entries, weights, mix, coef = guided
-        s, e = self._span
+        s, e = self.span
         _, n_heads, d_head = z_last.shape
         width = n_heads * d_head
         delta = (mix @ v_cache[s:e].reshape(e - s, width)).reshape(len(coef), n_heads, d_head)
@@ -230,7 +229,7 @@ class VgaSession:
             scales = head_scales(z_last[entries], delta, coef)
         else:
             scales = np.array([[c] * n_heads for c in coef])
-        return GuidanceRow(entries, weights, scales, self._span, delta)
+        return GuidanceRow(entries, weights, scales, self.span, delta)
 
     def on_token(self, token_id: int) -> None:
         """Programmed visual guidance: decay the groundings where the token was seen.
@@ -247,7 +246,7 @@ class VgaSession:
         if not self._decays:
             return
         probs = self.visual_probs
-        if self._span is None:
+        if self.span is None:
             raise ConfigError("session is not bound to a visual context yet")
         if not 0 <= token_id < probs.shape[1]:
             raise InvalidInput(f"token id {token_id} out of range for vocab size {probs.shape[1]}")
@@ -306,9 +305,7 @@ class VgaSession:
         guided = weights[entries]
         self._guided = (entries, guided, guided[:, None, :], coef)
 
-    def _ground(
-        self, logits: np.ndarray, m: int, vocab: Vocabulary
-    ) -> tuple[np.ndarray, list[bool]]:
+    def _ground(self, logits: np.ndarray, m: int) -> tuple[np.ndarray, list[bool]]:
         """Every entry's grounding weights [n, m] and degenerate flags, each
         row what the ``Grounding`` of that entry's source holds."""
         n = len(self.questions)
@@ -316,7 +313,7 @@ class VgaSession:
         if source == "even":
             return unit_mass(np.ones((n, m)))
         if source == "vsc":
-            return self._vsc_weights(m, vocab)
+            return self._vsc_weights(m)
         if source in ("vss", "reversed_vss"):
             sign = "raw" if source == "vss" else "flipped"
             salience = vss(logits, k=self.config.top_k, sign=sign)
@@ -327,7 +324,7 @@ class VgaSession:
             return unit_mass(np.array([mask.overlaps for mask in self.gt_masks]))
         raise ConfigError(f"unresolvable guidance source {source!r}")
 
-    def _vsc_weights(self, m: int, vocab: Vocabulary) -> tuple[np.ndarray, list[bool]]:
+    def _vsc_weights(self, m: int) -> tuple[np.ndarray, list[bool]]:
         """vsc weights: each object word's softmax column at unit mass.
 
         Every named word's column is picked off the shared softmax into one
@@ -337,6 +334,7 @@ class VgaSession:
         merges theirs as ``merge_groundings`` does (elementwise max, unit
         mass), and one naming none falls back to even guidance.
         """
+        vocab = self.vocab
         words = [extract_objects(question, vocab) for question in self.questions]
         ids = [vocab.id_of(word) for named in words for word in named]
         columns, degenerate = unit_mass(self.visual_probs.T.take(ids, 0)) if ids else (None, [])

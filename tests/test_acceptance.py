@@ -224,7 +224,7 @@ def bound_suppression_session(model, lambda_, visual_probs, weights):
     config = VgaConfig(mode="caption", lambda_=lambda_, guidance_source="ground_truth")
     session = new_session(model, config, gt_mask=MaskAnnotation("x", weights))
     layout = SequenceLayout(tuple(range(m + 2)), 1, 1 + m)
-    session.on_visual(np.zeros((m, 1)), [layout], model.vocab)
+    session.on_visual(np.zeros((m, model.vocab.size)), [layout])
     session.visual_probs = np.asarray(visual_probs, dtype=np.float64)
     return session
 

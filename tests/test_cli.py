@@ -285,6 +285,27 @@ def test_subcommands_reject_flags_they_do_not_read(workdir, capsys, command, fla
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("eval-exist", []),
+        ("generate", ["--mode", "caption"]),
+        ("ground", ["--source", "vss", "--out"]),
+    ],
+)
+def test_scenes_of_another_grid_exit_two(workdir, tmp_path, capsys, command, flags):
+    """4x4 scenes on the 8x8 planted model: the prompt's visual span does
+    not hold the model's patch grid, which every route rejects."""
+    scenes = tmp_path / "grid4.json"
+    assert run(["make-scenes", "--n-scenes", "2", "--grid", "4", "4", "--out", str(scenes)]) == 0
+    if flags[-1:] == ["--out"]:
+        flags = flags + [str(tmp_path / "map")]
+    rc = run([command, "--model", model_path(workdir), "--scenes", str(scenes), *flags])
+    assert rc == RUNTIME_ERROR
+    assert "64-patch grid" in capsys.readouterr().err
+    assert not (tmp_path / "map.json").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert run([]) == 1
     assert run(["no-such-command"]) == 1

@@ -36,6 +36,7 @@ from vgalab.evalkit import (
     size_class,
     zipf_weights,
 )
+from vgalab.evalkit import harness
 from vgalab.evalkit.metrics import EvalReport
 from vgalab.evalkit.scenes import _draw_distinct
 from vgalab.grounding import Grounding, image_confidence
@@ -287,14 +288,29 @@ def test_eval_report_validation_and_save(tmp_path):
 
 # -- harness ----------------------------------------------------------------------
 
+def answer_each(monkeypatch, scenes, answer):
+    """Make the existence loop answer every question of ``scenes`` by
+    ``answer(model, scene, question, layout, config) -> token id``, in place
+    of its batched forward: the harness's scoring under a known answerer."""
+    pending = iter([scene for scene in scenes if scene.questions])
+
+    def forward(model, layouts, session):
+        scene = next(pending)
+        logits = np.zeros((len(layouts), model.vocab.size))
+        for row, question, layout in zip(logits, scene.questions, layouts):
+            row[answer(model, scene, question, layout, session.config)] = 1.0
+        return logits
+
+    monkeypatch.setattr(harness, "prefill_shared", forward)
+
+
 def oracle_answer(model, scene, question, layout, config):
     return model.vocab.yes_id if question.present else model.vocab.no_id
 
 
-def test_existence_eval_with_perfect_oracle(clean_model, scenes12):
-    report = run_existence_eval(
-        clean_model, scenes12, VgaConfig(guidance_source="none"), answer_fn=oracle_answer
-    )
+def test_existence_eval_with_perfect_oracle(clean_model, scenes12, monkeypatch):
+    answer_each(monkeypatch, scenes12, oracle_answer)
+    report = run_existence_eval(clean_model, scenes12, VgaConfig(guidance_source="none"))
     assert report.accuracy == 1.0
     assert report.f1 == 1.0
     assert report.unmapped == 0
@@ -302,30 +318,28 @@ def test_existence_eval_with_perfect_oracle(clean_model, scenes12):
     assert report.config["guidance_source"] == "none"
 
 
-def test_existence_eval_all_yes_responder(clean_model, scenes12):
+def test_existence_eval_all_yes_responder(clean_model, scenes12, monkeypatch):
     def all_yes(model, scene, question, layout, config):
         return model.vocab.yes_id
 
-    report = run_existence_eval(
-        clean_model, scenes12, VgaConfig(guidance_source="none"), answer_fn=all_yes
-    )
+    answer_each(monkeypatch, scenes12, all_yes)
+    report = run_existence_eval(clean_model, scenes12, VgaConfig(guidance_source="none"))
     assert report.accuracy == 0.5
     assert report.recall == 1.0
     assert report.precision == 0.5
 
 
-def test_existence_eval_counts_unmapped_as_incorrect(clean_model, scenes12):
+def test_existence_eval_counts_unmapped_as_incorrect(clean_model, scenes12, monkeypatch):
     def mute(model, scene, question, layout, config):
         return model.vocab.bos_id
 
-    report = run_existence_eval(
-        clean_model, scenes12[:2], VgaConfig(guidance_source="none"), answer_fn=mute
-    )
+    answer_each(monkeypatch, scenes12[:2], mute)
+    report = run_existence_eval(clean_model, scenes12[:2], VgaConfig(guidance_source="none"))
     assert report.accuracy == 0.0
     assert report.unmapped == report.n_items
 
 
-def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
+def test_existence_eval_parallel_matches_serial(clean_model, scenes12, monkeypatch):
     cfg = VgaConfig(guidance_source="none")
     serial = run_existence_eval(clean_model, scenes12[:4], cfg)
     parallel = run_existence_eval(clean_model, scenes12[:4], cfg, jobs=3)
@@ -342,12 +356,13 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12):
         layout.visual_end + tail * len(s.questions) for s in scenes12
     )
     assert shared == run_existence_eval(clean_model, scenes12, guided, jobs=2)
-    assert shared == run_existence_eval(clean_model, scenes12, guided, answer_fn=model_answer_fn)
     with pytest.raises(InvalidParams):
         run_existence_eval(clean_model, [], cfg)
     for jobs in ("2", 0, 2.5, True, None):
         with pytest.raises(InvalidParams):
             run_existence_eval(clean_model, scenes12[:1], cfg, jobs=jobs)
+    answer_each(monkeypatch, scenes12, model_answer_fn)
+    assert shared == run_existence_eval(clean_model, scenes12, guided)
 
 
 def test_caption_eval_reports_set_metrics(clean_model, scenes12):

@@ -27,7 +27,7 @@ from vgalab.mllm import core
 from vgalab.mllm.attention import _KEY_BLOCK, _check_qkv
 from vgalab.mllm.core import gelu, rms_norm
 from vgalab.grounding import MaskAnnotation
-from vgalab.vga import VgaConfig, VgaSession, new_session
+from vgalab.vga import VgaConfig, VgaSession, bos_profile, new_session
 
 KERNEL_TOL = 1e-10
 LOGIT_TOL = 1e-8
@@ -106,13 +106,15 @@ def _one_expression_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
-def _three_product_forward_block(model, token_ids, start_pos, cache, *, hook=None):
+def _three_product_forward_block(model, token_ids, cache, *, hook=None):
     """``core._forward_block`` as it stood with three projection products,
     out-of-place residual adds, ``_out_of_place_rms_norm``, ``_one_expression_gelu`` and
     ``_masked_fill_attention_fused``, less the forward-row counter: the byte
-    oracle for the whole layer."""
+    oracle for the whole layer. Its cache plumbing is the current one: it
+    starts at the cache's length and, for B = 1, advances it."""
     cfg = model.config
     b, n = token_ids.shape
+    start_pos = cache.length
     core._check_ids(cfg, token_ids, start_pos + n)
 
     x = (
@@ -128,7 +130,7 @@ def _three_product_forward_block(model, token_ids, start_pos, cache, *, hook=Non
         k = core._fold_heads(hn @ lw.wk, n_heads)
         v = core._fold_heads(hn @ lw.wv, n_heads)
         if b == 1:
-            cache.write(layer_idx, start_pos, k, v)
+            cache.write(layer_idx, k, v)
             k_all, v_all = cache.view(layer_idx, start_pos + n)
             v_cache = v_all
         else:
@@ -145,6 +147,8 @@ def _three_product_forward_block(model, token_ids, start_pos, cache, *, hook=Non
         x = x + z.swapaxes(0, 1).reshape(b, n, cfg.d_model) @ lw.wo
         x = x + _one_expression_gelu(_out_of_place_rms_norm(x, lw.norm2) @ lw.mlp_w1) @ lw.mlp_w2
 
+    if b == 1:
+        cache.advance(n)
     return x @ model.unembed
 
 
@@ -253,9 +257,9 @@ def test_forward_bytes_match_the_masked_fill_kernel(
     current = run_all()
     calls = []
 
-    def frozen(model, token_ids, start_pos, cache, *, hook=None):
+    def frozen(model, token_ids, cache, *, hook=None):
         calls.append(token_ids.shape)
-        return _three_product_forward_block(model, token_ids, start_pos, cache, hook=hook)
+        return _three_product_forward_block(model, token_ids, cache, hook=hook)
 
     monkeypatch.setattr(core, "_forward_block", frozen)
     assert run_all() == current
@@ -373,13 +377,15 @@ def test_kv_cache_capacity_and_views(tiny_model):
     cache = KvCache(tiny_model.config)
     assert cache.length == 0
     rows = np.ones((2, tiny_model.config.n_heads, tiny_model.config.d_head))
-    cache.write(0, 0, rows, rows)
+    cache.write(0, rows, rows)
+    assert cache.length == 0  # written, not yet kept
     cache.advance(2)
     assert cache.length == 2
     k, v = cache.view(0, 2)
     assert k.shape[0] == 2
+    cache.advance(cache.capacity - 3)
     with pytest.raises(CapacityError):
-        cache.write(0, cache.capacity - 1, rows, rows)
+        cache.write(0, rows, rows)
 
 
 def test_kv_cache_layers_share_one_block(tiny_model):
@@ -444,7 +450,7 @@ def test_prefill_matches_reference_forward(tiny_model):
             )
             session = session_for(tiny_model, config, layout, seed)
             guided, _ = reference_forward(tiny_model, layout, session)
-            assert session.layout is layout
+            assert session.span == (layout.visual_start, layout.visual_end)
             np.testing.assert_allclose(fused.last_logits, guided[-1], rtol=0, atol=LOGIT_TOL)
             assert np.abs(guided[-1] - whole[-1]).max() > 1e3 * LOGIT_TOL  # it guided
 
@@ -486,12 +492,12 @@ def test_prompt_without_text_tail_is_never_guided(tiny_model):
         calls = []
         session.correction = lambda *args: calls.append(args)
         guided, guided_bos = reference_forward(tiny_model, bare, session)
-        assert session.layout is bare and calls == []
+        assert session.span == (1, bare.visual_end) and calls == []
         assert guided.tobytes() == plain.tobytes() and guided_bos == bos
         session = session_for(tiny_model, config, layout, seed)
         session.correction = lambda *args: calls.append(args)
         fused = prefill(tiny_model, bare, hook=session)
-        assert session.layout is bare and calls == []
+        assert session.span == (1, bare.visual_end) and calls == []
         assert fused.last_logits.tobytes() == prefill(tiny_model, bare).last_logits.tobytes()
         np.testing.assert_allclose(fused.last_logits, plain[-1], rtol=0, atol=LOGIT_TOL)
 
@@ -566,7 +572,7 @@ def test_forward_rejects_out_of_vocab(tiny_model):
     overlong prompt and for a prompt that is not a ``SequenceLayout``,
     never a raw numpy error or AttributeError, and before the hook binds."""
     size, cap = tiny_model.vocab.size, tiny_model.config.max_seq_len
-    layout = SequenceLayout(token_ids=(0, 1, 2), visual_start=0, visual_end=1)
+    layout = SequenceLayout(token_ids=(0, 1, 2, 3, 4), visual_start=0, visual_end=4)
     for bad in (tuple(layout.token_ids), None):
         session = new_session(tiny_model, VgaConfig(guidance_source="even"))
         for call in (
@@ -580,10 +586,10 @@ def test_forward_rejects_out_of_vocab(tiny_model):
         ):
             with pytest.raises(InvalidInput):
                 call()
-        assert session.layout is None
+        assert session.span is None
     for ids, end, error in (
-        ((0, size, 1), 1, InvalidInput),
-        ((size, 1, 2), 1, InvalidInput),
+        ((0, 1, 2, 3, size), 4, InvalidInput),
+        ((size, 1, 2, 3, 4), 4, InvalidInput),
         ((0,) * (cap + 1), 4, CapacityError),
         ((0,) * cap + (size,), 4, CapacityError),
     ):
@@ -594,7 +600,126 @@ def test_forward_rejects_out_of_vocab(tiny_model):
             session = new_session(tiny_model, VgaConfig(guidance_source="even"))
             with pytest.raises(error):
                 prefill(tiny_model, layout, hook=session, record_attention=record_attention)
-            assert session.layout is None
+            assert session.span is None
+
+
+def test_forward_rejects_a_visual_span_off_the_patch_grid(tiny_model):
+    """A prompt's visual span holds the model's rows * cols patches: every
+    route raises ``ShapeError`` for 3 or 5 visual rows on the 2x2 grid,
+    before the hook binds, and ``prefill_shared`` for a second prompt whose
+    span starts elsewhere though it ends where the first one's does."""
+    assert tiny_model.config.n_patches == 4
+    for m in (3, 5):
+        layout = SequenceLayout(tuple(range(m + 2)), 1, 1 + m)
+        session = new_session(tiny_model, VgaConfig(guidance_source="even"))
+        for call in (
+            lambda: prefill(tiny_model, layout, hook=session),
+            lambda: prefill(tiny_model, layout, hook=session, record_attention=True),
+            lambda: prefill_shared(tiny_model, [layout], session),
+            lambda: reference_forward(tiny_model, layout, session),
+            lambda: greedy_generate(tiny_model, layout, session),
+            lambda: bos_profile(tiny_model, layout),
+        ):
+            with pytest.raises(ShapeError, match="4-patch grid"):
+                call()
+        assert session.span is None
+    first = scene_layout(tiny_model, np.random.default_rng(14))
+    shifted = SequenceLayout(first.token_ids, first.visual_start + 1, first.visual_end)
+    with pytest.raises(ShapeError):
+        prefill_shared(tiny_model, [first, shifted])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda model, other, layout, cache: prefill("m", layout), InvalidInput),
+        (lambda model, other, layout, cache: prefill(None, layout), InvalidInput),
+        (lambda model, other, layout, cache: prefill_shared("m", [layout]), InvalidInput),
+        (lambda model, other, layout, cache: reference_forward(None, layout), InvalidInput),
+        (lambda model, other, layout, cache: greedy_generate("m", layout), InvalidInput),
+        (lambda model, other, layout, cache: decode_step("m", cache, 3), InvalidInput),
+        (lambda model, other, layout, cache: decode_step(model, "cache", 3), InvalidInput),
+        (lambda model, other, layout, cache: decode_step(model, None, 3), InvalidInput),
+        (lambda model, other, layout, cache: decode_step(other, cache, 3), ShapeError),
+        (
+            lambda model, other, layout, cache: decode_step(model, KvCache(other.config), 3),
+            ShapeError,
+        ),
+    ],
+    ids=[
+        "prefill-str-model",
+        "prefill-none-model",
+        "prefill-shared-str-model",
+        "reference-none-model",
+        "greedy-str-model",
+        "decode-str-model",
+        "decode-str-cache",
+        "decode-none-cache",
+        "decode-cache-of-another-shape",
+        "decode-cache-built-for-another-config",
+    ],
+)
+def test_forward_entry_points_reject_a_malformed_model_or_cache(
+    tiny_model, clean_model, call, error
+):
+    """A model that is not a ``Model``, a cache that is not a ``KvCache`` and
+    a cache built for another model's shape raise typed errors, never a raw
+    AttributeError or numpy broadcast error, and write nothing."""
+    layout = scene_layout(tiny_model, np.random.default_rng(15))
+    cache = prefill(tiny_model, layout).cache
+    with pytest.raises(error):
+        call(tiny_model, clean_model, layout, cache)
+    assert cache.length == layout.length
+
+
+def test_decode_step_keeps_a_row_only_when_the_step_completes(tiny_model):
+    """The forward pass starts at the cache's length and advances it once
+    every layer has run: N decode steps after a prefill leave the prompt
+    length + N, and a step that hits ``CapacityError`` or whose hook raises
+    in ``correction`` leaves the length, and what later steps compute, as
+    they were."""
+    layout = scene_layout(tiny_model, np.random.default_rng(16))
+    cache = prefill(tiny_model, layout).cache
+    assert cache.length == layout.length
+    for n in range(1, 6):
+        decode_step(tiny_model, cache, 3)
+        assert cache.length == layout.length + n
+    while cache.length < cache.capacity:
+        decode_step(tiny_model, cache, 3)
+    with pytest.raises(CapacityError):
+        decode_step(tiny_model, cache, 3)
+    assert cache.length == cache.capacity
+
+    config = VgaConfig(guidance_source="even", end_layer=tiny_model.config.n_layers)
+    session = new_session(tiny_model, config)
+    result = prefill(tiny_model, layout, hook=session)
+    twin = prefill(tiny_model, layout, hook=new_session(tiny_model, config))
+
+    def failing_correction(*args):
+        raise RuntimeError("hook failed")
+
+    session.correction = failing_correction
+    with pytest.raises(RuntimeError):
+        decode_step(tiny_model, result.cache, 3, hook=session)
+    assert result.cache.length == layout.length
+    after = decode_step(tiny_model, result.cache, 4)
+    assert after.tobytes() == decode_step(tiny_model, twin.cache, 4).tobytes()
+    assert result.cache.length == layout.length + 1
+
+
+@pytest.mark.parametrize("kernel", [attention_explicit, attention_fused])
+@pytest.mark.parametrize("dtype", [np.complex128, object, np.str_, np.bool_])
+def test_kernels_take_real_numbers_only(kernel, dtype):
+    """A complex q, k or v is not cast to its real part, and an object,
+    string or bool array is no attention input: each raises ``InvalidInput``.
+    Integer arrays are real numbers and pass."""
+    q, k, v = random_qkv(np.random.default_rng(17), 2, 3, 2, 4)
+    for i in range(3):
+        args = [q, k, v]
+        args[i] = args[i].astype(dtype)
+        with pytest.raises(InvalidInput):
+            kernel(*args)
+    kernel(*(np.rint(4 * a).astype(np.int64) for a in (q, k, v)))
 
 
 @pytest.mark.parametrize(
@@ -713,7 +838,7 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
     layout = scene_layout(tiny_model, rng)
     other = scene_layout(tiny_model, rng)
     assert other.token_ids[: other.visual_end] != layout.token_ids[: layout.visual_end]
-    shorter = SequenceLayout(layout.token_ids, layout.visual_start, layout.visual_end - 1)
+    shorter = SequenceLayout(layout.token_ids, layout.visual_start - 1, layout.visual_end - 1)
     longer_tail = SequenceLayout(
         layout.token_ids + (tiny_model.vocab.eos_id,), layout.visual_start, layout.visual_end
     )
@@ -744,10 +869,10 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
             self.guided_layers = session.guided_layers
             self.corrections = 0
 
-        def on_visual(self, visual_logits, layouts, vocab):
+        def on_visual(self, visual_logits, layouts):
             with pytest.raises(ValueError):
                 visual_logits[:] = 0.0
-            self.session.on_visual(visual_logits, layouts, vocab)
+            self.session.on_visual(visual_logits, layouts)
 
         def correction(self, layer, z_last, v_shared):
             with pytest.raises(ValueError):
@@ -777,12 +902,18 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
 
 
 def test_record_attention_profiles_every_layer(tiny_model):
+    """``record_attention`` runs the oracle and keeps no cache; the BOS
+    attention of every layer comes from ``bos_profile``."""
     rng = np.random.default_rng(8)
     layout = scene_layout(tiny_model, rng)
     result = prefill(tiny_model, layout, record_attention=True)
-    assert result.bos_attention is not None
-    assert len(result.bos_attention) == tiny_model.config.n_layers
-    assert all(0.0 <= a <= 1.0 for a in result.bos_attention)
+    whole, bos = reference_forward(tiny_model, layout)
+    assert result.cache is None
+    assert result.last_logits.tobytes() == whole[-1].tobytes()
+    assert result.visual_logits.tobytes() == whole[layout.visual_start : layout.visual_end].tobytes()
+    assert bos_profile(tiny_model, layout) == bos
+    assert len(bos) == tiny_model.config.n_layers
+    assert all(0.0 <= a <= 1.0 for a in bos)
 
 
 def test_random_models_vary_with_seed():

@@ -38,8 +38,10 @@ def test_round_trip_preserves_behavior(tmp_path, clean_model):
     path = tmp_path / "planted.bin"
     save_model(clean_model, path)
     loaded = load_model(path)
-    ids = (clean_model.vocab.bos_id,) + clean_model.vocab.patch_token_ids[:2]
-    layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=3)
+    patches = clean_model.vocab.patch_token_ids
+    m = clean_model.config.n_patches
+    ids = (clean_model.vocab.bos_id,) + tuple(patches[i % len(patches)] for i in range(m))
+    layout = SequenceLayout(token_ids=ids, visual_start=1, visual_end=1 + m)
     assert np.allclose(
         reference_forward(loaded, layout)[0], reference_forward(clean_model, layout)[0], atol=0
     )

@@ -212,9 +212,9 @@ class RecordingHook:
         self.tokens = []
         self.calls = []
 
-    def on_visual(self, visual_logits, layouts, vocab):
+    def on_visual(self, visual_logits, layouts):
         self.visual_logits = visual_logits
-        self.session.on_visual(visual_logits, layouts, vocab)
+        self.session.on_visual(visual_logits, layouts)
 
     def on_token(self, token_id):
         self.tokens.append(token_id)
@@ -268,7 +268,7 @@ def assert_rows_match_reference(hook, groundings, n_heads):
     tokens. Returns the entry rows applied."""
     session = hook.session
     cfg = session.config
-    s, e = session.layout.visual_start, session.layout.visual_end
+    s, e = session.span
     applied = 0
     for layer, z, v, n_seen, row in hook.calls:
         entries = groundings[n_seen]
@@ -340,7 +340,7 @@ def test_two_entry_caption_session_matches_one_entry_sessions(clean_model, scene
     batched = VgaSession(clean_model, config, ["", ""], masks)
     alone = [new_session(clean_model, config, gt_mask=mask) for mask in masks]
     for session in (batched, *alone):
-        session.on_visual(hook.visual_logits, [layout] * len(session.questions), clean_model.vocab)
+        session.on_visual(hook.visual_logits, [layout] * len(session.questions))
     seen, compared = 0, 0
     for layer, z, v, n_seen, _ in hook.calls:
         while seen < n_seen:
@@ -519,7 +519,7 @@ def test_vsc_grounding_matches_merged_object_groundings(clean_model, words):
     logits = prefill(clean_model, layout).visual_logits
     question = "is there a " + " or a ".join(words) + " ?"
     session = new_session(clean_model, VgaConfig(guidance_source="vsc"), question=question)
-    session.on_visual(logits, [layout], clean_model.vocab)
+    session.on_visual(logits, [layout])
     want = merge_groundings(
         [object_grounding(logits, clean_model.vocab.id_of(w)) for w in words]
     )
@@ -541,7 +541,7 @@ def test_session_refuses_a_second_visual_context(clean_model):
     with pytest.raises(ConfigError):
         prefill(clean_model, layout, hook=session)
     with pytest.raises(ConfigError):
-        session.on_visual(prefill(clean_model, layout).visual_logits, [layout], clean_model.vocab)
+        session.on_visual(prefill(clean_model, layout).visual_logits, [layout])
     assert np.array_equal(session.groundings[0].weights, decayed)
 
 
@@ -654,7 +654,7 @@ def test_caption_correction_scales_by_rho(clean_model):
     assert 0.0 < rho < 1.0  # reversed salience drains a patch
     heads, d_head = clean_model.config.n_heads, clean_model.config.d_head
     rng = np.random.default_rng(2)
-    v = rng.normal(size=(session.layout.length, heads, d_head))
+    v = rng.normal(size=(session.span[1] + 1, heads, d_head))
     row = session.correction(0, rng.normal(size=(1, heads, d_head)), v)
     assert row.scales.tobytes() == (0.4 * rho * np.ones(heads)).tobytes()
 
@@ -790,6 +790,14 @@ def test_on_visual_binds_from_prefill(clean_model):
     layout = vqa_layout(clean_model)
     result = prefill(clean_model, layout)
     session = new_session(clean_model, VgaConfig(), question="is there a dog ?")
-    session.on_visual(result.visual_logits, [layout], clean_model.vocab)
+    session.on_visual(result.visual_logits, [layout])
     assert session.groundings[0] is not None
-    assert session.layout is layout
+    assert session.span == (layout.visual_start, layout.visual_end)
+    # logits one column short of the model's vocabulary: a typed error, not
+    # an IndexError from picking the question word's column
+    for source in ("vsc", "vss", "none"):
+        config = VgaConfig(guidance_source=source)
+        short = new_session(clean_model, config, question="is there a dog ?")
+        with pytest.raises(ShapeError):
+            short.on_visual(result.visual_logits[:, :-1], [layout])
+        assert short.span is None
