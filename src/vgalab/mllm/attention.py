@@ -19,8 +19,8 @@ row that has seen no key yet: key 0 is in the first block and visible to
 every row, so each row's running max is finite after that block.
 Guidance for this path is applied *outside* the kernel by
 ``GuidanceRow.apply``, the value-space form of the same splice (output +
-beta * gamma_h * rho * sum_i G_i V_i), on the last row of every guided
-batch entry at once; equivalence of the two routes is a tested invariant.
+beta * gamma_h * rho * sum_i G_i V_i), on the last row of every batch
+entry at once; equivalence of the two routes is a tested invariant.
 
 Shapes: q is [Tq, H, dh]; k and v are [Tk, H, dh] with Tk >= Tq. Query row
 i sits at absolute position (Tk - Tq + i) and attends keys 0..that
@@ -39,20 +39,18 @@ _KEY_BLOCK = 64
 
 
 class GuidanceRow(NamedTuple):
-    """Additive guidance for the visual columns of the last query row of k
-    batch entries.
+    """Additive guidance for the visual columns of the last query row of
+    every batch entry.
 
-    ``entries`` picks the guided entries on the batch axis: a slice when
-    they are contiguous, else an index array. ``weights`` [k, m] holds one
-    unit-mass vector over the visual span ``span`` per entry; head h of
-    guided entry j receives ``weights[j]`` scaled by ``scales[j, h]`` (beta *
-    rho * gamma_h). ``delta`` [k, H, dh] is the value mix those weights
-    select, ``sum_i weights[j, i] * v[span[0] + i]`` per head. A named
+    ``weights`` [B, m] holds one unit-mass vector over the visual span
+    ``span`` per entry; head h of entry b receives ``weights[b]`` scaled by
+    ``scales[b, h]`` (beta * rho * gamma_h), which is 0.0 for an entry that
+    is not guided. ``delta`` [B, H, dh] is the value mix those weights
+    select, ``sum_i weights[b, i] * v[span[0] + i]`` per head. A named
     tuple, immutable and light to build: the hook builds one per guided
     layer of every generated token.
     """
 
-    entries: slice | np.ndarray
     weights: np.ndarray
     scales: np.ndarray
     span: tuple[int, int]
@@ -60,15 +58,9 @@ class GuidanceRow(NamedTuple):
 
     def apply(self, z_last: np.ndarray) -> None:
         """Guide ``z_last`` [B, H, dh], the entries' last rows, in place: each
-        guided entry's row gains its scaled value mix, ``z + s * delta``
-        elementwise. A slice picks the rows as a view, which takes the sum
-        in place; an index array picks a copy, which is written back."""
-        boost = self.scales[..., None] * self.delta
-        if type(self.entries) is slice:
-            rows = z_last[self.entries]
-            rows += boost
-        else:
-            z_last[self.entries] += boost
+        row gains its scaled value mix, ``z + s * delta`` elementwise; a
+        scale of 0.0 adds 0.0."""
+        z_last += self.scales[..., None] * self.delta
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +88,7 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
 def attention_explicit(q, k, v, guidance: GuidanceRow | None = None):
     """Reference attention; returns (z, alpha) with alpha shaped [H, Tq, Tk].
 
-    With ``guidance``, a row for this one sequence (k = 1, entry 0), the
+    With ``guidance``, a row for this one sequence (B = 1, entry 0), the
     last query row's weights over the visual span get the additive boost
     before the value reduction, so the returned alpha is the guided matrix
     (its guided row sums to 1 + scales[0, h]).

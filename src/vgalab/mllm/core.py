@@ -29,7 +29,8 @@ side by side on its head axis, since heads never mix. One guidance hook,
 when attached, serves the whole batch: it binds to the read-only visual
 logits between the phases, and on each layer it guides it receives the
 last row of every entry at once, with which it may guide any of them.
-The hook is duck-typed:
+The hook is duck-typed; prefill, ``prefill_shared``, ``decode_step`` and
+``reference_forward`` raise ``InvalidInput`` for one that lacks a name:
 
     guided_layers                         range of the layers it guides
     on_visual(visual_logits, layouts)     -> None
@@ -48,10 +49,11 @@ output, and ``v_cache`` is a read-only view of the cached value rows:
 those every entry shares, the visual prefix among them (for B = 1, also
 the rows the entry has just appended). ``on_token`` is the greedy loop's:
 it reports each generated token before the next decode step. The forward
-pass applies a correction in value space (``GuidanceRow.apply``) to the
-entries it names. ``reference_forward`` is the oracle: an uncached
-recompute of one prompt with the explicit kernel, which splices the same
-weights into the guided row's attention matrix; the two must agree.
+pass applies a correction in value space (``GuidanceRow.apply``) to every
+entry's last row, an unguided entry's at scale 0.0. ``reference_forward``
+is the oracle: an uncached recompute of one prompt with the explicit
+kernel, which splices the same weights into the guided row's attention
+matrix; the two must agree.
 """
 from __future__ import annotations
 
@@ -266,11 +268,23 @@ def _check_model(model) -> None:
         raise InvalidInput(f"expected a Model, got {type(model).__name__}")
 
 
-def _check_prompts(model: Model, layouts: Sequence[SequenceLayout]) -> None:
-    """Typed errors for a ``model`` that is not a ``Model``, and for prompts
+_HOOK_PROTOCOL = ("guided_layers", "on_visual", "correction", "on_token")
+
+
+def _check_hook(hook) -> None:
+    """A typed error for a hook that lacks a name of the protocol."""
+    if hook is not None:
+        missing = [name for name in _HOOK_PROTOCOL if not hasattr(hook, name)]
+        if missing:
+            raise InvalidInput(f"hook {type(hook).__name__} lacks {', '.join(missing)}")
+
+
+def _check_prompts(model: Model, layouts: Sequence[SequenceLayout], hook) -> None:
+    """Typed errors for a ``model`` that is not a ``Model``, for prompts
     that are not a nonempty sequence of ``SequenceLayout`` whose visual
-    spans each hold the model's patch grid."""
+    spans each hold the model's patch grid, and for a malformed hook."""
     _check_model(model)
+    _check_hook(hook)
     if not isinstance(layouts, Sequence) or not layouts:
         raise InvalidInput("need a sequence of one or more prompts")
     n_patches = model.config.n_patches
@@ -412,7 +426,7 @@ def reference_forward(
     The BOS attention is the last row's head-max weight on position 0, read
     before the splice.
     """
-    _check_prompts(model, [layout])
+    _check_prompts(model, [layout], hook)
     cfg = model.config
     ids = layout.ids_array()
     t, n_heads, d_head = layout.length, cfg.n_heads, cfg.d_head
@@ -460,7 +474,7 @@ def prefill(
     second pass. ``record_attention`` runs the oracle, ``reference_forward``,
     instead; that result keeps no cache.
     """
-    _check_prompts(model, [layout])
+    _check_prompts(model, [layout], hook)
     if record_attention:
         logits = reference_forward(model, layout, hook)[0]
         return PrefillResult(None, logits[layout.visual_start : layout.visual_end], logits[-1])
@@ -482,7 +496,7 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
     contiguous head by another path). No cache is kept, so the prompts
     cannot be decoded further.
     """
-    _check_prompts(model, layouts)
+    _check_prompts(model, layouts, hook)
     first = layouts[0]
     e = first.visual_end
     for layout in layouts:
@@ -498,6 +512,7 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
 def decode_step(model: Model, cache: KvCache, token_id: int, hook=None) -> np.ndarray:
     """Append one token and return the next-token logits."""
     _check_model(model)
+    _check_hook(hook)
     if not isinstance(cache, KvCache):
         raise InvalidInput(f"expected a KvCache, got {type(cache).__name__}")
     cfg = model.config

@@ -1,14 +1,16 @@
 """Pure numeric kernels: stabilized softmax, mass normalization, clamped cosine.
 
-``row_softmax``, ``sum_normalize`` and ``cosine_sim_clamped`` are the
-entry points for arrays from outside the program: they check shapes,
-raise InvalidInput on NaN/Inf (and on negative mass) instead of
-propagating poison, preserve float dtypes and compute in float64
-otherwise. ``stable_softmax`` and ``unit_mass`` are the unchecked cores
-of the first two, the only statement of each formula but one; the
-guidance hook calls them directly on arrays the forward pass built from
-checked inputs, and ``grounding`` calls ``stable_softmax`` on visual
-logits it has checked once through ``_as_float_array``. ``head_scales``
+``sum_normalize`` and ``cosine_sim_clamped`` are the entry points for
+arrays from outside the program, and ``_as_float_array`` is their check,
+which ``grounding`` runs once on outside visual logits: it checks shapes,
+raises InvalidInput on NaN/Inf and on arrays that do not hold real
+numbers (complex, string, object or bool) instead of propagating poison
+or parsing them, preserves float dtypes and computes in float64
+otherwise; ``sum_normalize`` also rejects negative mass.
+``stable_softmax`` and ``unit_mass`` are the unchecked cores, the only
+statement of each formula but one; the guidance hook calls them directly
+on arrays the forward pass built from checked inputs, and ``grounding``
+calls ``stable_softmax`` on the visual logits it has checked. ``head_scales``
 finishes the hook's head balancing in one call on the cosines of
 ``_clamped_cosines``, and states the unit-mass rule a second time, on
 Python floats (the ``DEGENERATE_EPS`` uniform fallback and the division
@@ -28,7 +30,14 @@ DEGENERATE_EPS = 1e-12
 
 
 def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndarray:
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidInput(f"{name} must be a rectangular array") from None
+    # integer or float, as the attention kernels take: a complex array would
+    # lose its imaginary part in the cast, a string array would be parsed
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must hold real numbers, got {arr.dtype}")
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     if arr.ndim < min_dim or arr.ndim > max_dim:
@@ -40,20 +49,12 @@ def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndar
     return arr
 
 
-def row_softmax(logits) -> np.ndarray:
-    """Numerically stabilized softmax along the last axis.
-
-    Accepts a vector or a matrix; each row is shifted by its max before
-    exponentiation, so the result is invariant to per-row constant shifts.
-    """
-    return stable_softmax(_as_float_array(logits, "logits"))
-
-
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    """Unchecked core of ``row_softmax``; ``logits`` is a finite float vector
-    or matrix. The reductions are the ufuncs ``max`` and ``sum`` call,
-    without their Python wrappers, and the exponent and quotient are
-    written into one new array."""
+    """Softmax along the last axis of a finite float vector or matrix,
+    unchecked. Each row is shifted by its max before exponentiation, so the
+    result is invariant to per-row constant shifts. The reductions are the
+    ufuncs ``max`` and ``sum`` call, without their Python wrappers, and the
+    exponent and quotient are written into one new array."""
     exps = logits - np.maximum.reduce(logits, -1, None, None, True)  # keepdims
     np.exp(exps, out=exps)
     exps /= np.add.reduce(exps, -1, None, None, True)

@@ -35,6 +35,7 @@ from .grounding import (
     vss,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, reference_forward
+from .mllm.core import _check_model
 from .numerics import head_scales, stable_softmax, unit_mass
 
 MODES = ("vqa", "caption")
@@ -121,6 +122,7 @@ class VgaSession:
         questions: Sequence[str] = ("",),
         gt_masks: Sequence[MaskAnnotation | None] | None = None,
     ) -> None:
+        _check_model(model)
         n_layers = model.config.n_layers
         start = config.start_layer
         end = config.end_layer if config.end_layer is not None else n_layers // 2
@@ -171,9 +173,9 @@ class VgaSession:
         self._degenerate: list[bool] = []
         self._groundings: list[Grounding | None] | None = None
         # what each guided layer reads besides the span, set at bind and
-        # after each PVG update: the guided entries' picker, weights [k, m],
-        # the same as [k, 1, m] for the mix, and beta * rho, one Python
-        # float each (None when no entry is guided)
+        # after each PVG update: every entry's weights as [n, 1, m] for the
+        # mix, and beta * rho, one Python float per entry, 0.0 for an
+        # unguided one (None when no entry is guided)
         self._guided: tuple | None = None
         if self.source == "ground_truth" and any(mask is None for mask in gt_masks):
             raise ConfigError("ground_truth guidance requires a mask annotation per entry")
@@ -203,15 +205,16 @@ class VgaSession:
             self._restack(*self._ground(logits, layout.n_visual))
 
     def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
-        """The guided entries' row for this layer, or None when none is guided.
+        """Every entry's row for this layer, or None when no entry is guided.
 
         ``z_last`` [B, H, dh] is every entry's last-row attention output and
         ``v_cache`` the cached value rows every entry reads, the visual span
         among them. The forward pass calls it on ``guided_layers`` only.
         Only the work that depends on ``z_last`` and the values runs here:
-        the value mix, one GEMV per guided entry ([k, 1, m] @ [m, H*dh],
-        bit-equal to ``g @ V`` of each, where the GEMM [k, m] @ [m, H*dh]
-        may round otherwise), and the head scales of ``head_scales``.
+        the value mix, one GEMV per entry ([B, 1, m] @ [m, H*dh], bit-equal
+        to ``g @ V`` of each, where the GEMM [B, m] @ [m, H*dh] may round
+        otherwise), and the head scales of ``head_scales``, 0.0 on every
+        head of an unguided entry.
         """
         if self.span is None:
             raise ConfigError("session is not bound to a visual context yet")
@@ -220,16 +223,16 @@ class VgaSession:
         guided = self._guided
         if guided is None or layer not in self.guided_layers:
             return None
-        entries, weights, mix, coef = guided
+        mix, coef = guided
         s, e = self.span
         _, n_heads, d_head = z_last.shape
         width = n_heads * d_head
         delta = (mix @ v_cache[s:e].reshape(e - s, width)).reshape(len(coef), n_heads, d_head)
         if self.config.head_balancing:
-            scales = head_scales(z_last[entries], delta, coef)
+            scales = head_scales(z_last, delta, coef)
         else:
             scales = np.array([[c] * n_heads for c in coef])
-        return GuidanceRow(entries, weights, scales, self.span, delta)
+        return GuidanceRow(mix[:, 0], scales, self.span, delta)
 
     def on_token(self, token_id: int) -> None:
         """Programmed visual guidance: decay the groundings where the token was seen.
@@ -277,33 +280,21 @@ class VgaSession:
 
     def _restack(self, weights: np.ndarray, degenerate: list[bool]) -> None:
         """Take every entry's grounding weights [n, m] and degenerate flags,
-        and keep what every guided layer reads of the guided entries: their
-        picker, weights and beta * rho. An entry with a degenerate grounding
-        or rho = 0 stays unguided, as does every entry when no layer is
-        guided; rho is 1 in vqa mode and ``Grounding.rho`` of the entry in
-        caption mode. The picker is a slice when the entries are contiguous
-        (always for one entry), so the rows are picked and guided as views,
-        else an index array."""
+        and keep what every guided layer reads: the weights as the [n, 1, m]
+        mix, and each entry's beta * rho. An entry with a degenerate
+        grounding or rho = 0 gets 0.0 and is not guided; nothing is kept
+        when no entry is guided, or no layer. rho is 1 in vqa mode and
+        ``Grounding.rho`` of the entry in caption mode."""
         self._weights, self._degenerate, self._groundings = weights, degenerate, None
         if not self.guided_layers:
             self._guided = None
             return
         beta, vqa = self.config.beta, self.config.mode == "vqa"
-        index, coef = [], []
-        for i, d in enumerate(degenerate):
-            if d:
-                continue
-            rho = 1.0 if vqa else support_share(weights[i])
-            if rho != 0.0:
-                index.append(i)
-                coef.append(beta * rho)
-        if not index:
-            self._guided = None
-            return
-        contiguous = index[-1] - index[0] + 1 == len(index)
-        entries = slice(index[0], index[-1] + 1) if contiguous else np.array(index)
-        guided = weights[entries]
-        self._guided = (entries, guided, guided[:, None, :], coef)
+        coef = [
+            0.0 if d else beta * (1.0 if vqa else support_share(w))
+            for w, d in zip(weights, degenerate)
+        ]
+        self._guided = (weights[:, None, :], coef) if any(coef) else None
 
     def _ground(self, logits: np.ndarray, m: int) -> tuple[np.ndarray, list[bool]]:
         """Every entry's grounding weights [n, m] and degenerate flags, each

@@ -78,7 +78,6 @@ def random_guidance(rng, v, beta):
     gamma = rng.uniform(0.0, 2.0, size=n_heads)
     rho = float(rng.uniform(0.1, 1.0))
     return GuidanceRow(
-        entries=slice(0, 1),
         weights=weights[None],
         scales=(beta * rho * gamma)[None],
         span=(start, end),

@@ -62,6 +62,8 @@ def test_vsc_bounds_checks():
         vsc_vector(logits, -1)
     with pytest.raises(ShapeError):
         vsc_vector(np.zeros(4), 0)
+    with pytest.raises(ShapeError):
+        vsc_vector(np.zeros((2, 2, 2)), 0)
     with pytest.raises(InvalidInput):
         vsc_vector(np.full((2, 4), np.nan), 0)
 

@@ -1,6 +1,7 @@
 """Attention kernels and the forward pass: causality, caching, greedy loop."""
 import ast
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,7 +356,6 @@ def test_guidance_row_splice_and_span_checks():
     q, k, v = random_qkv(rng, 2, 8, 2, 4)
     weights = np.full(4, 0.25)
     g = GuidanceRow(
-        entries=slice(0, 1),
         weights=weights[None],
         scales=np.array([[0.5, 0.25]]),
         span=(1, 5),
@@ -365,9 +365,9 @@ def test_guidance_row_splice_and_span_checks():
     sums = alpha[:, -1, :].sum(axis=-1)
     assert np.allclose(sums, 1.0 + g.scales[0], atol=1e-12)
     for bad in (
-        GuidanceRow(slice(0, 1), np.full((1, 3), 1 / 3), np.ones((1, 2)), (1, 5), g.delta),
-        GuidanceRow(slice(0, 1), weights[None], np.ones((1, 2)), (5, 9), g.delta),
-        GuidanceRow(slice(0, 2), np.tile(weights, (2, 1)), np.ones((2, 2)), (1, 5), g.delta),
+        GuidanceRow(np.full((1, 3), 1 / 3), np.ones((1, 2)), (1, 5), g.delta),
+        GuidanceRow(weights[None], np.ones((1, 2)), (5, 9), g.delta),
+        GuidanceRow(np.tile(weights, (2, 1)), np.ones((2, 2)), (1, 5), g.delta),
     ):
         with pytest.raises(ShapeError):
             attention_explicit(q, k, v, guidance=bad)
@@ -405,6 +405,33 @@ def scene_layout(model, rng):
     word = model.vocab.object_ids[int(rng.integers(model.vocab.n_objects))]
     ids = [model.vocab.bos_id] + patches + [word, model.vocab.qmark_id]
     return SequenceLayout(token_ids=tuple(ids), visual_start=1, visual_end=1 + n_patches)
+
+
+@pytest.mark.parametrize("missing", [None, "guided_layers", "on_visual", "correction", "on_token"])
+def test_forward_entry_points_reject_a_hook_that_lacks_a_protocol_name(tiny_model, missing):
+    """A hook lacking one protocol name (or a string, lacking all four)
+    raises InvalidInput before anything runs under it: the session whose
+    other three names it carries stays unbound."""
+    layout = scene_layout(tiny_model, np.random.default_rng(4))
+    session = new_session(tiny_model, VgaConfig(guidance_source="even"))
+    if missing is None:
+        hook = "not a session"
+    else:
+        names = ("guided_layers", "on_visual", "correction", "on_token")
+        hook = SimpleNamespace(**{name: getattr(session, name) for name in names if name != missing})
+    cache = prefill(tiny_model, layout).cache
+    for call in (
+        lambda: prefill(tiny_model, layout, hook=hook),
+        lambda: prefill(tiny_model, layout, hook=hook, record_attention=True),
+        lambda: prefill_shared(tiny_model, [layout, layout], hook),
+        lambda: decode_step(tiny_model, cache, 0, hook=hook),
+        lambda: greedy_generate(tiny_model, layout, vga=hook, max_len=2),
+        lambda: reference_forward(tiny_model, layout, hook),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
+    assert session.span is None
+    assert cache.length == layout.length
 
 
 def guided_configs(model):
@@ -879,6 +906,9 @@ def test_prefix_rejects_other_prompts_and_stays_read_only(tiny_model):
                 v_shared[:] = -1.0
             self.corrections += 1
             return self.session.correction(layer, z_last, v_shared)
+
+        def on_token(self, token_id):
+            self.session.on_token(token_id)
 
     # ground truth guides entries 0 and 2 and leaves entry 1's absent object alone
     m = layout.n_visual

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import InvalidInput, ShapeError
+from vgalab.grounding import vsc_vector, vss_values
 from vgalab.numerics import (
     DEGENERATE_EPS,
     cosine_sim_clamped,
     head_scales,
-    row_softmax,
+    stable_softmax,
     sum_normalize,
     unit_mass,
 )
@@ -30,8 +31,8 @@ def softmax_oracle(row):
 
 
 @given(arrays(np.float64, st.integers(1, 12), elements=finite_floats))
-def test_row_softmax_matches_oracle(row):
-    got = row_softmax(row)
+def test_stable_softmax_matches_oracle(row):
+    got = stable_softmax(row)
     want = softmax_oracle(list(row))
     assert np.allclose(got, want, rtol=0, atol=ORACLE_TOL)
     assert abs(got.sum() - 1.0) < SUM_TOL
@@ -42,21 +43,38 @@ def test_row_softmax_matches_oracle(row):
     arrays(np.float64, (4, 6), elements=finite_floats),
     st.floats(min_value=-30, max_value=30, allow_nan=False),
 )
-def test_row_softmax_shift_invariant(matrix, shift):
-    base = row_softmax(matrix)
-    shifted = row_softmax(matrix + shift)
+def test_stable_softmax_shift_invariant(matrix, shift):
+    base = stable_softmax(matrix)
+    shifted = stable_softmax(matrix + shift)
     assert np.allclose(base, shifted, rtol=0, atol=1e-12)
 
 
-def test_row_softmax_rejects_nonfinite():
+def test_sum_normalize_rejects_nonfinite_and_empty():
     with pytest.raises(InvalidInput):
-        row_softmax([1.0, np.nan])
+        sum_normalize([1.0, np.nan])
     with pytest.raises(InvalidInput):
-        row_softmax([np.inf, 0.0])
+        sum_normalize([np.inf, 0.0])
     with pytest.raises(ShapeError):
-        row_softmax(np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError):
-        row_softmax(np.zeros(0))
+        sum_normalize(np.zeros(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vsc_vector(np.array([["a", "b"]]), 0),
+        lambda: vss_values(np.array([[1 + 1j, 2, 0.5]]), k=2),
+        lambda: sum_normalize(np.array(["1", "2"])),
+        lambda: cosine_sim_clamped(np.array([True, False]), np.array([1.0, 2.0])),
+        lambda: sum_normalize(np.array([0.5, None])),
+        lambda: sum_normalize([[1.0, 2.0], [3.0]]),
+    ],
+    ids=["vsc-str", "vss-complex", "sum_normalize-str", "cosine-bool", "object", "ragged"],
+)
+def test_checked_entry_points_reject_arrays_that_do_not_hold_reals(call):
+    """The kinds the attention kernels reject: no complex value loses its
+    imaginary part, no string is parsed and no bool is read as 0 or 1."""
+    with pytest.raises(InvalidInput):
+        call()
 
 
 @given(arrays(np.float64, st.integers(1, 20), elements=st.floats(0, 1e6)))

@@ -19,7 +19,7 @@ from vgalab.grounding import (
     vss,
 )
 from vgalab.mllm import SequenceLayout, decode_step, greedy_generate, prefill, prefill_shared
-from vgalab.numerics import cosine_sim_clamped, head_scales, row_softmax, sum_normalize
+from vgalab.numerics import cosine_sim_clamped, head_scales, stable_softmax, sum_normalize
 from vgalab.vga import VgaConfig, VgaSession, bos_profile, new_session, suggest_start_layer
 
 HAND_TOL = 1e-9
@@ -120,6 +120,16 @@ def test_session_rejects_malformed_questions_and_masks(tiny_model, make):
     """Checked when the session is made, before any forward pass runs."""
     with pytest.raises(ConfigError):
         make(tiny_model)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: new_session("m", VgaConfig()), lambda: VgaSession(None, VgaConfig())],
+    ids=["new_session-str", "VgaSession-None"],
+)
+def test_session_rejects_a_model_that_is_not_a_model(make):
+    with pytest.raises(InvalidInput):
+        make()
 
 
 # -- head balancing and the value-space correction ------------------------------
@@ -245,11 +255,11 @@ class StaleMixSession(VgaSession):
 
 
 def pvg_reference(hook):
-    """The one entry's grounding before each token, rebuilt with the checked
-    entry points: salience at bind time, then
+    """The one entry's grounding before each token, rebuilt from the vector
+    calls (the checked ``sum_normalize``): salience at bind time, then
     G <- Norm(ReLU((1+lam) G - lam Norm(p_w)))."""
     cfg = hook.session.config
-    probs = row_softmax(hook.visual_logits)
+    probs = stable_softmax(hook.visual_logits)
     groundings = [vss(hook.visual_logits, k=cfg.top_k)]
     for token in hook.tokens:
         g_w, _ = sum_normalize(probs[:, token])
@@ -260,12 +270,18 @@ def pvg_reference(hook):
     return [[g] for g in groundings]
 
 
+def guided_entries(row):
+    """The entries a row guides: those whose scales are not all zero."""
+    return np.flatnonzero(row.scales.any(axis=1)).tolist()
+
+
 def assert_rows_match_reference(hook, groundings, n_heads):
     """Each guided entry's scales and mix in every row, byte for byte,
     against a per-head loop of ``cosine_sim_clamped``, ``sum_normalize`` and
     ``value_mix`` on that entry alone, the mix itself held to the explicit sum
-    over visual rows. ``groundings[t][b]`` is entry b's grounding after t
-    tokens. Returns the entry rows applied."""
+    over visual rows; every other entry's scales are zero. Every entry's
+    weights are its grounding's. ``groundings[t][b]`` is entry b's grounding
+    after t tokens. Returns the entry rows applied."""
     session = hook.session
     cfg = session.config
     s, e = session.span
@@ -276,9 +292,11 @@ def assert_rows_match_reference(hook, groundings, n_heads):
         if not session.start_layer <= layer < session.end_layer or not guided:
             assert row is None
             continue
-        assert np.arange(len(entries))[row.entries].tolist() == guided
+        assert guided_entries(row) == guided
         assert row.span == (s, e)
-        for j, b in enumerate(guided):
+        for b, g in enumerate(entries):
+            assert row.weights[b].tobytes() == g.weights.tobytes()
+        for b in guided:
             g = entries[b]
             delta = value_mix(g.weights, v[s:e])
             loop = np.zeros_like(delta)
@@ -289,9 +307,8 @@ def assert_rows_match_reference(hook, groundings, n_heads):
             gamma_prime, _ = sum_normalize(sims)
             rho = g.rho if cfg.mode == "caption" else 1.0
             scales = cfg.beta * rho * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
-            assert row.weights[j].tobytes() == g.weights.tobytes()
-            assert row.delta[j].tobytes() == delta.tobytes()
-            assert row.scales[j].tobytes() == scales.tobytes()
+            assert row.delta[b].tobytes() == delta.tobytes()
+            assert row.scales[b].tobytes() == scales.tobytes()
             applied += 1
     return applied
 
@@ -353,13 +370,12 @@ def test_two_entry_caption_session_matches_one_entry_sessions(clean_model, scene
                 assert (got.rho, got.degenerate) == (want.rho, want.degenerate)
         rows = np.concatenate((z, z[:, ::-1]))
         row = batched.correction(layer, rows, v)
-        guided = np.arange(2)[row.entries].tolist()
-        assert guided == [0, 1]
+        assert guided_entries(row) == [0, 1]
         applied = rows.copy()
         row.apply(applied)
         for b, session in enumerate(alone):
             want = session.correction(layer, rows[b : b + 1], v)
-            for got_part, want_part in zip(row[1:], want[1:]):
+            for got_part, want_part in zip(row, want):
                 if isinstance(got_part, tuple):
                     assert got_part == want_part
                 else:
@@ -408,33 +424,69 @@ def scene_batch(model, scene):
     return layouts, questions, masks
 
 
-@pytest.mark.parametrize("source", ["ground_truth", "vsc"])
+@pytest.mark.parametrize(
+    "source, absent_first",
+    [("ground_truth", False), ("ground_truth", True), ("vsc", False)],
+    ids=["ground_truth", "ground_truth-absent-first", "vsc"],
+)
 def test_shared_batch_of_guided_and_unguided_entries_matches_each_prompt_alone(
-    noisy_model, scenes12, source
+    noisy_model, scenes12, source, absent_first
 ):
     """Ground truth leaves the absent objects' entries unguided (their masks
     are all zero) and vsc guides a question with no object word evenly; in
     one ``prefill_shared`` with the other entries, each row is byte-equal to
-    that prompt's own ``prefill``."""
+    that prompt's own ``prefill``. ``absent_first`` orders the questions
+    absent, present, absent, present, so the guided entries are no leading
+    run. On every guided layer an unguided entry's last row keeps its
+    values, and a guided one gains its scaled mix at a mass of
+    1 + beta * gamma_h (rho is 1 in vqa mode)."""
     config = VgaConfig(beta=0.5, guidance_source=source)
     for scene in scenes12[:3]:
         layouts, questions, masks = scene_batch(noisy_model, scene)
+        present = [q.present for q in scene.questions]
+        if absent_first:
+            absent = [i for i, p in enumerate(present) if not p]
+            shown = [i for i, p in enumerate(present) if p]
+            order = [absent[0], shown[0], absent[1], shown[1]]
+            layouts, questions, masks, present = (
+                [xs[i] for i in order] for xs in (layouts, questions, masks, present)
+            )
+            assert present == [False, True, False, True]
         if source == "vsc":
             questions[1] = "anything there ?"
-        session = VgaSession(noisy_model, config, questions, masks)
+        hook = RecordingHook(VgaSession(noisy_model, config, questions, masks))
+        session = hook.session
         with pytest.warns(UserWarning) if source == "vsc" else nullcontext():
-            rows = prefill_shared(noisy_model, layouts, session)
+            rows = prefill_shared(noisy_model, layouts, hook)
+        degenerate = [g.degenerate for g in session.groundings]
         if source == "vsc":
             assert session.fallback_uniform == [False, True, False, False]
+            assert not any(degenerate)
         else:
-            degenerate = [g.degenerate for g in session.groundings]
-            assert degenerate == [not q.present for q in scene.questions]
+            assert degenerate == [not p for p in present]
             assert any(degenerate) and not all(degenerate)
         for row, layout, question, mask in zip(rows, layouts, questions, masks):
             alone = new_session(noisy_model, config, question=question, gt_mask=mask)
             with pytest.warns(UserWarning) if question == "anything there ?" else nullcontext():
                 want = prefill(noisy_model, layout, hook=alone).last_logits
             assert row.tobytes() == want.tobytes()
+        assert len(hook.calls) == len(session.guided_layers) > 0
+        for _, z, _, _, row in hook.calls:
+            assert guided_entries(row) == [b for b, d in enumerate(degenerate) if not d]
+            applied = z.copy()
+            row.apply(applied)
+            for b, unguided in enumerate(degenerate):
+                if unguided:
+                    # z + 0.0 * delta: the values stay, a -0.0 would turn +0.0
+                    assert not row.scales[b].any()
+                    assert np.array_equal(applied[b], z[b])
+                    continue
+                gamma = head_scales(z[b : b + 1], row.delta[b : b + 1], [1.0])[0]
+                assert row.scales[b].tobytes() == (config.beta * gamma).tobytes()
+                mass = 1.0 + row.scales[b] * row.weights[b].sum()
+                np.testing.assert_allclose(mass, 1.0 + config.beta * gamma, rtol=0, atol=HAND_TOL)
+                boosted = z[b] + row.scales[b][:, None] * row.delta[b]
+                assert applied[b].tobytes() == boosted.tobytes()
 
 
 @pytest.mark.parametrize(
