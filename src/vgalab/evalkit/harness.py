@@ -11,8 +11,13 @@ The existence loop answers all of a scene's questions with one
 prefix runs once, the questions' text tails run as one batched forward
 over it, and the session, one entry per question, grounds every question
 from one softmax of the shared visual logits and guides all their rows
-at once on each layer. Nothing of it outlives the call, so worker threads
-share no model state.
+at once on each layer. The model keeps the last prefix it ran, so a
+second loop over the same scene under another guidance source, right
+after the first, skips the prefix; a loop over many scenes runs each
+one's prefix, since the memo holds one. The memo is the only model state
+worker threads share: each reads an entry whole and replaces it whole,
+so a worker never sees another's half-written rows, and the answers are
+those of a serial loop.
 """
 from __future__ import annotations
 
@@ -291,16 +296,25 @@ def bench_ttft(
 ) -> TtftStats:
     """Median prompt-to-first-token latency over ``runs`` repetitions.
 
-    Strictly serial: timing runs share no pools. Each prompt is timed
-    vanilla and guided back to back, in alternating order, so a burst of
-    load on the machine lands on both arms alike; medians keep a few slow
-    samples from setting the overhead. The forward-row counts establish
-    that guidance adds no extra forward passes; unequal counts would make
-    the timing comparison meaningless.
+    Strictly serial: timing runs share no pools. Every timed request is
+    cold: its visual prefix runs, as for a user's first question on an
+    image, and is never served from the model's prefix memo. So no two
+    consecutive requests share a scene. Each run makes two passes over the
+    scenes, alternating the arms from one scene to the next, the second
+    pass with the arms swapped, so that every scene is timed in both arms
+    and a burst of load on the machine lands on both arms alike; medians
+    keep a few slow samples from setting the overhead. The warm-up runs
+    the vanilla arm on the next-to-last scene and the guided arm on the
+    last, so the first timed request, on the first scene, misses the memo
+    too. The forward-row counts establish that guidance adds no extra
+    forward passes; unequal counts would make the timing comparison
+    meaningless. A request that pushes other than its prompt's rows (two
+    consecutive scenes with the same patches, say) raises
+    ``InvalidParams``, as does a list of fewer than two scenes.
     """
     runs = _positive_int(runs, "runs")
-    if not scenes:
-        raise InvalidParams("need at least one scene")
+    if len(scenes) < 2:
+        raise InvalidParams("need at least two scenes, so that no request follows one on its scene")
     if not all(scene.questions for scene in scenes):
         raise InvalidParams("every scene needs a question to time")
 
@@ -316,16 +330,25 @@ def bench_ttft(
         else:
             result = prefill(model, layout)
         int(np.argmax(result.last_logits))
-        return time.perf_counter() - start, forward_rows_count() - rows_before
+        seconds = time.perf_counter() - start
+        n_rows = forward_rows_count() - rows_before
+        if n_rows != layout.length:
+            raise InvalidParams(
+                f"a request pushed {n_rows} rows for a {layout.length}-token prompt: "
+                "consecutive scenes share a visual prefix"
+            )
+        return seconds, n_rows
 
-    first_token_latency(scenes[0], guided=False)  # warm caches before timing
-    first_token_latency(scenes[0], guided=True)
+    # Warm caches before timing, each arm on a prefix of its own; the last
+    # scene's entry is replaced before the timed request on that scene.
+    first_token_latency(scenes[-2], guided=False)
+    first_token_latency(scenes[-1], guided=True)
 
     times: dict[bool, list[float]] = {False: [], True: []}
     rows = {False: 0, True: 0}
-    for i in range(runs * len(scenes)):
-        scene = scenes[i % len(scenes)]
-        for guided in (False, True) if i % 2 == 0 else (True, False):
+    for swapped in (False, True) * runs:
+        for i, scene in enumerate(scenes):
+            guided = (i % 2 == 1) != swapped
             seconds, n_rows = first_token_latency(scene, guided)
             times[guided].append(seconds)
             rows[guided] += n_rows

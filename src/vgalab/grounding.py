@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, ShapeError, require_int, require_real
-from .numerics import _as_float_array, stable_softmax, sum_normalize
+from .numerics import _as_float_array, _real_array, stable_softmax, sum_normalize
 from .vocab import Vocabulary
 
 EXIST_LOG_THRESHOLD = -2.5
@@ -56,8 +56,11 @@ class Grounding:
 
     @staticmethod
     def from_values(values: np.ndarray) -> "Grounding":
-        """Sum-normalize nonnegative per-patch values into a Grounding."""
-        return Grounding(*sum_normalize(np.asarray(values, dtype=np.float64)))
+        """Sum-normalize nonnegative per-patch values into a Grounding,
+        computed in float64; values that are not real numbers (strings,
+        bools, complex) raise ``InvalidInput``."""
+        values = _real_array(values, "values").astype(np.float64, copy=False)
+        return Grounding(*sum_normalize(values))
 
 
 @dataclass(frozen=True)

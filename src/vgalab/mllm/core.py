@@ -23,7 +23,23 @@ its keys, values and logits depend on the prefix tokens alone, and prompts
 that share it share one run of it: ``prefill_shared`` runs the prefix once
 and the text tails of all its prompts as one batched forward over its
 cached rows, each batch entry what a ``prefill`` of that prompt alone
-computes, bit for bit on models with more than one head. The forward pass
+computes, bit for bit on models with more than one head.
+
+Each model also keeps the last prefix it ran, one entry per ``Model``
+instance: the prefix token ids ``[0, visual_end)`` as bytes, a read-only
+copy of their KV rows [2, n_layers, visual_end, H, dh] and their read-only
+logits [visual_end, V], swapped in whole as one tuple (~0.6 MB at the
+planted shape). A prompt whose prefix ids match that entry skips the
+prefix: ``prefill`` copies the rows into its new cache, which the tail
+and the decode steps append to, and a batched text tail reads them in
+place, allocating no cache. A miss runs the prefix into a new cache and
+keeps a copy of its rows. A prompt's visual logits are the entry's rows
+``[visual_start, visual_end)``, and its outputs are the bytes a run of
+the prefix gives. One entry serves traffic that runs one scene back to back, such as a
+scene's existence questions under one guidance source and then another,
+or a vanilla and a guided caption; a sweep over every scene for one
+source, then every scene again for the next, misses on every prompt.
+``reference_forward`` keeps no entry and reads none. The forward pass
 takes token ids [B, n]; the attention kernel sees the batch entries' heads
 side by side on its head axis, since heads never mix. One guidance hook,
 when attached, serves the whole batch: it binds to the read-only visual
@@ -71,7 +87,8 @@ from .config import ModelConfig, SequenceLayout
 _NORM_EPS = 1e-6
 
 # Rows pushed through the network since the process started; guided and
-# vanilla generation must add identical counts for the same prompts.
+# vanilla generation must add equal counts for the same prompts from the
+# same memo state (a prefix served from the memo pushes no rows).
 _FORWARD_ROWS = 0
 
 
@@ -120,8 +137,11 @@ def tensor_table(config: ModelConfig) -> Iterator[tuple[str, int | None, str, tu
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable weight bundle; arrays are float32 and write-protected, and
-    each layer's wq, wk and wv are the slabs of its ``qkv`` block."""
+    """Weight bundle; arrays are float32 and write-protected, and each
+    layer's wq, wk and wv are the slabs of its ``qkv`` block. The weights
+    never change; the one mutable slot, ``_prefix``, is the memo of the last
+    visual prefix the forward pass ran (module docstring), which never
+    enters comparisons or the repr."""
 
     config: ModelConfig
     vocab: Vocabulary
@@ -131,6 +151,9 @@ class Model:
     unembed: np.ndarray
     # Per layer, the [3, d, d] block whose slabs are that layer's wq, wk, wv.
     qkv: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # (prefix ids as bytes, read-only KV rows, read-only logits) of the last
+    # prefix ``_prefill`` ran, or None; replaced whole, never edited.
+    _prefix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -192,13 +215,26 @@ class KvCache:
         # One allocation, not 2 * n_layers: once a freed block has raised
         # glibc's mmap threshold above its size, later caches reuse heap
         # pages instead of page-faulting fresh mappings on every prefill.
-        kv = np.empty((2, config.n_layers, config.max_seq_len, config.n_heads, config.d_head))
+        shape = (2, config.n_layers, config.max_seq_len, config.n_heads, config.d_head)
+        self._hold(np.empty(shape))
+
+    def _hold(self, kv: np.ndarray) -> None:
+        self._kv = kv
         self.k, self.v = list(kv[0]), list(kv[1])
         self._v_read = [v.view() for v in self.v]
         for v in self._v_read:
             v.flags.writeable = False
         self._len = 0
-        self.capacity = config.max_seq_len
+        self.capacity = kv.shape[2]
+
+    @classmethod
+    def _over(cls, rows: np.ndarray) -> "KvCache":
+        """A full cache over the read-only ``rows`` [2, n_layers, n, H, dh],
+        without a copy: a batched pass reads them, and a write raises."""
+        cache = cls.__new__(cls)
+        cache._hold(rows)
+        cache._len = cache.capacity
+        return cache
 
     @property
     def length(self) -> int:
@@ -387,27 +423,51 @@ def _prefill(
 ) -> tuple[KvCache, np.ndarray, np.ndarray]:
     """Run the prompts' shared visual prefix once, then their text tails as one batch.
 
-    The prefix rows ``[0, visual_end)`` of ``layouts[0]`` run unguided into
-    a new cache; the hook, if any, binds to the read-only visual logits and
-    the layouts, whose visual span every prompt shares; then the tails,
-    of equal length, run as one [B, n] forward under the hook. The first
-    prompt is checked whole before the prefix runs, so it fails before the
-    hook binds. Returns (cache, visual logits, last-row logits [B, V]).
+    The prefix rows ``[0, visual_end)`` of ``layouts[0]`` come from the
+    model's memo when its ids match the memo's, and otherwise run unguided
+    into a new cache, whose rows and logits then replace the memo entry.
+    The hook, if any, binds to the read-only visual logits and the
+    layouts, whose visual span every prompt shares; then the tails, of
+    equal length, run as one [B, n] forward under the hook. One prompt
+    (B = 1) gets a new cache holding the prefix rows; a batch that hits
+    reads the entry's rows in place and allocates no cache. The first
+    prompt is checked whole before the lookup, so it fails before the hook
+    binds. Returns (cache, visual logits, last-row logits [B, V]).
     """
+    cfg = model.config
     first = layouts[0]
     ids = first.ids_array()
-    _check_ids(model.config, ids, first.length)
+    _check_ids(cfg, ids, first.length)
     e = first.visual_end
-    cache = KvCache(model.config)
-    logits = _forward_block(model, ids[None, :e], cache)
-    visual_logits = logits[0, first.visual_start : e]
-    visual_logits.flags.writeable = False
+    key = ids[:e].tobytes()
+    memo = model._prefix
+    if memo is not None and memo[0] == key:
+        _, rows, prefix_logits = memo
+        if len(layouts) > 1:
+            cache = KvCache._over(rows)
+        else:
+            cache = KvCache(cfg)
+            cache._kv[:, :, :e] = rows
+            cache.advance(e)
+    else:
+        # A batch, too, runs its prefix into a full cache: run straight
+        # into an e-row block, it left glibc's mmap threshold below the
+        # forward pass's temporaries (~80 minor faults per existence op).
+        cache = KvCache(cfg)
+        logits = _forward_block(model, ids[None, :e], cache)
+        logits.flags.writeable = False
+        prefix_logits = logits[0]
+        rows = cache._kv[:, :, :e].copy()  # the caller's cache stays writable
+        rows.flags.writeable = False
+        object.__setattr__(model, "_prefix", (key, rows, prefix_logits))
+    visual_logits = prefix_logits[first.visual_start : e]
     if hook is not None:
         hook.on_visual(visual_logits, layouts)
 
-    if e < first.length:
-        tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
-        logits = _forward_block(model, tails, cache, hook=hook)
+    if e == first.length:
+        return cache, visual_logits, prefix_logits[None, -1].copy()
+    tails = np.array([layout.token_ids[e:] for layout in layouts], dtype=np.int64)
+    logits = _forward_block(model, tails, cache, hook=hook)
     return cache, visual_logits, logits[:, -1].copy()
 
 
@@ -471,8 +531,10 @@ def prefill(
 
     The split lets an attached hook ground itself on the visual logits
     before the text rows (the only guided ones) are processed, without a
-    second pass. ``record_attention`` runs the oracle, ``reference_forward``,
-    instead; that result keeps no cache.
+    second pass. When the model's memo holds this prompt's prefix, the new
+    cache starts from a copy of its rows and only the tail runs.
+    ``record_attention`` runs the oracle, ``reference_forward``, instead;
+    that result keeps no cache and leaves the memo as it was.
     """
     _check_prompts(model, [layout], hook)
     if record_attention:
@@ -486,11 +548,12 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
     """Last-row logits [B, V] of prompts that share one visual prefix, in one forward.
 
     The prompts must match ``layouts[0]`` in ``visual_end``, in the tokens
-    before it and in length, and have a text tail. The prefix runs once;
-    the hook, if any, binds to its read-only visual logits and then guides
-    every prompt's last row at once (a ``VgaSession`` with one entry per
-    prompt, in order); the text tails run as one batch over the prefix
-    rows. Row b is bit for bit what ``prefill`` of ``layouts[b]`` under a
+    before it and in length, and have a text tail. The prefix runs once,
+    or not at all when it is the model's memo entry, whose rows the tails
+    then read in place; the hook, if any, binds to its read-only visual
+    logits and then guides every prompt's last row at once (a
+    ``VgaSession`` with one entry per prompt, in order); the text tails
+    run as one batch over the prefix rows. Row b is bit for bit what ``prefill`` of ``layouts[b]`` under a
     one-entry session for that prompt computes, except that one-row tails
     on a one-head model may differ in the last bits (BLAS reduces a lone
     contiguous head by another path). No cache is kept, so the prompts

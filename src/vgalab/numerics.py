@@ -29,15 +29,21 @@ from .errors import InvalidInput, ShapeError
 DEGENERATE_EPS = 1e-12
 
 
-def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndarray:
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as an array of integers or floats, as the attention kernels
+    take: a complex array would lose its imaginary part in a float cast,
+    and a string array would be parsed."""
     try:
         arr = np.asarray(x)
     except ValueError:  # a ragged nested sequence
         raise InvalidInput(f"{name} must be a rectangular array") from None
-    # integer or float, as the attention kernels take: a complex array would
-    # lose its imaginary part in the cast, a string array would be parsed
     if arr.dtype.kind not in "iuf":
         raise InvalidInput(f"{name} must hold real numbers, got {arr.dtype}")
+    return arr
+
+
+def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndarray:
+    arr = _real_array(x, name)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     if arr.ndim < min_dim or arr.ndim > max_dim:

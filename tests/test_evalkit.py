@@ -341,8 +341,8 @@ def test_existence_eval_counts_unmapped_as_incorrect(clean_model, scenes12, monk
 
 def test_existence_eval_parallel_matches_serial(clean_model, scenes12, monkeypatch):
     cfg = VgaConfig(guidance_source="none")
-    serial = run_existence_eval(clean_model, scenes12[:4], cfg)
     parallel = run_existence_eval(clean_model, scenes12[:4], cfg, jobs=3)
+    serial = run_existence_eval(clean_model, scenes12[:4], cfg)  # leaves scene 3 in the memo
     assert serial == parallel
     # Each scene's prefix runs once and its questions' tails run as one
     # batch over it, in every worker, with the same reports as the
@@ -423,18 +423,22 @@ def test_image_confidence_ranks_every_present_object_first(clean_model, scenes12
 
 
 def test_bench_ttft_counts_rows(clean_model, scenes12):
-    stats = bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=1)
-    assert stats.vanilla_median_s > 0
-    assert stats.guided_median_s > 0
-    assert stats.rows_vanilla == stats.rows_guided
+    """Every timed request is cold: each scene is timed once per arm and
+    run, and pushes its whole prompt."""
     layout = build_vqa_layout(clean_model, scenes12[0], scenes12[0].questions[0].word)
-    assert stats.rows_vanilla == 3 * layout.length
-    assert stats.n_prompts == 3
+    for n_scenes, runs in ((3, 1), (2, 2)):
+        stats = bench_ttft(clean_model, scenes12[:n_scenes], VgaConfig(), runs=runs)
+        assert stats.vanilla_median_s > 0
+        assert stats.guided_median_s > 0
+        assert stats.rows_vanilla == stats.rows_guided
+        assert stats.rows_vanilla == runs * n_scenes * layout.length
+        assert (stats.n_prompts, stats.runs) == (n_scenes, runs)
     for runs in (0, 2.5, True, "1", None):
         with pytest.raises(InvalidParams):
             bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=runs)
-    with pytest.raises(InvalidParams):
-        bench_ttft(clean_model, [], VgaConfig())
+    for scenes in ([], scenes12[:1], [scenes12[0], scenes12[0], scenes12[1]]):
+        with pytest.raises(InvalidParams):  # too few scenes, or a request served from the memo
+            bench_ttft(clean_model, scenes, VgaConfig())
 
 
 # -- heatmap ----------------------------------------------------------------------

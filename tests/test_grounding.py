@@ -170,6 +170,11 @@ def test_grounding_from_values_and_degeneracy():
     assert flat.degenerate
     assert flat.rho == 0.0
     assert np.allclose(flat.weights, 0.25)
+    # integers and float32 are computed in float64, as before the dtype check
+    single = np.array([0.1, 0.7, 0.2, 0.0], dtype=np.float32)
+    want = single.astype(np.float64) / single.astype(np.float64).sum()
+    assert Grounding.from_values(single).weights.tobytes() == want.tobytes()
+    assert Grounding.from_values([0, 3, 1, 0]).weights.tobytes() == g.weights.tobytes()
     with pytest.raises(ValueError):
         g.weights[0] = 1.0  # frozen buffer
 

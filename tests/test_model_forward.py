@@ -530,12 +530,14 @@ def test_prompt_without_text_tail_is_never_guided(tiny_model):
 
 
 def test_reference_forward_shares_no_code_with_the_cached_path():
-    """The oracle names none of the helpers of what it checks."""
+    """The oracle names none of the helpers of what it checks, nor the
+    prefix memo: it neither reads nor fills it."""
     tree = ast.parse(inspect.getsource(core.reference_forward))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "attention_explicit" in names
     forbidden = {"_forward_block", "_prefill", "KvCache", "_fold_heads", "_join", "attention_fused"}
+    forbidden |= {"_prefix", "_over", "_kv"}  # the prefix memo and the blocks it keeps
     assert not names & forbidden
 
 
@@ -826,17 +828,25 @@ def test_disabled_guidance_is_a_byte_exact_no_op(seed, source, mode, disable, da
 def test_greedy_is_deterministic_and_bounded(tiny_model):
     rng = np.random.default_rng(6)
     layout = scene_layout(tiny_model, rng)
-    first = greedy_generate(tiny_model, layout, max_len=7)
+    other = scene_layout(tiny_model, rng)
+    assert other.token_ids[: other.visual_end] != layout.token_ids[: layout.visual_end]
+    prefill(tiny_model, other)  # the model's prefix memo now holds other patches
     rows_before = forward_rows_count()
-    second = greedy_generate(tiny_model, layout, max_len=7)
-    assert first == second
+    first = greedy_generate(tiny_model, layout, max_len=7)
     assert 1 <= len(first) <= 7
     # The token that fills max_len is not fed back: n tokens cost n - 1 steps.
     assert tiny_model.vocab.eos_id not in first
     assert forward_rows_count() - rows_before == layout.length + len(first) - 1
+    # The second run takes the prefix from the memo: only the tail and the
+    # decode steps run, to the same tokens.
+    rows_before = forward_rows_count()
+    second = greedy_generate(tiny_model, layout, max_len=7)
+    assert first == second
+    tail = layout.length - layout.visual_end
+    assert forward_rows_count() - rows_before == tail + len(first) - 1
     rows_before = forward_rows_count()
     greedy_generate(tiny_model, layout, max_len=1)
-    assert forward_rows_count() - rows_before == layout.length
+    assert forward_rows_count() - rows_before == tail
     for max_len in (0, 2.5, True, "1"):
         with pytest.raises(InvalidInput):
             greedy_generate(tiny_model, layout, max_len=max_len)
@@ -855,6 +865,9 @@ def test_greedy_stops_at_eos(clean_model, scenes12):
 def test_forward_row_counter_tracks_rows(tiny_model):
     rng = np.random.default_rng(7)
     layout = scene_layout(tiny_model, rng)
+    other = scene_layout(tiny_model, rng)
+    assert other.token_ids[: other.visual_end] != layout.token_ids[: layout.visual_end]
+    prefill(tiny_model, other)
     rows_before = forward_rows_count()
     prefill(tiny_model, layout)
     assert forward_rows_count() - rows_before == layout.length

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import InvalidInput, ShapeError
-from vgalab.grounding import vsc_vector, vss_values
+from vgalab.grounding import Grounding, vsc_vector, vss_values
 from vgalab.numerics import (
     DEGENERATE_EPS,
     cosine_sim_clamped,
@@ -67,8 +67,21 @@ def test_sum_normalize_rejects_nonfinite_and_empty():
         lambda: cosine_sim_clamped(np.array([True, False]), np.array([1.0, 2.0])),
         lambda: sum_normalize(np.array([0.5, None])),
         lambda: sum_normalize([[1.0, 2.0], [3.0]]),
+        lambda: Grounding.from_values(["1", "2"]),
+        lambda: Grounding.from_values([True, False]),
+        lambda: Grounding.from_values(np.array([1 + 1j, 2])),
     ],
-    ids=["vsc-str", "vss-complex", "sum_normalize-str", "cosine-bool", "object", "ragged"],
+    ids=[
+        "vsc-str",
+        "vss-complex",
+        "sum_normalize-str",
+        "cosine-bool",
+        "object",
+        "ragged",
+        "from_values-str",
+        "from_values-bool",
+        "from_values-complex",
+    ],
 )
 def test_checked_entry_points_reject_arrays_that_do_not_hold_reals(call):
     """The kinds the attention kernels reject: no complex value loses its

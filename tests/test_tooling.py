@@ -1,5 +1,6 @@
 """Source hygiene: every exported name resolves, no module imports a
-name it never uses, and no function rebinds module-global state."""
+name it never uses, no function rebinds module-global state, and no
+module binds a name to a mutable container."""
 import ast
 import importlib
 from pathlib import Path
@@ -80,3 +81,60 @@ def test_no_function_rebinds_module_globals(path):
     where = path.relative_to(SRC).as_posix()
     found = global_statements(path.read_text(encoding="utf-8"))
     assert [(where, *use) for use in found if (where, *use) not in ALLOWED_GLOBALS] == []
+
+
+# The module-level mutable containers allowed, which the program never
+# mutates: every module's export list and the CLI's command table.
+ALLOWED_CONTAINERS = {("cli.py", "_COMMANDS")}
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray"}
+
+
+def module_containers(source: str) -> list[str]:
+    """Names bound at module level, outside every function and class, to a
+    list, dict or set display or comprehension, or to a call of ``list``,
+    ``dict``, ``set`` or ``bytearray``: state every caller in the process
+    would share."""
+    found = []
+
+    def mutable(value) -> bool:
+        if isinstance(value, _MUTABLE_DISPLAYS):
+            return True
+        return (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in _MUTABLE_CONSTRUCTORS
+        )
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)) and child.value is not None:
+                if mutable(child.value):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    for target in targets:
+                        found.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_container_check_sees_module_level_bindings_only():
+    source = (
+        "A = {}\nB: list = []\nC = (1, 2)\nD = dict(x=1)\nE = {k: 1 for k in C}\n"
+        "if C:\n    F = {1}\n"
+        "def f():\n    G = []\n"
+        "class K:\n    H = []\n"
+    )
+    assert module_containers(source) == ["A", "B", "D", "E", "F"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_module_binds_a_mutable_container(path):
+    where = path.relative_to(SRC).as_posix()
+    found = module_containers(path.read_text(encoding="utf-8"))
+    assert [n for n in found if n != "__all__" and (where, n) not in ALLOWED_CONTAINERS] == []
