@@ -11,13 +11,14 @@ The existence loop answers all of a scene's questions with one
 prefix runs once, the questions' text tails run as one batched forward
 over it, and the session, one entry per question, grounds every question
 from one softmax of the shared visual logits and guides all their rows
-at once on each layer. The model keeps the last prefix it ran, so a
-second loop over the same scene under another guidance source, right
-after the first, skips the prefix; a loop over many scenes runs each
-one's prefix, since the memo holds one. The memo is the only model state
-worker threads share: each reads an entry whole and replaces it whole,
-so a worker never sees another's half-written rows, and the answers are
-those of a serial loop.
+at once on each layer. The model keeps the last prefix it ran, so
+questions asked right after another prompt on their scene skip the
+prefix: the caption loop answers each scene's questions after its
+caption, and the prefix runs once per scene. A loop over many scenes
+runs each one's prefix, since the memo holds one. The memo is the only
+model state worker threads share: each reads an entry whole and
+replaces it whole, so a worker never sees another's half-written rows,
+and the answers are those of a serial loop.
 """
 from __future__ import annotations
 
@@ -103,50 +104,32 @@ def _score_answer(model: Model, token_id: int, present: bool) -> tuple[bool, boo
     return False, False, False
 
 
-def run_existence_eval(
-    model: Model,
-    scenes: list[Scene],
-    config: VgaConfig,
-    jobs: int = 1,
-) -> EvalReport:
-    """Ask every scene question, map the first token to yes/no, aggregate.
-
-    A scene's visual prefix runs once and all its questions are answered
-    in one batched forward over it, guided by one session for the scene:
-    the tokens ``model_answer_fn`` gives one question at a time.
-    Unmappable answers count as incorrect and are logged. ``jobs`` (an int
-    >= 1) worker threads split the scenes.
-    """
-    jobs = _positive_int(jobs, "jobs")
-    if not scenes:
-        raise InvalidParams("need at least one scene")
+def _require_questions(scenes: list[Scene]) -> None:
     if not any(scene.questions for scene in scenes):
         raise InvalidParams("no scene has a question to ask")
 
-    def eval_scene(scene: Scene) -> list[tuple[bool, bool, bool, bool]]:
-        if not scene.questions:
-            return []
-        layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
-        session = _answer_session(model, scene, scene.questions, config)
-        tokens = np.argmax(prefill_shared(model, layouts, session), axis=-1).tolist()
-        out = []
-        for q, token in zip(scene.questions, tokens):
-            correct, said_yes, mapped = _score_answer(model, token, q.present)
-            if not mapped:
-                log.warning(
-                    "unmapped answer token %d (%r) for question %r",
-                    token, model.vocab.word_of(token), q,
-                )
-            out.append((q.present, correct, said_yes, mapped))
-        return out
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_scene = list(pool.map(eval_scene, scenes))
-    else:
-        per_scene = [eval_scene(s) for s in scenes]
+def _existence_rows(model: Model, scene: Scene, config: VgaConfig) -> list[tuple[bool, bool, bool, bool]]:
+    """(present, correct, predicted_yes, mapped) for each of ``scene``'s
+    questions, answered in one batched forward over its visual prefix."""
+    if not scene.questions:
+        return []
+    layouts = [build_vqa_layout(model, scene, q.word) for q in scene.questions]
+    session = _answer_session(model, scene, scene.questions, config)
+    tokens = np.argmax(prefill_shared(model, layouts, session), axis=-1).tolist()
+    out = []
+    for q, token in zip(scene.questions, tokens):
+        correct, said_yes, mapped = _score_answer(model, token, q.present)
+        if not mapped:
+            log.warning(
+                "unmapped answer token %d (%r) for question %r",
+                token, model.vocab.word_of(token), q,
+            )
+        out.append((q.present, correct, said_yes, mapped))
+    return out
 
-    rows = [r for chunk in per_scene for r in chunk]
+
+def _existence_report(rows: list[tuple[bool, bool, bool, bool]], config: VgaConfig) -> EvalReport:
     n = len(rows)
     correct = sum(1 for _, c, _, _ in rows if c)
     tp = sum(1 for p, _, y, _ in rows if p and y)
@@ -167,6 +150,33 @@ def run_existence_eval(
     )
 
 
+def run_existence_eval(
+    model: Model,
+    scenes: list[Scene],
+    config: VgaConfig,
+    jobs: int = 1,
+) -> EvalReport:
+    """Ask every scene question, map the first token to yes/no, aggregate.
+
+    A scene's visual prefix runs once and all its questions are answered
+    in one batched forward over it, guided by one session for the scene:
+    the tokens ``model_answer_fn`` gives one question at a time.
+    Unmappable answers count as incorrect and are logged. ``jobs`` (an int
+    >= 1) worker threads split the scenes.
+    """
+    jobs = _positive_int(jobs, "jobs")
+    if not scenes:
+        raise InvalidParams("need at least one scene")
+    _require_questions(scenes)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_scene = list(pool.map(lambda s: _existence_rows(model, s, config), scenes))
+    else:
+        per_scene = [_existence_rows(model, s, config) for s in scenes]
+    return _existence_report([r for chunk in per_scene for r in chunk], config)
+
+
 def run_caption_eval(
     model: Model,
     scenes: list[Scene],
@@ -179,21 +189,28 @@ def run_caption_eval(
 
     The config is coerced to caption mode. When ``f1`` is not supplied,
     the discriminative half runs on the same scenes with the same config
-    (in vqa mode) and contributes its F1 to the combined score. ``jobs``
-    (an int >= 1) worker threads split the scenes.
+    (in vqa mode) and contributes its F1 to the combined score: each
+    scene's questions are answered right after its caption, whose visual
+    prefix they share, so the model's prefix memo serves them and the
+    prefix runs once per scene. ``jobs`` (an int >= 1) worker threads
+    split the scenes.
     """
     jobs = _positive_int(jobs, "jobs")
     if not scenes:
         raise InvalidParams("need at least one scene")
     cap_config = replace(config, mode="caption")
+    vqa_config = replace(config, mode="vqa")
+    if f1 is None:
+        _require_questions(scenes)
 
-    def caption_scene(scene: Scene) -> tuple[set[str], int]:
+    def caption_scene(scene: Scene) -> tuple[set[str], int, list[tuple[bool, bool, bool, bool]]]:
         layout = build_caption_layout(model, scene)
         session = new_session(model, cap_config)
         tokens = greedy_generate(model, layout, vga=session, max_len=max_len)
         words = generated_words(model, tokens)
         mentioned = {w for w in words if model.vocab.is_object_word(w)}
-        return mentioned, len(tokens)
+        answers = _existence_rows(model, scene, vqa_config) if f1 is None else []
+        return mentioned, len(tokens), answers
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -201,16 +218,14 @@ def run_caption_eval(
     else:
         outputs = [caption_scene(s) for s in scenes]
 
-    generated = [mentioned for mentioned, _ in outputs]
-    lengths = [length for _, length in outputs]
+    generated = [mentioned for mentioned, _, _ in outputs]
+    lengths = [length for _, length, _ in outputs]
     annotated = [set(s.annotated) for s in scenes]
     targets = [set(s.hallu_targets) for s in scenes]
 
     discriminative = None
     if f1 is None:
-        discriminative = run_existence_eval(
-            model, scenes, replace(config, mode="vqa"), jobs=jobs
-        )
+        discriminative = _existence_report([r for _, _, rows in outputs for r in rows], vqa_config)
         f1 = discriminative.f1
 
     chair_s, chair_i = chair_metrics(generated, annotated)
@@ -308,48 +323,51 @@ def bench_ttft(
     last, so the first timed request, on the first scene, misses the memo
     too. The forward-row counts establish that guidance adds no extra
     forward passes; unequal counts would make the timing comparison
-    meaningless. A request that pushes other than its prompt's rows (two
-    consecutive scenes with the same patches, say) raises
-    ``InvalidParams``, as does a list of fewer than two scenes.
+    meaningless. Fewer than two scenes, or two consecutive scenes (the
+    last and the first among them) with the same visual prefix, raise
+    ``InvalidParams`` before anything runs.
     """
     runs = _positive_int(runs, "runs")
     if len(scenes) < 2:
         raise InvalidParams("need at least two scenes, so that no request follows one on its scene")
     if not all(scene.questions for scene in scenes):
         raise InvalidParams("every scene needs a question to time")
+    layouts = [build_vqa_layout(model, scene, scene.questions[0].word) for scene in scenes]
+    prefixes = [layout.token_ids[: layout.visual_end] for layout in layouts]
+    for i, (prefix, after) in enumerate(zip(prefixes, prefixes[1:] + prefixes[:1])):
+        if prefix == after:
+            raise InvalidParams(
+                f"scenes {i} and {(i + 1) % len(scenes)} share a visual prefix, "
+                "so the second would be timed from the model's prefix memo"
+            )
 
-    def first_token_latency(scene: Scene, guided: bool) -> tuple[float, int]:
-        """(seconds, forward rows) of one prefill and argmax."""
-        q = scene.questions[0]
-        layout = build_vqa_layout(model, scene, q.word)
+    def first_token_latency(i: int, guided: bool) -> tuple[float, int]:
+        """(seconds, forward rows) of one prefill and argmax on scene ``i``."""
+        layout = layouts[i]
         rows_before = forward_rows_count()
         start = time.perf_counter()
         if guided:
-            session = new_session(model, config, question=question_text(q.word))
-            result = prefill(model, layout, hook=session)
+            question = question_text(scenes[i].questions[0].word)
+            result = prefill(model, layout, hook=new_session(model, config, question=question))
         else:
             result = prefill(model, layout)
         int(np.argmax(result.last_logits))
         seconds = time.perf_counter() - start
         n_rows = forward_rows_count() - rows_before
-        if n_rows != layout.length:
-            raise InvalidParams(
-                f"a request pushed {n_rows} rows for a {layout.length}-token prompt: "
-                "consecutive scenes share a visual prefix"
-            )
+        assert n_rows == layout.length, f"{n_rows} rows pushed for a {layout.length}-token prompt"
         return seconds, n_rows
 
     # Warm caches before timing, each arm on a prefix of its own; the last
     # scene's entry is replaced before the timed request on that scene.
-    first_token_latency(scenes[-2], guided=False)
-    first_token_latency(scenes[-1], guided=True)
+    first_token_latency(len(scenes) - 2, guided=False)
+    first_token_latency(len(scenes) - 1, guided=True)
 
     times: dict[bool, list[float]] = {False: [], True: []}
     rows = {False: 0, True: 0}
     for swapped in (False, True) * runs:
-        for i, scene in enumerate(scenes):
+        for i in range(len(scenes)):
             guided = (i % 2 == 1) != swapped
-            seconds, n_rows = first_token_latency(scene, guided)
+            seconds, n_rows = first_token_latency(i, guided)
             times[guided].append(seconds)
             rows[guided] += n_rows
 

@@ -30,15 +30,16 @@ instance: the prefix token ids ``[0, visual_end)`` as bytes, a read-only
 copy of their KV rows [2, n_layers, visual_end, H, dh] and their read-only
 logits [visual_end, V], swapped in whole as one tuple (~0.6 MB at the
 planted shape). A prompt whose prefix ids match that entry skips the
-prefix: ``prefill`` copies the rows into its new cache, which the tail
-and the decode steps append to, and a batched text tail reads them in
-place, allocating no cache. A miss runs the prefix into a new cache and
-keeps a copy of its rows. A prompt's visual logits are the entry's rows
-``[visual_start, visual_end)``, and its outputs are the bytes a run of
-the prefix gives. One entry serves traffic that runs one scene back to back, such as a
-scene's existence questions under one guidance source and then another,
-or a vanilla and a guided caption; a sweep over every scene for one
-source, then every scene again for the next, misses on every prompt.
+prefix: ``prefill`` and ``prefill_shared`` copy the rows into their new
+cache, which the text tail (and, for one prompt, the decode steps) then
+extends. A miss runs the prefix into a new cache and keeps a copy of its
+rows. A prompt's visual logits are the entry's rows ``[visual_start,
+visual_end)``, and its outputs are the bytes a run of the prefix gives.
+One entry serves traffic that runs one scene back to back, such as
+``run_caption_eval``'s existence questions right after the caption of
+their scene, or one scene under several guidance sources in turn; a
+sweep over every scene for one source, then every scene again for the
+next, misses on every prompt.
 ``reference_forward`` keeps no entry and reads none. The forward pass
 takes token ids [B, n]; the attention kernel sees the batch entries' heads
 side by side on its head axis, since heads never mix. One guidance hook,
@@ -215,26 +216,14 @@ class KvCache:
         # One allocation, not 2 * n_layers: once a freed block has raised
         # glibc's mmap threshold above its size, later caches reuse heap
         # pages instead of page-faulting fresh mappings on every prefill.
-        shape = (2, config.n_layers, config.max_seq_len, config.n_heads, config.d_head)
-        self._hold(np.empty(shape))
-
-    def _hold(self, kv: np.ndarray) -> None:
-        self._kv = kv
+        kv = np.empty((2, config.n_layers, config.max_seq_len, config.n_heads, config.d_head))
+        self._kv = kv  # the whole block, for the prefix memo's one-call copies
         self.k, self.v = list(kv[0]), list(kv[1])
         self._v_read = [v.view() for v in self.v]
         for v in self._v_read:
             v.flags.writeable = False
         self._len = 0
-        self.capacity = kv.shape[2]
-
-    @classmethod
-    def _over(cls, rows: np.ndarray) -> "KvCache":
-        """A full cache over the read-only ``rows`` [2, n_layers, n, H, dh],
-        without a copy: a batched pass reads them, and a write raises."""
-        cache = cls.__new__(cls)
-        cache._hold(rows)
-        cache._len = cache.capacity
-        return cache
+        self.capacity = config.max_seq_len
 
     @property
     def length(self) -> int:
@@ -428,9 +417,8 @@ def _prefill(
     into a new cache, whose rows and logits then replace the memo entry.
     The hook, if any, binds to the read-only visual logits and the
     layouts, whose visual span every prompt shares; then the tails, of
-    equal length, run as one [B, n] forward under the hook. One prompt
-    (B = 1) gets a new cache holding the prefix rows; a batch that hits
-    reads the entry's rows in place and allocates no cache. The first
+    equal length, run as one [B, n] forward under the hook. Either way
+    the returned cache is new and holds the prefix rows. The first
     prompt is checked whole before the lookup, so it fails before the hook
     binds. Returns (cache, visual logits, last-row logits [B, V]).
     """
@@ -440,26 +428,23 @@ def _prefill(
     _check_ids(cfg, ids, first.length)
     e = first.visual_end
     key = ids[:e].tobytes()
+    cache = KvCache(cfg)
     memo = model._prefix
     if memo is not None and memo[0] == key:
-        _, rows, prefix_logits = memo
-        if len(layouts) > 1:
-            cache = KvCache._over(rows)
-        else:
-            cache = KvCache(cfg)
-            cache._kv[:, :, :e] = rows
-            cache.advance(e)
+        cache._kv[:, :, :e] = memo[1]
+        cache.advance(e)
     else:
-        # A batch, too, runs its prefix into a full cache: run straight
-        # into an e-row block, it left glibc's mmap threshold below the
-        # forward pass's temporaries (~80 minor faults per existence op).
-        cache = KvCache(cfg)
+        # Drop the old entry first: kept through the prefix run, it would
+        # add its size to the peak memory of every miss.
+        memo = None
+        object.__setattr__(model, "_prefix", None)
         logits = _forward_block(model, ids[None, :e], cache)
         logits.flags.writeable = False
-        prefix_logits = logits[0]
         rows = cache._kv[:, :, :e].copy()  # the caller's cache stays writable
         rows.flags.writeable = False
-        object.__setattr__(model, "_prefix", (key, rows, prefix_logits))
+        memo = (key, rows, logits[0])
+        object.__setattr__(model, "_prefix", memo)
+    prefix_logits = memo[2]
     visual_logits = prefix_logits[first.visual_start : e]
     if hook is not None:
         hook.on_visual(visual_logits, layouts)
@@ -549,11 +534,11 @@ def prefill_shared(model: Model, layouts: Sequence[SequenceLayout], hook=None) -
 
     The prompts must match ``layouts[0]`` in ``visual_end``, in the tokens
     before it and in length, and have a text tail. The prefix runs once,
-    or not at all when it is the model's memo entry, whose rows the tails
-    then read in place; the hook, if any, binds to its read-only visual
-    logits and then guides every prompt's last row at once (a
-    ``VgaSession`` with one entry per prompt, in order); the text tails
-    run as one batch over the prefix rows. Row b is bit for bit what ``prefill`` of ``layouts[b]`` under a
+    or not at all when it is the model's memo entry; the hook, if any,
+    binds to its read-only visual logits and then guides every prompt's
+    last row at once (a ``VgaSession`` with one entry per prompt, in
+    order); the text tails run as one batch over the prefix rows. Row b
+    is bit for bit what ``prefill`` of ``layouts[b]`` under a
     one-entry session for that prompt computes, except that one-row tails
     on a one-head model may differ in the last bits (BLAS reduces a lone
     contiguous head by another path). No cache is kept, so the prompts

@@ -1,6 +1,7 @@
 """Scene sampling, hallucination metrics, evaluation loops, heatmap export."""
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,13 +381,37 @@ def test_caption_eval_reports_set_metrics(clean_model, scenes12):
 
 
 def test_caption_eval_runs_paired_discriminative_half(clean_model, scenes12):
-    report = run_caption_eval(
-        clean_model, scenes12[:2], VgaConfig(mode="vqa"), max_len=24
-    )
-    assert report.accuracy is not None
+    """Each scene's questions follow its caption and reuse its visual prefix
+    from the model's memo: beyond the captions, only the questions' text
+    tails run, and the answers are those of ``run_existence_eval``."""
+    scenes = scenes12[:3]
+    config = VgaConfig(beta=0.25)  # salience-guided captions, vsc-guided answers
+
+    def rows_of(**kwargs):
+        prefill(clean_model, build_caption_layout(clean_model, scenes12[-1]))  # a cold memo
+        before = forward_rows_count()
+        report = run_caption_eval(clean_model, scenes, config, max_len=24, **kwargs)
+        return report, forward_rows_count() - before
+
+    report, rows = rows_of()
     assert report.config["mode"] == "caption"  # coerced for the captioning half
+    exist = run_existence_eval(clean_model, scenes, replace(config, mode="vqa"))
+    assert (report.accuracy, report.precision, report.recall, report.f1) == (
+        exist.accuracy, exist.precision, exist.recall, exist.f1
+    )
+    captions_only, caption_rows = rows_of(f1=report.f1)
+    layout = build_vqa_layout(clean_model, scenes[0], scenes[0].questions[0].word)
+    tail = layout.length - layout.visual_end
+    assert rows - caption_rows == tail * sum(len(s.questions) for s in scenes)
+    assert replace(captions_only, accuracy=report.accuracy, precision=report.precision,
+                   recall=report.recall) == report
+    assert run_caption_eval(clean_model, scenes, config, max_len=24, jobs=2) == report
     with pytest.raises(InvalidParams):
         run_caption_eval(clean_model, [], VgaConfig())
+    asked_nothing = replace(scenes[0], questions=())
+    with pytest.raises(InvalidParams):
+        run_caption_eval(clean_model, [asked_nothing], VgaConfig())
+    run_caption_eval(clean_model, [asked_nothing], VgaConfig(), f1=0.5, max_len=4)
     for jobs in ("2", 0, 2.5, True, None):
         with pytest.raises(InvalidParams):
             run_caption_eval(clean_model, scenes12[:1], VgaConfig(), f1=0.5, jobs=jobs)
@@ -436,9 +461,16 @@ def test_bench_ttft_counts_rows(clean_model, scenes12):
     for runs in (0, 2.5, True, "1", None):
         with pytest.raises(InvalidParams):
             bench_ttft(clean_model, scenes12[:3], VgaConfig(), runs=runs)
-    for scenes in ([], scenes12[:1], [scenes12[0], scenes12[0], scenes12[1]]):
+    before = forward_rows_count()
+    for scenes in (
+        [],
+        scenes12[:1],
+        [scenes12[0], scenes12[0], scenes12[1]],
+        [scenes12[0], scenes12[1], scenes12[0]],  # the last pass's end meets the next's start
+    ):
         with pytest.raises(InvalidParams):  # too few scenes, or a request served from the memo
             bench_ttft(clean_model, scenes, VgaConfig())
+    assert forward_rows_count() == before  # refused before anything ran
 
 
 # -- heatmap ----------------------------------------------------------------------

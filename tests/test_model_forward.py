@@ -537,7 +537,7 @@ def test_reference_forward_shares_no_code_with_the_cached_path():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "attention_explicit" in names
     forbidden = {"_forward_block", "_prefill", "KvCache", "_fold_heads", "_join", "attention_fused"}
-    forbidden |= {"_prefix", "_over", "_kv"}  # the prefix memo and the blocks it keeps
+    forbidden |= {"_prefix", "_kv"}  # the prefix memo and the cache block it copies
     assert not names & forbidden
 
 
