@@ -170,14 +170,12 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_vga_flags(p, default_beta=0.25)
 
     p = sub.add_parser("eval-caption", help="caption evaluation with set metrics")
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-len", type=int, default=64)
     _add_vga_flags(p, decay=True)
 
@@ -291,14 +289,14 @@ def _cmd_eval_exist(args) -> int:
     model = load_model(args.model)
     scenes = load_scenes(args.scenes)
     config = _config_from(args, mode="vqa")
-    return _emit_report(run_existence_eval(model, scenes, config, jobs=args.jobs), args.out)
+    return _emit_report(run_existence_eval(model, scenes, config), args.out)
 
 
 def _cmd_eval_caption(args) -> int:
     model = load_model(args.model)
     scenes = load_scenes(args.scenes)
     config = _config_from(args, mode="caption")
-    report = run_caption_eval(model, scenes, config, max_len=args.max_len, jobs=args.jobs)
+    report = run_caption_eval(model, scenes, config, max_len=args.max_len)
     return _emit_report(report, args.out)
 
 

@@ -49,6 +49,15 @@ def require_int(value, name: str, error: type[VgalabError]) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(value, error: type[VgalabError]) -> int:
+    """``value`` as a Python int >= 0, the seeds numpy's ``default_rng``
+    takes; anything else raises ``error``."""
+    seed = require_int(value, "seed", error)
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def require_grid(value, name: str, error: type[VgalabError]) -> tuple[int, int]:
     """``value`` as a (rows, cols) pair of Python ints, per ``require_int``."""
     if not isinstance(value, (tuple, list)) or len(value) != 2:

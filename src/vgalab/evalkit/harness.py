@@ -1,10 +1,10 @@
 """Evaluation loops: existence questions, captions, grounding quality, latency.
 
 Every loop is deterministic given (model, scenes, config): generation is
-greedy, scenes are immutable, and worker pools only parallelize across
-scenes with a single-threaded reduce in scene order. Paired comparisons
-(guided vs vanilla, one guidance source vs another) should therefore be
-run on the same scene list and will see identical prompts.
+greedy, scenes are immutable, and each loop is one pass over the scenes
+in order. Paired comparisons (guided vs vanilla, one guidance source vs
+another) should therefore be run on the same scene list and will see
+identical prompts.
 
 The existence loop answers all of a scene's questions with one
 ``prefill_shared`` call under one guidance session: the scene's visual
@@ -15,21 +15,18 @@ at once on each layer. The model keeps the last prefix it ran, so
 questions asked right after another prompt on their scene skip the
 prefix: the caption loop answers each scene's questions after its
 caption, and the prefix runs once per scene. A loop over many scenes
-runs each one's prefix, since the memo holds one. The memo is the only
-model state worker threads share: each reads an entry whole and
-replaces it whole, so a worker never sees another's half-written rows,
-and the answers are those of a serial loop.
+runs each one's prefix, since the memo holds one.
 """
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..errors import InvalidParams, require_int
+from ..errors import ConfigError, InvalidParams, require_int
 from ..grounding import MaskAnnotation, dice, vsc_vector, vss_values
 from ..mllm import (
     Model,
@@ -40,6 +37,7 @@ from ..mllm import (
     prefill,
     prefill_shared,
 )
+from ..mllm.core import _check_model
 from ..vga import VgaConfig, VgaSession, new_session
 from .heatmap import minmax_scale
 from .metrics import EvalReport, amber_metrics, chair_metrics, f1_score
@@ -104,6 +102,21 @@ def _score_answer(model: Model, token_id: int, present: bool) -> tuple[bool, boo
     return False, False, False
 
 
+def _check_loop(model: Model, scenes: Sequence[Scene], *configs: VgaConfig, jobs: int = 1) -> None:
+    """Typed errors for a loop's inputs: a ``model`` that is not a
+    ``Model`` (``InvalidInput``), ``scenes`` that are not a nonempty
+    sequence of ``Scene``, a ``jobs`` other than 1 (``InvalidParams``),
+    and any of ``configs`` that is not a ``VgaConfig`` (``ConfigError``)."""
+    _check_model(model)
+    if not (isinstance(scenes, Sequence) and scenes and all(isinstance(s, Scene) for s in scenes)):
+        raise InvalidParams("scenes must be a nonempty sequence of Scene")
+    for config in configs:
+        if not isinstance(config, VgaConfig):
+            raise ConfigError(f"expected a VgaConfig, got {type(config).__name__}")
+    if require_int(jobs, "jobs", InvalidParams) != 1:
+        raise InvalidParams(f"jobs must be 1, got {jobs!r}")
+
+
 def _require_questions(scenes: list[Scene]) -> None:
     if not any(scene.questions for scene in scenes):
         raise InvalidParams("no scene has a question to ask")
@@ -161,20 +174,13 @@ def run_existence_eval(
     A scene's visual prefix runs once and all its questions are answered
     in one batched forward over it, guided by one session for the scene:
     the tokens ``model_answer_fn`` gives one question at a time.
-    Unmappable answers count as incorrect and are logged. ``jobs`` (an int
-    >= 1) worker threads split the scenes.
+    Unmappable answers count as incorrect and are logged. ``jobs`` must
+    be 1: the scenes run one at a time, in order, and the keyword goes
+    when the benchmark stops passing it.
     """
-    jobs = _positive_int(jobs, "jobs")
-    if not scenes:
-        raise InvalidParams("need at least one scene")
+    _check_loop(model, scenes, config, jobs=jobs)
     _require_questions(scenes)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_scene = list(pool.map(lambda s: _existence_rows(model, s, config), scenes))
-    else:
-        per_scene = [_existence_rows(model, s, config) for s in scenes]
-    return _existence_report([r for chunk in per_scene for r in chunk], config)
+    return _existence_report([r for s in scenes for r in _existence_rows(model, s, config)], config)
 
 
 def run_caption_eval(
@@ -192,40 +198,35 @@ def run_caption_eval(
     (in vqa mode) and contributes its F1 to the combined score: each
     scene's questions are answered right after its caption, whose visual
     prefix they share, so the model's prefix memo serves them and the
-    prefix runs once per scene. ``jobs`` (an int >= 1) worker threads
-    split the scenes.
+    prefix runs once per scene. ``jobs`` must be 1: the scenes run one at
+    a time, in order, and the keyword goes when the benchmark stops
+    passing it.
     """
-    jobs = _positive_int(jobs, "jobs")
-    if not scenes:
-        raise InvalidParams("need at least one scene")
+    _check_loop(model, scenes, config, jobs=jobs)
     cap_config = replace(config, mode="caption")
     vqa_config = replace(config, mode="vqa")
     if f1 is None:
         _require_questions(scenes)
 
-    def caption_scene(scene: Scene) -> tuple[set[str], int, list[tuple[bool, bool, bool, bool]]]:
+    generated: list[set[str]] = []
+    lengths: list[int] = []
+    answers: list[tuple[bool, bool, bool, bool]] = []
+    for scene in scenes:
         layout = build_caption_layout(model, scene)
         session = new_session(model, cap_config)
         tokens = greedy_generate(model, layout, vga=session, max_len=max_len)
         words = generated_words(model, tokens)
-        mentioned = {w for w in words if model.vocab.is_object_word(w)}
-        answers = _existence_rows(model, scene, vqa_config) if f1 is None else []
-        return mentioned, len(tokens), answers
+        generated.append({w for w in words if model.vocab.is_object_word(w)})
+        lengths.append(len(tokens))
+        if f1 is None:
+            answers.extend(_existence_rows(model, scene, vqa_config))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(caption_scene, scenes))
-    else:
-        outputs = [caption_scene(s) for s in scenes]
-
-    generated = [mentioned for mentioned, _, _ in outputs]
-    lengths = [length for _, length, _ in outputs]
     annotated = [set(s.annotated) for s in scenes]
     targets = [set(s.hallu_targets) for s in scenes]
 
     discriminative = None
     if f1 is None:
-        discriminative = _existence_report([r for _, _, rows in outputs for r in rows], vqa_config)
+        discriminative = _existence_report(answers, vqa_config)
         f1 = discriminative.f1
 
     chair_s, chair_i = chair_metrics(generated, annotated)
@@ -257,10 +258,9 @@ def grounding_quality_eval(model: Model, scenes: list[Scene], source: str = "vsc
     min-max-scaled salience over the top ``DEFAULT_TOP_K`` logits
     (object-agnostic, so the same vector serves all objects in the scene).
     """
+    _check_loop(model, scenes)
     if source not in ("vsc", "vss"):
         raise InvalidParams(f"source must be vsc or vss, got {source!r}")
-    if not scenes:
-        raise InvalidParams("need at least one scene")
     scores: list[float] = []
     buckets: dict[str, list[float]] = {"small": [], "medium": [], "large": []}
     for scene in scenes:
@@ -311,9 +311,9 @@ def bench_ttft(
 ) -> TtftStats:
     """Median prompt-to-first-token latency over ``runs`` repetitions.
 
-    Strictly serial: timing runs share no pools. Every timed request is
-    cold: its visual prefix runs, as for a user's first question on an
-    image, and is never served from the model's prefix memo. So no two
+    Strictly serial, like every loop here. Every timed request is cold:
+    its visual prefix runs, as for a user's first question on an image,
+    and is never served from the model's prefix memo. So no two
     consecutive requests share a scene. Each run makes two passes over the
     scenes, alternating the arms from one scene to the next, the second
     pass with the arms swapped, so that every scene is timed in both arms
@@ -327,6 +327,7 @@ def bench_ttft(
     last and the first among them) with the same visual prefix, raise
     ``InvalidParams`` before anything runs.
     """
+    _check_loop(model, scenes, config)
     runs = _positive_int(runs, "runs")
     if len(scenes) < 2:
         raise InvalidParams("need at least two scenes, so that no request follows one on its scene")

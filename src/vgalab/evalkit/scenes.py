@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..errors import FormatError, InvalidParams, IoError, require_grid, require_int
+from ..errors import FormatError, InvalidParams, IoError, require_grid, require_int, require_seed
 from ..grounding import MaskAnnotation
 from ..mllm import Model, SequenceLayout
 from ..vocab import DEFAULT_OBJECT_WORDS, make_vocab
@@ -214,8 +214,11 @@ def _sample_negatives(
 
 
 def make_scenes(params: SceneParams, seed: int) -> list[Scene]:
-    """Sample ``params.n_scenes`` scenes, deterministic in ``seed``."""
-    rng = np.random.default_rng(seed)
+    """Sample ``params.n_scenes`` scenes, deterministic in ``seed`` (an
+    int >= 0)."""
+    if not isinstance(params, SceneParams):
+        raise InvalidParams(f"expected a SceneParams, got {type(params).__name__}")
+    rng = np.random.default_rng(require_seed(seed, InvalidParams))
     vocab = make_vocab()
     words = vocab.object_words
     rows, cols = params.grid

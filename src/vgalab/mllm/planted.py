@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec, require_real
+from ..errors import InvalidSpec, require_real, require_seed
 from ..vocab import DEFAULT_OBJECT_WORDS, make_vocab
 from .config import ModelConfig
 from .core import LayerWeights, Model
@@ -104,14 +104,18 @@ def _orthonormal_basis(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _validate(spec: PlantedSpec) -> None:
+    if not isinstance(spec, PlantedSpec):
+        raise InvalidSpec(f"expected a PlantedSpec, got {type(spec).__name__}")
     sigma = require_real(spec.sigma, "sigma", InvalidSpec)
     if not np.isfinite(sigma) or sigma < 0:
         raise InvalidSpec(f"sigma must be finite and >= 0, got {sigma!r}")
 
 
 def build_planted_model(spec: PlantedSpec, seed: int) -> Model:
-    """Deterministically construct a planted model; same inputs, same bits."""
+    """Deterministically construct a planted model; same inputs, same bits.
+    ``seed`` is an int >= 0."""
     _validate(spec)
+    seed = require_seed(seed, InvalidSpec)
     g = _Gains()
     vocab = make_vocab()
     config = ModelConfig(
@@ -393,8 +397,9 @@ def build_random_model(seed: int) -> Model:
 
     Fixed shape: 2 layers, 2 heads, d_model 32, d_ff 64, 64 positions and
     a 2x2 grid, on the first 3 object words with 3 background textures.
+    ``seed`` is an int >= 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed, InvalidSpec))
     vocab = make_vocab(DEFAULT_OBJECT_WORDS[:3], n_background=3)
     config = ModelConfig(
         n_layers=2, n_heads=2, d_model=32, d_ff=64,

@@ -65,6 +65,24 @@ def test_make_scenes_rejects_grid_without_background_cell(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make-scenes", "--seed", "-1"],
+        ["make-model", "--kind", "planted", "--seed", "-1"],
+        ["make-model", "--kind", "random", "--seed", "-1"],
+    ],
+    ids=["scenes", "planted", "random"],
+)
+def test_negative_seed_exits_two_without_a_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == RUNTIME_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_vqa_answers_yes_or_no(workdir, capsys):
     scenes = load_scenes(scenes_path(workdir))
     word = scenes[0].questions[0].word
@@ -311,6 +329,15 @@ def test_usage_errors_exit_one(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["make-model"]) == 1  # missing required --out
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval-exist", "eval-caption"])
+def test_eval_commands_take_no_jobs_flag(workdir, capsys, command):
+    rc = run([
+        command, "--model", model_path(workdir), "--scenes", scenes_path(workdir), "--jobs", "2",
+    ])
+    assert rc == 1
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_missing_model_file_exits_two(workdir, capsys):

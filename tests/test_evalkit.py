@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vgalab.errors import (
+    ConfigError,
     FormatError,
     InvalidInput,
     InvalidParams,
@@ -146,6 +147,19 @@ def test_scene_params_validation():
     ):
         with pytest.raises(InvalidParams):
             SceneParams(**kwargs)
+
+
+def test_make_scenes_rejects_a_malformed_seed_or_params():
+    params = SceneParams(n_scenes=2)
+    for seed in (-1, "x", 1.5, True, None):
+        with pytest.raises(InvalidParams, match="seed"):
+            make_scenes(params, seed)
+    for bad in (None, {"n_scenes": 2}):
+        with pytest.raises(InvalidParams, match="SceneParams"):
+            make_scenes(bad, 1)
+    assert scenes_to_payload(make_scenes(params, np.int64(3))) == scenes_to_payload(
+        make_scenes(params, 3)
+    )
 
 
 # sha256 of json.dumps(scenes_to_payload(...), sort_keys=True); any change to
@@ -340,14 +354,11 @@ def test_existence_eval_counts_unmapped_as_incorrect(clean_model, scenes12, monk
     assert report.unmapped == report.n_items
 
 
-def test_existence_eval_parallel_matches_serial(clean_model, scenes12, monkeypatch):
+def test_existence_eval_batches_each_scenes_questions(clean_model, scenes12, monkeypatch):
+    """Each scene's prefix runs once and its questions' tails run as one
+    batch over it, with the same report as the one-question answerer."""
     cfg = VgaConfig(guidance_source="none")
-    parallel = run_existence_eval(clean_model, scenes12[:4], cfg, jobs=3)
-    serial = run_existence_eval(clean_model, scenes12[:4], cfg)  # leaves scene 3 in the memo
-    assert serial == parallel
-    # Each scene's prefix runs once and its questions' tails run as one
-    # batch over it, in every worker, with the same reports as the
-    # one-question answerer.
+    run_existence_eval(clean_model, scenes12[:4], cfg)  # leaves scene 3 in the memo
     guided = VgaConfig(guidance_source="vsc")
     rows_before = forward_rows_count()
     shared = run_existence_eval(clean_model, scenes12, guided)
@@ -356,12 +367,17 @@ def test_existence_eval_parallel_matches_serial(clean_model, scenes12, monkeypat
     assert forward_rows_count() - rows_before == sum(
         layout.visual_end + tail * len(s.questions) for s in scenes12
     )
-    assert shared == run_existence_eval(clean_model, scenes12, guided, jobs=2)
-    with pytest.raises(InvalidParams):
-        run_existence_eval(clean_model, [], cfg)
-    for jobs in ("2", 0, 2.5, True, None):
+    for scenes in ([], ["x"], "ab", None, (scenes12[0], None)):
+        with pytest.raises(InvalidParams):
+            run_existence_eval(clean_model, scenes, cfg)
+    with pytest.raises(ConfigError):
+        run_existence_eval(clean_model, scenes12[:1], None)
+    with pytest.raises(InvalidInput):
+        run_existence_eval(None, scenes12[:1], cfg)
+    for jobs in ("2", 0, 2, 3, 2.5, True, None):
         with pytest.raises(InvalidParams):
             run_existence_eval(clean_model, scenes12[:1], cfg, jobs=jobs)
+    assert run_existence_eval(clean_model, scenes12[:1], cfg, jobs=1).n_items == 4
     answer_each(monkeypatch, scenes12, model_answer_fn)
     assert shared == run_existence_eval(clean_model, scenes12, guided)
 
@@ -405,16 +421,20 @@ def test_caption_eval_runs_paired_discriminative_half(clean_model, scenes12):
     assert rows - caption_rows == tail * sum(len(s.questions) for s in scenes)
     assert replace(captions_only, accuracy=report.accuracy, precision=report.precision,
                    recall=report.recall) == report
-    assert run_caption_eval(clean_model, scenes, config, max_len=24, jobs=2) == report
-    with pytest.raises(InvalidParams):
-        run_caption_eval(clean_model, [], VgaConfig())
+    for bad in ([], ["x"]):
+        with pytest.raises(InvalidParams):
+            run_caption_eval(clean_model, bad, VgaConfig())
+    with pytest.raises(ConfigError):
+        run_caption_eval(clean_model, scenes, None, f1=0.5)
     asked_nothing = replace(scenes[0], questions=())
     with pytest.raises(InvalidParams):
         run_caption_eval(clean_model, [asked_nothing], VgaConfig())
     run_caption_eval(clean_model, [asked_nothing], VgaConfig(), f1=0.5, max_len=4)
-    for jobs in ("2", 0, 2.5, True, None):
+    for jobs in ("2", 0, 2, 3, 2.5, True, None):
         with pytest.raises(InvalidParams):
             run_caption_eval(clean_model, scenes12[:1], VgaConfig(), f1=0.5, jobs=jobs)
+    one = run_caption_eval(clean_model, scenes12[:1], VgaConfig(), f1=0.5, max_len=4, jobs=1)
+    assert one.n_items == 1
 
 
 def test_grounding_quality_eval_buckets(clean_model, scenes12):
@@ -429,8 +449,11 @@ def test_grounding_quality_eval_buckets(clean_model, scenes12):
     assert 0.0 <= salience.mean_dice <= 1.0
     with pytest.raises(InvalidParams):
         grounding_quality_eval(clean_model, scenes12, source="gaze")
-    with pytest.raises(InvalidParams):
-        grounding_quality_eval(clean_model, [], source="vsc")
+    for scenes in ([], ["x"], "ab"):
+        with pytest.raises(InvalidParams):
+            grounding_quality_eval(clean_model, scenes, source="vsc")
+    with pytest.raises(InvalidInput):
+        grounding_quality_eval(None, scenes12)
 
 
 def test_image_confidence_ranks_every_present_object_first(clean_model, scenes12):
@@ -470,6 +493,10 @@ def test_bench_ttft_counts_rows(clean_model, scenes12):
     ):
         with pytest.raises(InvalidParams):  # too few scenes, or a request served from the memo
             bench_ttft(clean_model, scenes, VgaConfig())
+    with pytest.raises(ConfigError):
+        bench_ttft(clean_model, scenes12[:3], None)
+    with pytest.raises(InvalidInput):
+        bench_ttft(None, scenes12[:3], VgaConfig())
     assert forward_rows_count() == before  # refused before anything ran
 
 

@@ -8,6 +8,7 @@ from vgalab.mllm import (
     PlantedSpec,
     SequenceLayout,
     build_planted_model,
+    build_random_model,
     greedy_generate,
     prefill,
     reference_forward,
@@ -72,6 +73,23 @@ def test_build_is_deterministic():
 def test_planted_spec_validation(sigma):
     with pytest.raises(InvalidSpec, match="sigma"):
         build_planted_model(PlantedSpec(sigma=sigma), seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, "x", 1.5, True, None])
+@pytest.mark.parametrize("build", [lambda seed: build_planted_model(PlantedSpec(), seed),
+                                   build_random_model], ids=["planted", "random"])
+def test_builders_reject_a_seed_that_is_not_an_int_at_least_zero(build, seed):
+    with pytest.raises(InvalidSpec, match="seed"):
+        build(seed)
+
+
+def test_builders_take_numpy_seeds_and_reject_a_spec_of_another_type():
+    a, b = build_random_model(np.int64(2)), build_random_model(2)
+    for name, tensor in a.named_tensors().items():
+        assert tensor.tobytes() == b.named_tensors()[name].tobytes(), name
+    for spec in (None, 0.0, {"sigma": 0.0}):
+        with pytest.raises(InvalidSpec, match="PlantedSpec"):
+            build_planted_model(spec, 1)
 
 
 def scene_prefill(model, coverage):

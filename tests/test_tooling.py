@@ -1,6 +1,7 @@
 """Source hygiene: every exported name resolves, no module imports a
-name it never uses, no function rebinds module-global state, and no
-module binds a name to a mutable container."""
+name it never uses, no function rebinds module-global state, no module
+binds a name to a mutable container, and no module imports a way to
+start threads or processes."""
 import ast
 import importlib
 from pathlib import Path
@@ -138,3 +139,47 @@ def test_no_module_binds_a_mutable_container(path):
     where = path.relative_to(SRC).as_posix()
     found = module_containers(path.read_text(encoding="utf-8"))
     assert [n for n in found if n != "__all__" and (where, n) not in ALLOWED_CONTAINERS] == []
+
+
+# The program runs on one thread, so the prefix memo and the forward-row
+# counter need no locks inside it.
+CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing", "asyncio")
+
+
+def concurrency_imports(source: str) -> list[str]:
+    """Names a module imports from ``CONCURRENCY_MODULES`` or their
+    submodules; relative imports stay inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend(
+            name for name in names
+            if any(name == m or name.startswith(m + ".") for m in CONCURRENCY_MODULES)
+        )
+    return found
+
+
+def test_concurrency_check_sees_threads_and_pools():
+    source = (
+        "import threading\nimport os, multiprocessing.pool\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom concurrent import futures\n"
+        "from .threading import x\nimport concurrent\nimport asyncio_like\n"
+    )
+    assert concurrency_imports(source) == [
+        "threading",
+        "multiprocessing.pool",
+        "concurrent.futures.ThreadPoolExecutor",
+        "concurrent.futures",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_module_imports_threads_or_processes(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
