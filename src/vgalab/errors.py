@@ -74,6 +74,15 @@ def require_real(value, name: str, error: type[VgalabError]) -> float:
     raise error(f"{name} must be a real number, got {value!r}")
 
 
+def require_fraction(value, name: str, error: type[VgalabError]) -> float:
+    """``value`` as a Python float in [0, 1], per ``require_real``; NaN and
+    +-Inf fail the range comparison, so it is the finiteness check too."""
+    value = require_real(value, name, error)
+    if not 0.0 <= value <= 1.0:
+        raise error(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def require_bool(value, name: str, error: type[VgalabError]) -> bool:
     """``value`` as a Python bool. Python and numpy bools pass; anything else
     (0, 1, "no", None) raises ``error`` naming ``name``."""

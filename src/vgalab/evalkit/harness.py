@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..errors import ConfigError, InvalidParams, require_int
+from ..errors import ConfigError, InvalidParams, require_fraction, require_int
 from ..grounding import MaskAnnotation, dice, vsc_vector, vss_values
 from ..mllm import (
     Model,
@@ -193,9 +193,10 @@ def run_caption_eval(
 ) -> EvalReport:
     """Caption every scene and score the mentioned-object sets.
 
-    The config is coerced to caption mode. When ``f1`` is not supplied,
-    the discriminative half runs on the same scenes with the same config
-    (in vqa mode) and contributes its F1 to the combined score: each
+    The config is coerced to caption mode. A supplied ``f1`` must be a
+    real in [0, 1], checked before any caption runs. When ``f1`` is not
+    supplied, the discriminative half runs on the same scenes with the same
+    config (in vqa mode) and contributes its F1 to the combined score: each
     scene's questions are answered right after its caption, whose visual
     prefix they share, so the model's prefix memo serves them and the
     prefix runs once per scene. ``jobs`` must be 1: the scenes run one at
@@ -207,6 +208,8 @@ def run_caption_eval(
     vqa_config = replace(config, mode="vqa")
     if f1 is None:
         _require_questions(scenes)
+    else:
+        require_fraction(f1, "f1", InvalidParams)
 
     generated: list[set[str]] = []
     lengths: list[int] = []

@@ -16,7 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInput, InvalidParams, IoError, ShapeError, require_int, require_real
+from ..errors import (
+    InvalidInput,
+    InvalidParams,
+    IoError,
+    ShapeError,
+    require_fraction,
+    require_int,
+    require_real,
+)
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +45,10 @@ _RATE_FIELDS = (
 
 
 def _as_sets(items: Sequence[Iterable[str]]) -> list[set[str]]:
-    return [set(x) for x in items]
+    try:
+        return [set(x) for x in items]
+    except TypeError:  # an item that is not an iterable of hashable words
+        raise InvalidInput("each caption and annotation must be an iterable of words") from None
 
 
 def chair_metrics(
@@ -98,9 +109,7 @@ def amber_metrics(
         raise InvalidInput("need at least one caption")
     if not (len(generated) == len(annotated) == len(hallu_targets)):
         raise ShapeError("generated/annotated/hallu_targets lengths disagree")
-    f1 = require_real(f1, "f1", InvalidParams)
-    if not np.isfinite(f1) or not 0.0 <= f1 <= 1.0:
-        raise InvalidParams(f"f1 must lie in [0, 1], got {f1}")
+    f1 = require_fraction(f1, "f1", InvalidParams)
     gen = _as_sets(generated)
     ann = _as_sets(annotated)
     tgt = _as_sets(hallu_targets)
@@ -135,9 +144,7 @@ def f1_score(precision: float, recall: float) -> float:
     """Harmonic mean with the 0/0 convention mapped to 0. Both arguments
     must be real numbers in [0, 1]; anything else raises ``InvalidParams``."""
     for name, value in (("precision", precision), ("recall", recall)):
-        value = require_real(value, name, InvalidParams)
-        if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise InvalidParams(f"{name} must lie in [0, 1], got {value}")
+        require_fraction(value, name, InvalidParams)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -181,12 +188,8 @@ class EvalReport:
             if not np.isfinite(length) or length < 0.0:
                 raise InvalidParams(f"mean_caption_len must be finite and >= 0, got {length}")
         for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = require_real(value, name, InvalidParams)
-            if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise InvalidParams(f"{name} must lie in [0, 1], got {value}")
+            if getattr(self, name) is not None:
+                require_fraction(getattr(self, name), name, InvalidParams)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -2,11 +2,13 @@
 
 Each visual position's vocabulary logits are read as semantics: the
 softmax probability a patch assigns to an object word measures how
-confident the model is that the patch shows that object. Normalizing
-those per-patch confidences over the image yields a grounding vector;
-summed log-improbability of the top-k tokens yields an object-agnostic
-salience map. Both are plain length-m distributions suitable for
-steering attention.
+confident the model is that the patch shows that object (``vsc_vector``),
+and summed log-improbability of the top-k tokens gives an object-agnostic
+salience (``vss_values``). Both return raw per-patch values. The guidance
+session (``vga.VgaSession``) scales them to unit mass over the image with
+``numerics.unit_mass`` and reads each entry's result back as a
+``Grounding``. Visual logits from outside the program pass one check,
+``_check_visual_logits``, before either reads them.
 """
 from __future__ import annotations
 
@@ -15,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, require_int, require_real
-from .numerics import _as_float_array, _real_array, stable_softmax, sum_normalize
+from .errors import InvalidInput, ShapeError, require_int
+from .numerics import stable_softmax
 from .vocab import Vocabulary
 
-EXIST_LOG_THRESHOLD = -2.5
 DEFAULT_TOP_K = 10
 L0_EPS = 1e-12
 
@@ -50,18 +51,6 @@ class Grounding:
         w.flags.writeable = False
         object.__setattr__(self, "rho", 0.0 if self.degenerate else support_share(w))
 
-    @property
-    def size(self) -> int:
-        return int(self.weights.shape[0])
-
-    @staticmethod
-    def from_values(values: np.ndarray) -> "Grounding":
-        """Sum-normalize nonnegative per-patch values into a Grounding,
-        computed in float64; values that are not real numbers (strings,
-        bools, complex) raise ``InvalidInput``."""
-        values = _real_array(values, "values").astype(np.float64, copy=False)
-        return Grounding(*sum_normalize(values))
-
 
 @dataclass(frozen=True)
 class MaskAnnotation:
@@ -89,8 +78,22 @@ class MaskAnnotation:
 
 
 def _check_visual_logits(visual_logits) -> np.ndarray:
-    """Outside visual logits [m, V] as a finite float64 array."""
-    return _as_float_array(visual_logits, "visual logits", 2).astype(np.float64, copy=False)
+    """Outside visual logits [m, V] as a finite float64 array. An array
+    that does not hold real numbers raises ``InvalidInput``: a complex one
+    would lose its imaginary part in the cast, and strings would be parsed.
+    """
+    try:
+        arr = np.asarray(visual_logits)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidInput("visual logits must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"visual logits must hold real numbers, got {arr.dtype}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"visual logits must be a non-empty [m, V] array, got shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise InvalidInput("visual logits contain NaN or Inf")
+    return arr
 
 
 def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
@@ -103,44 +106,6 @@ def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
     return stable_softmax(logits)[:, word]
 
 
-def image_confidence(visual_logits: np.ndarray, word: int) -> float:
-    """Image-level confidence: the best patch's confidence for the word."""
-    return float(np.max(vsc_vector(visual_logits, word)))
-
-
-def exists(conf: float, threshold: float = EXIST_LOG_THRESHOLD) -> bool:
-    """Existence decision: ln(conf) strictly above the log-threshold.
-    Both must be finite real numbers, and ``conf`` positive."""
-    conf = require_real(conf, "confidence", InvalidInput)
-    threshold = require_real(threshold, "threshold", InvalidInput)
-    if not np.isfinite(conf):
-        raise InvalidInput("confidence must be finite")
-    if not np.isfinite(threshold):
-        raise InvalidInput("threshold must be finite")
-    if conf <= 0.0:
-        raise InvalidInput("confidence must be positive")
-    return bool(np.log(conf) > threshold)
-
-
-def object_grounding(visual_logits: np.ndarray, word: int) -> Grounding:
-    """Normalized per-patch confidence map for one object word."""
-    return Grounding.from_values(vsc_vector(visual_logits, word))
-
-
-def merge_groundings(groundings: list[Grounding]) -> Grounding:
-    """Elementwise max across groundings, renormalized to sum 1."""
-    if not groundings:
-        raise InvalidInput("merge_groundings requires at least one grounding")
-    if not all(isinstance(gr, Grounding) for gr in groundings):
-        raise InvalidInput("merge_groundings takes Grounding values")
-    size = groundings[0].size
-    for gr in groundings[1:]:
-        if gr.size != size:
-            raise ShapeError(f"grounding lengths differ: {gr.size} vs {size}")
-    stacked = np.stack([gr.weights for gr in groundings])
-    return Grounding.from_values(np.max(stacked, axis=0))
-
-
 def vss_values(
     visual_logits: np.ndarray, k: int = DEFAULT_TOP_K, sign: str = "raw"
 ) -> np.ndarray:
@@ -149,7 +114,7 @@ def vss_values(
     For each patch the k most probable tokens contribute
     -sum(log p) / log(k); ``sign="flipped"`` replaces values x by
     max(x) - x for models where low raw values mark the salient patches.
-    Values are nonnegative either way.
+    Values are finite and nonnegative either way.
     """
     logits = _check_visual_logits(visual_logits)
     k = require_int(k, "top-k", InvalidInput)
@@ -158,20 +123,20 @@ def vss_values(
         raise InvalidInput(f"top-k must satisfy 2 <= k <= {v}, got {k}")
     if sign not in ("raw", "flipped"):
         raise InvalidInput(f"unknown vss sign {sign!r}")
-    # log-softmax keeps tiny probabilities finite where softmax underflows
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    logprobs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    # top-k per row; order within the k does not matter for the sum
-    topk = np.partition(logprobs, v - k, axis=1)[:, v - k:]
-    values = -np.sum(topk, axis=1) / np.log(k)
+    # finite logits whose spread passes float64's range overflow here, and
+    # are refused below rather than handed on as an infinite salience
+    with np.errstate(over="ignore"):
+        # log-softmax keeps tiny probabilities finite where softmax underflows
+        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        logprobs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        # top-k per row; order within the k does not matter for the sum
+        topk = np.partition(logprobs, v - k, axis=1)[:, v - k:]
+        values = -np.sum(topk, axis=1) / np.log(k)
+    if not np.isfinite(values).all():
+        raise InvalidInput("visual logits spread too widely for a finite salience")
     if sign == "flipped":
         values = np.max(values) - values
     return values
-
-
-def vss(visual_logits: np.ndarray, k: int = DEFAULT_TOP_K, sign: str = "raw") -> Grounding:
-    """Object-agnostic salience grounding: ``vss_values`` sum-normalized."""
-    return Grounding.from_values(vss_values(visual_logits, k=k, sign=sign))
 
 
 def dice(c: np.ndarray, g: np.ndarray | MaskAnnotation) -> float:
@@ -200,6 +165,8 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 
 def extract_objects(question: str, vocab: Vocabulary) -> list[str]:
     """Vocabulary object words mentioned in the question, in order, deduped."""
+    if not isinstance(question, str):
+        raise InvalidInput(f"question must be a str, got {type(question).__name__}")
     seen: list[str] = []
     known = vocab.lower_objects
     for token in _WORD_RE.findall(question.lower()):

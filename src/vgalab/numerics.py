@@ -1,20 +1,14 @@
-"""Pure numeric kernels: stabilized softmax, mass normalization, clamped cosine.
+"""Pure numeric kernels: stabilized softmax, mass normalization, clamped
+cosine, head balancing.
 
-``sum_normalize`` and ``cosine_sim_clamped`` are the entry points for
-arrays from outside the program, and ``_as_float_array`` is their check,
-which ``grounding`` runs once on outside visual logits: it checks shapes,
-raises InvalidInput on NaN/Inf and on arrays that do not hold real
-numbers (complex, string, object or bool) instead of propagating poison
-or parsing them, preserves float dtypes and computes in float64
-otherwise; ``sum_normalize`` also rejects negative mass.
-``stable_softmax`` and ``unit_mass`` are the unchecked cores, the only
-statement of each formula but one; the guidance hook calls them directly
-on arrays the forward pass built from checked inputs, and ``grounding``
-calls ``stable_softmax`` on the visual logits it has checked. ``head_scales``
-finishes the hook's head balancing in one call on the cosines of
-``_clamped_cosines``, and states the unit-mass rule a second time, on
-Python floats (the ``DEGENERATE_EPS`` uniform fallback and the division
-by each row's total);
+Every kernel here is unchecked: it takes finite float arrays that the
+forward pass built from checked inputs, or that ``grounding`` has checked
+(``grounding._check_visual_logits``). ``stable_softmax``, ``unit_mass``
+and ``_clamped_cosines`` state each formula once, but for one restatement:
+``head_scales`` finishes the hook's head balancing in one call on the
+cosines of ``_clamped_cosines``, and states the unit-mass rule a second
+time, on Python floats (the ``DEGENERATE_EPS`` uniform fallback and the
+division by each row's total);
 ``test_head_scales_is_the_composition_of_the_cores_byte_for_byte`` holds
 it byte-equal to ``unit_mass``.
 """
@@ -24,35 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError
-
 DEGENERATE_EPS = 1e-12
-
-
-def _real_array(x, name: str) -> np.ndarray:
-    """``x`` as an array of integers or floats, as the attention kernels
-    take: a complex array would lose its imaginary part in a float cast,
-    and a string array would be parsed."""
-    try:
-        arr = np.asarray(x)
-    except ValueError:  # a ragged nested sequence
-        raise InvalidInput(f"{name} must be a rectangular array") from None
-    if arr.dtype.kind not in "iuf":
-        raise InvalidInput(f"{name} must hold real numbers, got {arr.dtype}")
-    return arr
-
-
-def _as_float_array(x, name: str, min_dim: int = 1, max_dim: int = 2) -> np.ndarray:
-    arr = _real_array(x, name)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    if arr.ndim < min_dim or arr.ndim > max_dim:
-        raise ShapeError(f"{name} must have {min_dim}..{max_dim} dims, got {arr.ndim}")
-    if arr.size == 0:
-        raise ShapeError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise InvalidInput(f"{name} contains NaN or Inf")
-    return arr
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -68,8 +34,10 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
-    """Unchecked core of ``sum_normalize``; ``values`` is a finite,
-    nonnegative float vector, or a stack of them [k, n] scaled row by row.
+    """Scale a finite, nonnegative float vector to unit sum, or a stack of
+    them [k, n] row by row. Returns (normalized, degenerate): a vector whose
+    mass is below ``DEGENERATE_EPS`` becomes the uniform distribution and is
+    degenerate, which downstream guidance reads as "no information".
 
     ``degenerate`` is a bool for a vector and a list of bools, one per row,
     for a stack; each row is bit for bit what the vector call on it returns.
@@ -86,20 +54,6 @@ def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
     if total < DEGENERATE_EPS:
         return np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype), True
     return values / total, False
-
-
-def sum_normalize(values) -> tuple[np.ndarray, bool]:
-    """Scale a nonnegative vector to unit sum.
-
-    Returns (normalized, degenerate). When the input mass is below
-    ``DEGENERATE_EPS`` the result is the uniform distribution and
-    ``degenerate`` is True; downstream guidance treats that as "no
-    information". Negative entries raise InvalidInput.
-    """
-    arr = _as_float_array(values, "values", max_dim=1)
-    if (arr < 0).any():
-        raise InvalidInput("sum_normalize requires nonnegative entries")
-    return unit_mass(arr)
 
 
 def _clamped_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -148,7 +102,7 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
     finite float64 arrays of one shape and ``coef`` holds one Python float
     per row. Every value is bit for bit ``coef * np.maximum(0, 2 - H *
     gamma')`` with gamma' the ``unit_mass`` of the [k, H] stack of
-    ``cosine_sim_clamped`` over the heads: one batched dot for the cosines,
+    ``_clamped_cosines`` over the heads: one batched dot for the cosines,
     then Python floats. A row's total must be the sum numpy's
     ``add.reduce`` takes. Below numpy's pairwise-sum block size of 8
     values that is a left-to-right sum, which
@@ -170,17 +124,3 @@ def head_scales(z: np.ndarray, dz: np.ndarray, coef: list[float]) -> np.ndarray:
             row, total = [1.0 / n_heads] * n_heads, 1.0
         scales.append([c * (g if (g := 2.0 - n_heads * (s / total)) > 0.0 else 0.0) for s in row])
     return np.array(scales)
-
-
-def cosine_sim_clamped(a, b) -> float | np.ndarray:
-    """Cosine similarity clamped to [0, 1]; zero vectors compare as 0.
-
-    Accepts two vectors (returns a float) or two matrices compared row by
-    row (returns one similarity per row).
-    """
-    va = _as_float_array(a, "a")
-    vb = _as_float_array(b, "b")
-    if va.shape != vb.shape:
-        raise ShapeError(f"length mismatch: {va.shape} vs {vb.shape}")
-    sim = np.array(_clamped_cosines(va, vb), dtype=np.result_type(va, vb))
-    return float(sim[0]) if va.ndim == 1 else sim

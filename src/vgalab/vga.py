@@ -25,14 +25,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, ShapeError, require_bool, require_int, require_real
+from .errors import (
+    ConfigError,
+    InvalidInput,
+    ShapeError,
+    require_bool,
+    require_fraction,
+    require_int,
+    require_real,
+)
 from .grounding import (
     DEFAULT_TOP_K,
     Grounding,
     MaskAnnotation,
     extract_objects,
     support_share,
-    vss,
+    vss_values,
 )
 from .mllm import GuidanceRow, Model, SequenceLayout, reference_forward
 from .mllm.core import _check_model
@@ -67,7 +75,7 @@ class VgaConfig:
     def __post_init__(self) -> None:
         for name, check in (
             ("beta", require_real),
-            ("lambda_", require_real),
+            ("lambda_", require_fraction),
             ("start_layer", require_int),
             ("top_k", require_int),
             ("head_balancing", require_bool),
@@ -78,8 +86,6 @@ class VgaConfig:
             object.__setattr__(self, "end_layer", require_int(self.end_layer, "end_layer", ConfigError))
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ConfigError("beta must be finite and >= 0")
-        if not np.isfinite(self.lambda_) or not 0.0 <= self.lambda_ <= 1.0:
-            raise ConfigError("lambda must lie in [0, 1]")
         if self.start_layer < 0:
             raise ConfigError("start_layer must be >= 0")
         if self.end_layer is not None and self.end_layer < self.start_layer:
@@ -261,7 +267,7 @@ class VgaSession:
         decayed = self._weights * (1.0 + lam)
         decayed -= g_w
         np.maximum(0.0, decayed, out=decayed)
-        # each row is what Grounding.from_values makes of that entry
+        # each row is the unit mass of that entry's decayed grounding alone
         self._restack(*unit_mass(decayed))
 
     @property
@@ -307,8 +313,10 @@ class VgaSession:
             return self._vsc_weights(m)
         if source in ("vss", "reversed_vss"):
             sign = "raw" if source == "vss" else "flipped"
-            salience = vss(logits, k=self.config.top_k, sign=sign)
-            return np.tile(salience.weights, (n, 1)), [salience.degenerate] * n
+            # vss_values is nonnegative and refuses a non-finite salience, so the
+            # unchecked core serves
+            weights, degenerate = unit_mass(vss_values(logits, k=self.config.top_k, sign=sign))
+            return np.tile(weights, (n, 1)), [degenerate] * n
         if source == "ground_truth":
             if any(mask.overlaps.shape != (m,) for mask in self.gt_masks):
                 raise ShapeError(f"ground-truth masks must each cover the {m} visual rows")
@@ -322,8 +330,8 @@ class VgaSession:
         C-ordered stack [w, m] by one ``take`` and scaled by one
         ``unit_mass`` call, each row bit for bit the vector call on that
         column. An entry naming one word takes its row; one naming several
-        merges theirs as ``merge_groundings`` does (elementwise max, unit
-        mass), and one naming none falls back to even guidance.
+        merges theirs (elementwise max, then unit mass), and one naming none
+        falls back to even guidance.
         """
         vocab = self.vocab
         words = [extract_objects(question, vocab) for question in self.questions]

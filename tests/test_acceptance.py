@@ -23,13 +23,7 @@ from vgalab.evalkit import (
     run_caption_eval,
     run_existence_eval,
 )
-from vgalab.grounding import (
-    EXIST_LOG_THRESHOLD,
-    Grounding,
-    MaskAnnotation,
-    image_confidence,
-    vsc_vector,
-)
+from vgalab.grounding import Grounding, MaskAnnotation, vsc_vector
 from vgalab.mllm import (
     GuidanceRow,
     SequenceLayout,
@@ -42,7 +36,7 @@ from vgalab.mllm import (
     prefill_shared,
     reference_forward,
 )
-from vgalab.numerics import cosine_sim_clamped, head_scales, sum_normalize
+from vgalab.numerics import DEGENERATE_EPS, head_scales, unit_mass
 from vgalab.vga import VgaConfig, VgaSession, new_session
 
 REL_TOL = 1e-5
@@ -59,6 +53,7 @@ GUIDED_BETA = 0.25
 BETAS = (0.1, 0.2, 0.5)
 EQUIV_BUDGET_S = 60.0
 DICE_BUDGET_S = 120.0
+EXIST_LOG_THRESHOLD = -2.5  # a word exists when ln(best patch confidence) is above this
 
 
 def random_qkv(rng, tq, tk, n_heads, d_head):
@@ -74,7 +69,7 @@ def random_guidance(rng, v, beta):
     tk, n_heads, _ = v.shape
     start = int(rng.integers(0, tk - 2))
     end = int(rng.integers(start + 1, tk))
-    weights, _ = sum_normalize(rng.uniform(0.1, 1.0, size=end - start))
+    weights, _ = unit_mass(rng.uniform(0.1, 1.0, size=end - start))
     gamma = rng.uniform(0.0, 2.0, size=n_heads)
     rho = float(rng.uniform(0.1, 1.0))
     return GuidanceRow(
@@ -184,6 +179,18 @@ def gamma_of(z, dz):
     return head_scales(z[None], dz[None], [1.0])[0]
 
 
+def reference_gamma_prime(z, dz):
+    """gamma' [H] of one row: each head's cosine from np.dot and
+    np.linalg.norm, clamped to [0, 1], over their sum; uniform when the sum
+    is below ``DEGENERATE_EPS``. The rows here have no zero vector."""
+    sims = np.array([
+        min(1.0, max(0.0, float(np.dot(a, b)) / float(np.linalg.norm(a) * np.linalg.norm(b))))
+        for a, b in zip(z, dz)
+    ])
+    total = sims.sum()
+    return np.full(len(sims), 1.0 / len(sims)) if total < DEGENERATE_EPS else sims / total
+
+
 def test_head_balancing_reweights_and_conserves():
     """Hand values, exact symmetry fixpoint, nonnegativity, unit mean."""
     z = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -191,8 +198,7 @@ def test_head_balancing_reweights_and_conserves():
     np.testing.assert_allclose(gamma_of(z, dz), [0.0, 2.0], rtol=0, atol=HAND_TOL)
 
     dz = np.array([[0.6, 0.8], [0.2, np.sqrt(1.0 - 0.04)]])  # cosines [.6, .2]
-    gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
-    np.testing.assert_allclose(gamma_prime, [0.75, 0.25], rtol=0, atol=HAND_TOL)
+    np.testing.assert_allclose(reference_gamma_prime(z, dz), [0.75, 0.25], rtol=0, atol=HAND_TOL)
     np.testing.assert_allclose(gamma_of(z, dz), [0.5, 1.5], rtol=0, atol=HAND_TOL)
 
     rng = np.random.default_rng(3)
@@ -209,8 +215,7 @@ def test_head_balancing_reweights_and_conserves():
         z, dz = rng.normal(size=(n_heads, 8)), rng.normal(size=(n_heads, 8))
         gamma = gamma_of(z, dz)
         assert np.all(gamma >= 0.0)
-        gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
-        if np.all(2.0 - n_heads * gamma_prime >= 0.0):
+        if np.all(2.0 - n_heads * reference_gamma_prime(z, dz) >= 0.0):
             unclipped += 1
             assert abs(float(gamma.mean()) - 1.0) <= MEAN_GAMMA_TOL
     assert unclipped >= 30
@@ -253,7 +258,7 @@ def test_programmed_suppression_algebra(tiny_model):
     rng = np.random.default_rng(12)
     for _ in range(20):  # one-hot decay strictly drains the named cell
         m = int(rng.integers(2, 8))
-        weights, _ = sum_normalize(rng.uniform(0.1, 1.0, size=m))
+        weights, _ = unit_mass(rng.uniform(0.1, 1.0, size=m))
         target = int(rng.integers(0, m))
         probs = np.full((m, 3), 1e-6)
         probs[target, 0] = 1.0
@@ -269,10 +274,10 @@ def test_programmed_suppression_algebra(tiny_model):
     )
     for step in range(512):
         token = int(rng.integers(0, v))
-        # the update spelled out with the validating constructor
-        g_w, _ = sum_normalize(probs[:, token])
-        validated = Grounding.from_values(
-            np.maximum(0.0, (1.0 + 0.05) * session.groundings[0].weights - 0.05 * g_w)
+        # the update spelled out one vector at a time with the unit-mass core
+        g_w, _ = unit_mass(probs[:, token])
+        validated = Grounding(
+            *unit_mass(np.maximum(0.0, (1.0 + 0.05) * session.groundings[0].weights - 0.05 * g_w))
         )
         session.on_token(token)
         g = session.groundings[0]
@@ -322,7 +327,7 @@ def test_image_confidence_separates_present_from_absent(clean_model, scenes125):
     for scene in scenes125:
         logits = prefill(clean_model, build_caption_layout(clean_model, scene)).visual_logits
         for q in scene.questions:
-            values.append(image_confidence(logits, clean_model.vocab.id_of(q.word)))
+            values.append(float(vsc_vector(logits, clean_model.vocab.id_of(q.word)).max()))
             labels.append(q.present)
     values = np.asarray(values)
     labels = np.asarray(labels, dtype=bool)

@@ -41,7 +41,7 @@ from vgalab.evalkit import (
 from vgalab.evalkit import harness
 from vgalab.evalkit.metrics import EvalReport
 from vgalab.evalkit.scenes import _draw_distinct
-from vgalab.grounding import Grounding, image_confidence
+from vgalab.grounding import vsc_vector
 from vgalab.mllm import forward_rows_count, prefill
 from vgalab.vga import VgaConfig
 from vgalab.vocab import DEFAULT_OBJECT_WORDS, make_vocab
@@ -233,6 +233,16 @@ def test_chair_validation():
         chair_metrics([], [])
     with pytest.raises(ShapeError):
         chair_metrics([{"dog"}], [])
+
+
+@pytest.mark.parametrize("bad", [[None], [3], [[["dog"]]]], ids=["none", "int", "unhashable"])
+def test_set_metrics_reject_an_item_that_is_not_a_set_of_words(bad):
+    with pytest.raises(InvalidInput):
+        chair_metrics(bad, [set()])
+    with pytest.raises(InvalidInput):
+        chair_metrics([set()], bad)
+    with pytest.raises(InvalidInput):
+        amber_metrics(bad, [set()], [set()], f1=0.5)
 
 
 def test_amber_hand_examples():
@@ -437,6 +447,16 @@ def test_caption_eval_runs_paired_discriminative_half(clean_model, scenes12):
     assert one.n_items == 1
 
 
+@pytest.mark.parametrize("f1", [1.5, float("nan"), "x", True], ids=["above", "nan", "str", "bool"])
+def test_caption_eval_checks_f1_before_any_caption(clean_model, scenes12, f1):
+    """A supplied ``f1`` outside the reals in [0, 1] raises before the first
+    caption pushes a forward row."""
+    before = forward_rows_count()
+    with pytest.raises(InvalidParams):
+        run_caption_eval(clean_model, scenes12[:5], VgaConfig(), f1=f1, max_len=8)
+    assert forward_rows_count() == before
+
+
 def test_grounding_quality_eval_buckets(clean_model, scenes12):
     report = grounding_quality_eval(clean_model, scenes12, source="vsc")
     assert report.mean_dice >= MODULE_DICE_FLOOR
@@ -463,7 +483,7 @@ def test_image_confidence_ranks_every_present_object_first(clean_model, scenes12
     for scene in scenes12:
         logits = prefill(clean_model, build_caption_layout(clean_model, scene)).visual_logits
         for q in scene.questions:
-            conf = image_confidence(logits, clean_model.vocab.id_of(q.word))
+            conf = float(vsc_vector(logits, clean_model.vocab.id_of(q.word)).max())
             (present if q.present else absent).append(conf)
     assert present and absent
     assert min(absent) > 0
@@ -525,7 +545,7 @@ def test_heatmap_writes_scaled_pgm(tmp_path):
 
 def test_heatmap_flat_input_renders_midgray(tmp_path):
     path = tmp_path / "flat.pgm"
-    export_heatmap(Grounding.from_values(np.ones(4)).weights, (2, 2), str(path))
+    export_heatmap(np.full(4, 0.25), (2, 2), str(path))
     _, _, _, pixels = read_pgm(path)
     assert np.all(pixels == 128)
 

@@ -9,21 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 from vgalab.errors import InvalidInput, ShapeError
 from vgalab.grounding import (
-    EXIST_LOG_THRESHOLD,
     L0_EPS,
     Grounding,
     MaskAnnotation,
     dice,
-    exists,
     extract_objects,
-    image_confidence,
-    merge_groundings,
-    object_grounding,
     vsc_vector,
-    vss,
     vss_values,
 )
+from vgalab.mllm import SequenceLayout
 from vgalab.numerics import DEGENERATE_EPS, unit_mass
+from vgalab.vga import VgaConfig, new_session
 from vgalab.vocab import make_vocab
 
 ORACLE_TOL = 1e-10
@@ -51,7 +47,6 @@ def test_vsc_vector_matches_per_patch_oracle(logits):
     got = vsc_vector(logits, word)
     want = [softmax_row(list(row))[word] for row in logits]
     assert np.allclose(got, want, rtol=0, atol=ORACLE_TOL)
-    assert image_confidence(logits, word) == pytest.approx(max(want), abs=ORACLE_TOL)
 
 
 def test_vsc_bounds_checks():
@@ -66,6 +61,11 @@ def test_vsc_bounds_checks():
         vsc_vector(np.zeros((2, 2, 2)), 0)
     with pytest.raises(InvalidInput):
         vsc_vector(np.full((2, 4), np.nan), 0)
+    with pytest.raises(InvalidInput):
+        vss_values(np.array([[np.inf, 0.0, 1.0]]), k=2)
+    for empty in (np.zeros((0, 4)), np.zeros((2, 0))):
+        with pytest.raises(ShapeError):
+            vsc_vector(empty, 0)
 
 
 @pytest.mark.parametrize(
@@ -74,13 +74,12 @@ def test_vsc_bounds_checks():
         lambda logits: vsc_vector(logits, 2.5),
         lambda logits: vsc_vector(logits, True),  # not read as column 1
         lambda logits: vsc_vector(logits, "1"),
-        lambda logits: image_confidence(logits, 1.5),
-        lambda logits: vss(logits, k=2.5),
+        lambda logits: vss_values(logits, k=2.5),
         lambda logits: vss_values(logits, k="3"),
         lambda logits: make_vocab(("dog", "cat")).word_of(2.5),
         lambda logits: make_vocab(("dog", "cat")).word_of("x"),
     ],
-    ids=["vsc-float", "vsc-bool", "vsc-str", "confidence-float", "vss-float-k", "vss-str-k",
+    ids=["vsc-float", "vsc-bool", "vsc-str", "vss-float-k", "vss-str-k",
          "word_of-float", "word_of-str"],
 )
 def test_non_integer_ids_and_k_raise_invalid_input(call):
@@ -88,44 +87,33 @@ def test_non_integer_ids_and_k_raise_invalid_input(call):
         call(np.zeros((2, 4)))
 
 
-def test_exists_is_strict_in_log_space():
-    assert exists(float(np.exp(EXIST_LOG_THRESHOLD + 0.1)))
-    assert not exists(float(np.exp(EXIST_LOG_THRESHOLD - 0.1)))
-    assert exists(0.5, threshold=-0.7)  # ln(0.5) = -0.693.. > -0.7
-    assert not exists(0.5, threshold=-0.69)  # not strictly above -0.69
-    with pytest.raises(InvalidInput):
-        exists(0.0)
-    with pytest.raises(InvalidInput):
-        exists(float("nan"))
-    for bad in ("a", None, True):
-        with pytest.raises(InvalidInput):
-            exists(bad)
-    for bad in ("a", None, float("nan"), float("inf")):
-        with pytest.raises(InvalidInput):
-            exists(0.5, threshold=bad)
-
-
 @given(logit_matrices)
 @settings(max_examples=40)
 def test_object_grounding_is_normalized(logits):
-    g = object_grounding(logits, 0)
+    """One object word's grounding: its confidence column at unit mass."""
+    g = Grounding(*unit_mass(vsc_vector(logits, 0)))
     assert abs(g.weights.sum() - 1.0) < MASS_TOL
     assert np.all(g.weights >= 0)
     assert 0.0 <= g.rho <= 1.0
 
 
-def test_merge_takes_elementwise_max_then_normalizes():
-    a = Grounding.from_values(np.array([1.0, 0.0, 0.0, 1.0]))
-    b = Grounding.from_values(np.array([0.0, 2.0, 0.0, 0.0]))
-    merged = merge_groundings([a, b])
-    stacked = np.maximum(a.weights, b.weights)
-    assert np.allclose(merged.weights, stacked / stacked.sum(), atol=1e-12)
-    with pytest.raises(InvalidInput):
-        merge_groundings([])
-    with pytest.raises(ShapeError):
-        merge_groundings([a, Grounding.from_values(np.ones(3))])
-    with pytest.raises(InvalidInput):
-        merge_groundings([np.ones(3)])
+def test_merge_takes_elementwise_max_then_normalizes(clean_model):
+    """A question naming two objects is grounded on the elementwise max of
+    their normalized confidence columns, normalized again, against a plain
+    softmax, max and divide."""
+    vocab, m = clean_model.vocab, clean_model.config.n_patches
+    logits = np.random.default_rng(4).normal(scale=3.0, size=(m, vocab.size))
+    layout = SequenceLayout(tuple(range(m + 2)), 1, 1 + m)
+    question = "is there a dog or a cat ?"
+    session = new_session(clean_model, VgaConfig(guidance_source="vsc"), question)
+    session.on_visual(logits, [layout])
+    probs = np.array([softmax_row(list(row)) for row in logits])
+    columns = [probs[:, vocab.id_of(w)] / probs[:, vocab.id_of(w)].sum() for w in ("dog", "cat")]
+    merged = np.maximum(*columns)
+    np.testing.assert_allclose(
+        session.groundings[0].weights, merged / merged.sum(), rtol=0, atol=ORACLE_TOL
+    )
+    assert not session.groundings[0].degenerate
 
 
 def vss_oracle(logits, k):
@@ -151,38 +139,43 @@ def test_vss_values_match_topk_oracle(logits, k):
 
 def test_vss_normalizes_and_validates():
     logits = np.random.default_rng(0).normal(size=(5, 8))
-    g = vss(logits, k=3)
-    assert abs(g.weights.sum() - 1.0) < MASS_TOL
+    weights, degenerate = unit_mass(vss_values(logits, k=3))
+    assert abs(weights.sum() - 1.0) < MASS_TOL and not degenerate
     with pytest.raises(InvalidInput):
         vss_values(logits, k=1)
     with pytest.raises(InvalidInput):
         vss_values(logits, k=9)
     with pytest.raises(InvalidInput):
         vss_values(logits, sign="sideways")
+    # finite logits whose spread overflows float64: no infinite salience
+    wide = np.array([[1e308, -1e308, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+    for sign in ("raw", "flipped"):
+        with pytest.raises(InvalidInput):
+            vss_values(wide, k=3, sign=sign)
+
+
+def grounding_of(values):
+    """The Grounding the session makes of per-patch values: their unit mass."""
+    return Grounding(*unit_mass(np.array(values, dtype=np.float64)))
 
 
 def test_grounding_from_values_and_degeneracy():
-    g = Grounding.from_values(np.array([0.0, 3.0, 1.0, 0.0]))
+    g = grounding_of([0.0, 3.0, 1.0, 0.0])
     assert not g.degenerate
     assert g.rho == 0.5
-    assert g.size == 4
-    flat = Grounding.from_values(np.zeros(4))
+    assert g.weights.tolist() == [0.0, 0.75, 0.25, 0.0]
+    flat = grounding_of(np.zeros(4))
     assert flat.degenerate
     assert flat.rho == 0.0
     assert np.allclose(flat.weights, 0.25)
-    # integers and float32 are computed in float64, as before the dtype check
-    single = np.array([0.1, 0.7, 0.2, 0.0], dtype=np.float32)
-    want = single.astype(np.float64) / single.astype(np.float64).sum()
-    assert Grounding.from_values(single).weights.tobytes() == want.tobytes()
-    assert Grounding.from_values([0, 3, 1, 0]).weights.tobytes() == g.weights.tobytes()
     with pytest.raises(ValueError):
         g.weights[0] = 1.0  # frozen buffer
 
 
 def test_grounding_rho_counts_weights_strictly_above_eps():
-    assert Grounding.from_values([0.0, 0.0, 1.0, 2.0]).rho == 0.5
-    assert Grounding.from_values([0.0, 0.0]).rho == 0.0
-    assert Grounding.from_values([1e-13, 1.0]).rho == 0.5
+    assert grounding_of([0.0, 0.0, 1.0, 2.0]).rho == 0.5
+    assert grounding_of([0.0, 0.0]).rho == 0.0
+    assert grounding_of([1e-13, 1.0]).rho == 0.5
     assert Grounding(np.array([L0_EPS, 1.0 - L0_EPS]), degenerate=False).rho == 0.5
     assert Grounding(np.array([0.5, 0.0, 0.5]), degenerate=False).rho == pytest.approx(2.0 / 3.0)
     assert Grounding(np.full(4, 0.25), degenerate=True).rho == 0.0
@@ -208,13 +201,18 @@ def nonnegative_vectors(draw):
 
 @given(nonnegative_vectors())
 @settings(max_examples=200)
-def test_unchecked_grounding_equals_from_values(values):
-    """The unchecked core the guidance session grounds with gives what the
-    checked entry point gives."""
-    want = Grounding.from_values(values)
+def test_unit_mass_grounding_matches_a_plain_reference(values):
+    """The core the guidance session grounds with, against a plain divide by
+    the sum (uniform below ``DEGENERATE_EPS``) and a count of the weights
+    above ``L0_EPS``."""
     got = Grounding(*unit_mass(values))
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert (got.rho, got.degenerate) == (want.rho, want.degenerate)
+    total = sum(values.tolist())
+    degenerate = total < DEGENERATE_EPS
+    want = [1.0 / len(values)] * len(values) if degenerate else [x / total for x in values.tolist()]
+    np.testing.assert_allclose(got.weights, want, rtol=1e-12, atol=0)
+    assert got.degenerate == degenerate
+    if not degenerate:
+        assert got.rho == sum(w > L0_EPS for w in got.weights.tolist()) / len(values)
 
 
 def test_mask_annotation_validation():
@@ -265,3 +263,6 @@ def test_extract_objects_order_dedup_case():
     assert extract_objects(text, vocab) == ["cat", "dog"]
     assert extract_objects("nothing here", vocab) == []
     assert extract_objects("", vocab) == []
+    for question in (None, 3, ["dog"]):
+        with pytest.raises(InvalidInput):
+            extract_objects(question, vocab)

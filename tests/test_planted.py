@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from vgalab.errors import InvalidInput, InvalidSpec
-from vgalab.grounding import exists, image_confidence, object_grounding, vsc_vector, vss
+from vgalab.grounding import Grounding, vsc_vector, vss_values
 from vgalab.mllm import (
     PlantedSpec,
     SequenceLayout,
@@ -13,9 +13,11 @@ from vgalab.mllm import (
     prefill,
     reference_forward,
 )
+from vgalab.numerics import unit_mass
 from vgalab.vocab import SPECIALS, make_vocab
 
 PRESENT_CONF_FLOOR = 0.5
+EXIST_LOG_THRESHOLD = -2.5  # a word exists when ln(best patch confidence) is above this
 CLEAN_ACCURACY_FLOOR = 0.95
 
 
@@ -125,11 +127,11 @@ def test_existence_threshold_separates_present_from_absent(clean_model):
     logits = scene_logits(clean_model, {"dog": [0, 1], "tree": [10]})
     vocab = clean_model.vocab
     for word in ("dog", "tree"):
-        conf = image_confidence(logits, vocab.id_of(word))
+        conf = float(vsc_vector(logits, vocab.id_of(word)).max())
         assert conf > PRESENT_CONF_FLOOR
-        assert exists(conf)
+        assert np.log(conf) > EXIST_LOG_THRESHOLD
     for word in ("cat", "bus", "kite"):
-        assert not exists(image_confidence(logits, vocab.id_of(word)))
+        assert not np.log(float(vsc_vector(logits, vocab.id_of(word)).max())) > EXIST_LOG_THRESHOLD
 
 
 def test_vsc_landscape_matches_coverage(clean_model):
@@ -150,11 +152,12 @@ def test_groundings_concentrate_on_planted_patches(clean_model):
     vocab = clean_model.vocab
     on_object = np.zeros(clean_model.config.n_patches, dtype=bool)
     on_object[coverage["dog"] + coverage["cat"]] = True
-    dog = object_grounding(logits, vocab.id_of("dog"))
+    dog = Grounding(*unit_mass(vsc_vector(logits, vocab.id_of("dog"))))
     assert dog.weights[coverage["dog"]].sum() > 0.5
     assert dog.rho == 1.0  # softmax confidence is positive on every patch
-    assert object_grounding(logits, vocab.id_of("tree")).weights[~on_object].sum() > 0.9
-    salience = vss(logits).weights
+    tree, _ = unit_mass(vsc_vector(logits, vocab.id_of("tree")))
+    assert tree[~on_object].sum() > 0.9
+    salience, _ = unit_mass(vss_values(logits))
     assert salience[on_object].mean() > salience[~on_object].mean()
 
 
@@ -207,10 +210,10 @@ def test_noise_degrades_answers_not_recognition(clean_model, noisy_model):
     noisy_logits = scene_logits(noisy_model, coverage)
     dog = clean_model.vocab.id_of("dog")
     # recognition (visual logits) stays essentially intact under key noise
-    clean_conf = image_confidence(clean_logits, dog)
-    noisy_conf = image_confidence(noisy_logits, dog)
+    clean_conf = float(vsc_vector(clean_logits, dog).max())
+    noisy_conf = float(vsc_vector(noisy_logits, dog).max())
     assert noisy_conf > 0.5 * clean_conf
-    assert exists(noisy_conf)
+    assert np.log(noisy_conf) > EXIST_LOG_THRESHOLD
 
 
 def test_sigma_perturbs_only_key_projections():

@@ -1,6 +1,7 @@
-"""Source hygiene: every exported name resolves, no module imports a
-name it never uses, no function rebinds module-global state, no module
-binds a name to a mutable container, and no module imports a way to
+"""Source hygiene: every exported name resolves, every public function,
+class and method has a caller in the program or the benchmark, no module
+imports a name it never uses, no function rebinds module-global state, no
+module binds a name to a mutable container, and no module imports a way to
 start threads or processes."""
 import ast
 import importlib
@@ -16,6 +17,81 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names {missing}"
+
+
+# Public names that only tests need, with the reason each stays.
+ALLOWED_UNREFERENCED = {
+    # the reader of which grounding each entry's guidance used
+    "vga.py:VgaSession.groundings",
+}
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:name`` for each public top-level function or class of
+    ``modules`` (path to source), and ``module:Class.method`` for each
+    public method of such a class, that no ``ast.Name`` or
+    ``ast.Attribute`` names outside its own definition, in ``modules`` or
+    in the ``others`` sources."""
+    trees = {path: ast.parse(source) for path, source in modules.items()}
+    # (path or None, name, line) for every name read anywhere
+    refs = [
+        (path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for path, tree in [*trees.items(), *((None, ast.parse(s)) for s in others)]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for path, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend(
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        for qualname, node in defs:
+            if node.name.startswith("_"):
+                continue
+            if not any(
+                name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, name, line in refs
+            ):
+                found.append(f"{path}:{qualname}")
+    return found
+
+
+def test_reference_check_sees_a_test_only_function():
+    modules = {
+        "a.py": (
+            "def used():\n    pass\n"
+            "def only_tests():\n    return only_tests()\n"
+            "def only_bench():\n    pass\n"
+            "class K:\n    def m(self):\n        pass\n"
+            "    def unread(self):\n        pass\n    def _private(self):\n        pass\n"
+        ),
+        "b.py": "from .a import used\nused()\nK().m()\n",
+    }
+    assert unreferenced(modules, ["vgalab.a.only_bench()\n"]) == [
+        "a.py:only_tests",
+        "a.py:K.unread",
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name that only tests call states again, for the tests, what
+    the program already states where it runs; delete it, or call the
+    program's own statement from the test."""
+    modules = {
+        p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8")
+        for p in sorted(SRC.rglob("*.py"))
+        if p.name != "__init__.py"
+    }
+    bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert [q for q in unreferenced(modules, bench) if q not in ALLOWED_UNREFERENCED] == []
 
 
 def unused_imports(source: str) -> list[str]:

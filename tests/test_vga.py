@@ -10,16 +10,9 @@ from hypothesis.extra.numpy import arrays
 from vgalab.errors import ConfigError, InvalidInput, ShapeError
 from vgalab.evalkit import build_caption_layout, build_vqa_layout, question_text
 from vgalab.evalkit.harness import _gt_mask_for
-from vgalab.grounding import (
-    Grounding,
-    MaskAnnotation,
-    extract_objects,
-    merge_groundings,
-    object_grounding,
-    vss,
-)
+from vgalab.grounding import Grounding, MaskAnnotation, extract_objects, vsc_vector, vss_values
 from vgalab.mllm import SequenceLayout, decode_step, greedy_generate, prefill, prefill_shared
-from vgalab.numerics import cosine_sim_clamped, head_scales, stable_softmax, sum_normalize
+from vgalab.numerics import DEGENERATE_EPS, _clamped_cosines, head_scales, stable_softmax, unit_mass
 from vgalab.vga import VgaConfig, VgaSession, bos_profile, new_session, suggest_start_layer
 
 HAND_TOL = 1e-9
@@ -139,6 +132,27 @@ def gamma_of(z, dz):
     return head_scales(z[None], dz[None], [1.0])[0]
 
 
+def clamped_cosine(a, b):
+    """Reference cosine of two vectors from np.dot and np.linalg.norm,
+    clamped to [0, 1]; a zero vector compares as 0, and a norm product that
+    underflows to 0 gives what the clamped IEEE division would."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    dot = float(np.dot(a, b))
+    if na * nb == 0.0:
+        return 1.0 if dot > 0.0 else 0.0
+    return float(np.clip(dot / (na * nb), 0.0, 1.0))
+
+
+def reference_gamma_prime(z, dz):
+    """gamma' [H] of one row: each head's reference cosine over their sum,
+    uniform when the sum is below ``DEGENERATE_EPS``."""
+    sims = np.array([clamped_cosine(x, y) for x, y in zip(z, dz)])
+    total = sims.sum()
+    return np.full(len(sims), 1.0 / len(sims)) if total < DEGENERATE_EPS else sims / total
+
+
 def value_mix(g, v):
     """sum_i g[i] * v[i] over visual rows v [m, H, dh], as the hook's GEMV."""
     m, n_heads, d_head = v.shape
@@ -164,8 +178,7 @@ def test_head_balance_hand_cases():
     assert np.allclose(gamma_of(z, dz), [0.0, 2.0], atol=HAND_TOL)
     # sims [0.6, 0.2] -> gamma' [0.75, 0.25] -> gamma [0.5, 1.5]
     z = np.array([[0.6, 0.8], [0.2, np.sqrt(0.96)]])
-    gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
-    assert np.allclose(gamma_prime, [0.75, 0.25], atol=HAND_TOL)
+    assert np.allclose(reference_gamma_prime(z, dz), [0.75, 0.25], atol=HAND_TOL)
     assert np.allclose(gamma_of(z, dz), [0.5, 1.5], atol=HAND_TOL)
 
 
@@ -200,13 +213,8 @@ def test_head_balance_matches_per_head_loop(pair):
     z, dz = pair
     n_heads = z.shape[0]
     gamma = gamma_of(z, dz)
-    sims = np.array([cosine_sim_clamped(z[h], dz[h]) for h in range(n_heads)])
-    gamma_prime, _ = sum_normalize(sims)
-    want = np.maximum(0.0, 2.0 - n_heads * gamma_prime)
+    want = np.maximum(0.0, 2.0 - n_heads * reference_gamma_prime(z, dz))
     np.testing.assert_allclose(gamma, want, rtol=0, atol=LOOP_TOL)
-    # the unchecked cores compute exactly what the checked entry points do
-    gamma_prime, _ = sum_normalize(cosine_sim_clamped(z, dz))
-    assert gamma.tobytes() == np.maximum(0.0, 2.0 - n_heads * gamma_prime).tobytes()
 
 
 # -- the hook against a per-head reference -----------------------------------------
@@ -255,17 +263,17 @@ class StaleMixSession(VgaSession):
 
 
 def pvg_reference(hook):
-    """The one entry's grounding before each token, rebuilt from the vector
-    calls (the checked ``sum_normalize``): salience at bind time, then
+    """The one entry's grounding before each token, rebuilt from vector calls
+    of the cores: salience at bind time, then
     G <- Norm(ReLU((1+lam) G - lam Norm(p_w)))."""
     cfg = hook.session.config
     probs = stable_softmax(hook.visual_logits)
-    groundings = [vss(hook.visual_logits, k=cfg.top_k)]
+    groundings = [Grounding(*unit_mass(vss_values(hook.visual_logits, k=cfg.top_k)))]
     for token in hook.tokens:
-        g_w, _ = sum_normalize(probs[:, token])
+        g_w, _ = unit_mass(probs[:, token])
         g = groundings[-1].weights
         groundings.append(
-            Grounding.from_values(np.maximum(0.0, (1.0 + cfg.lambda_) * g - cfg.lambda_ * g_w))
+            Grounding(*unit_mass(np.maximum(0.0, (1.0 + cfg.lambda_) * g - cfg.lambda_ * g_w)))
         )
     return [[g] for g in groundings]
 
@@ -277,7 +285,7 @@ def guided_entries(row):
 
 def assert_rows_match_reference(hook, groundings, n_heads):
     """Each guided entry's scales and mix in every row, byte for byte,
-    against a per-head loop of ``cosine_sim_clamped``, ``sum_normalize`` and
+    against a per-head loop of ``_clamped_cosines``, ``unit_mass`` and
     ``value_mix`` on that entry alone, the mix itself held to the explicit sum
     over visual rows; every other entry's scales are zero. Every entry's
     weights are its grounding's. ``groundings[t][b]`` is entry b's grounding
@@ -303,8 +311,8 @@ def assert_rows_match_reference(hook, groundings, n_heads):
             for i in range(e - s):
                 loop += g.weights[i] * v[s + i]
             np.testing.assert_allclose(delta, loop, rtol=0, atol=LOOP_TOL)
-            sims = np.array([cosine_sim_clamped(z[b, h], delta[h]) for h in range(n_heads)])
-            gamma_prime, _ = sum_normalize(sims)
+            sims = np.array([_clamped_cosines(z[b, h], delta[h])[0] for h in range(n_heads)])
+            gamma_prime, _ = unit_mass(sims)
             rho = g.rho if cfg.mode == "caption" else 1.0
             scales = cfg.beta * rho * np.maximum(0.0, 2.0 - n_heads * gamma_prime)
             assert row.delta[b].tobytes() == delta.tobytes()
@@ -406,11 +414,14 @@ def test_shared_prefix_vsc_rows_match_per_head_reference(noisy_model, scenes12):
         prefill_shared(noisy_model, layouts, hook)
         references = []
         for question in questions:
-            words = extract_objects(question, vocab)
-            groundings = [object_grounding(hook.visual_logits, vocab.id_of(w)) for w in words]
-            references.append(
-                groundings[0] if len(groundings) == 1 else merge_groundings(groundings)
-            )
+            # each word's column at unit mass; several merge by max, then unit mass
+            columns = [
+                unit_mass(vsc_vector(hook.visual_logits, vocab.id_of(w)))
+                for w in extract_objects(question, vocab)
+            ]
+            if len(columns) > 1:
+                columns = [unit_mass(np.max([w for w, _ in columns], axis=0))]
+            references.append(Grounding(*columns[0]))
         applied = assert_rows_match_reference(hook, [references], noisy_model.config.n_heads)
         session = hook.session
         assert applied == len(questions) * (session.end_layer - session.start_layer)
@@ -566,22 +577,23 @@ def test_session_binds_on_prefill_and_grounds_on_question(clean_model):
 
 @pytest.mark.parametrize("words", [("dog",), ("dog", "cat")])
 def test_vsc_grounding_matches_merged_object_groundings(clean_model, words):
-    """The session reads vsc columns off its one softmax; one word skips the merge."""
+    """The session reads vsc columns off its one softmax; one word skips the
+    merge. The reference is a plain softmax, divide, elementwise max and
+    divide."""
     layout = vqa_layout(clean_model)
     logits = prefill(clean_model, layout).visual_logits
     question = "is there a " + " or a ".join(words) + " ?"
     session = new_session(clean_model, VgaConfig(guidance_source="vsc"), question=question)
     session.on_visual(logits, [layout])
-    want = merge_groundings(
-        [object_grounding(logits, clean_model.vocab.id_of(w)) for w in words]
-    )
-    np.testing.assert_allclose(
-        session.groundings[0].weights, want.weights, rtol=0, atol=GROUNDING_TOL
-    )
-    assert (session.groundings[0].rho, session.groundings[0].degenerate) == (
-        want.rho,
-        want.degenerate,
-    )
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exps / exps.sum(axis=1, keepdims=True)
+    columns = [probs[:, clean_model.vocab.id_of(w)] for w in words]
+    merged = np.max([c / c.sum() for c in columns], axis=0)
+    want = merged / merged.sum()
+    got = session.groundings[0]
+    np.testing.assert_allclose(got.weights, want, rtol=0, atol=GROUNDING_TOL)
+    assert not got.degenerate
+    assert got.rho == np.count_nonzero(want > 1e-12) / len(want)
 
 
 def test_session_refuses_a_second_visual_context(clean_model):
@@ -796,7 +808,7 @@ def test_pvg_caption_decays_each_named_object_and_terminates(clean_model):
 
 def test_pvg_update_requires_bound_session(tiny_model):
     session = new_session(tiny_model, VgaConfig(mode="caption"))
-    session.groundings[0] = Grounding.from_values(np.ones(4))
+    session.groundings[0] = Grounding(*unit_mass(np.ones(4)))
     with pytest.raises(ConfigError):
         session.on_token(0)
 
