@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import VgalabError
+from .errors import VgalabError, open_path
 from .evalkit import (
     NEGATIVE_MODES,
     SceneParams,
@@ -104,7 +104,7 @@ def _load_scene(args: argparse.Namespace):
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open_path(out, "w", "JSON output") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

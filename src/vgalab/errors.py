@@ -1,6 +1,10 @@
-"""Exception taxonomy shared by all vgalab modules, and the scalar type
-checks that raise it."""
+"""Exception taxonomy shared by all vgalab modules, and the one statement
+of each rule for input from outside the program that raises it: scalars
+(``require_int`` and its kin), arrays (``require_array``) and file paths
+(``open_path``)."""
 import numbers
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -89,3 +93,41 @@ def require_bool(value, name: str, error: type[VgalabError]) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     raise error(f"{name} must be a bool, got {value!r}")
+
+
+def require_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a finite float64 array of ``ndim`` dimensions, not a
+    copy when it already is one. A ragged sequence, or an array that does
+    not hold integers or floats (bool, complex, str, object), raises
+    ``InvalidInput``: no complex value loses its imaginary part, no string
+    is parsed and no bool is read as 0 or 1. A wrong ``ndim`` or an array
+    with no elements raises ``ShapeError``, and NaN or Inf ``InvalidInput``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidInput(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must hold real numbers, got {arr.dtype}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ShapeError(f"{name} must be a non-empty {ndim}-d array, got shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} must be finite, got NaN or Inf")
+    return arr
+
+
+@contextmanager
+def open_path(path, mode: str, what: str):
+    """``open(path, mode)``, UTF-8 in text modes, as a context manager. A
+    path that is not a str, bytes or ``os.PathLike`` raises ``IoError``
+    before anything is opened (an int would open a file descriptor), and so
+    does any ``OSError`` while the file is open, as ``cannot read|write
+    {what} {path!r}: ...``."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise IoError(f"{what} path must be a str, bytes or os.PathLike, got {path!r}")
+    verb = "read" if "r" in mode else "write"
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot {verb} {what} {path!r}: {exc}") from exc

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInput, IoError, ShapeError, require_grid
+from ..errors import InvalidInput, ShapeError, open_path, require_array, require_grid
 
 _SCALE_EPS = 1e-12
 
@@ -25,22 +25,17 @@ def export_heatmap(values, grid: tuple[int, int], path: str) -> None:
     dynamic range) renders as mid-gray so "uniform" and "empty" stay
     visually distinct from "peaked at the first patch".
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = require_array(values, "grounding values", 1)
     rows, cols = require_grid(grid, "heatmap grid", InvalidInput)
     if rows < 1 or cols < 1:
         raise InvalidInput("grid dims must be positive")
-    if values.ndim != 1 or values.shape[0] != rows * cols:
+    if values.shape[0] != rows * cols:
         raise ShapeError(
             f"grounding length {values.shape} does not cover a {rows}x{cols} grid"
         )
-    if not np.all(np.isfinite(values)):
-        raise InvalidInput("grounding values must be finite")
 
     pixels = np.round(minmax_scale(values) * 255.0).astype(np.uint8)
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(pixels.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write heatmap {path!r}: {exc}") from exc
+    with open_path(path, "wb", "heatmap") as fh:
+        fh.write(header)
+        fh.write(pixels.tobytes())

@@ -19,8 +19,8 @@ import numpy as np
 from ..errors import (
     InvalidInput,
     InvalidParams,
-    IoError,
     ShapeError,
+    open_path,
     require_fraction,
     require_int,
     require_real,
@@ -60,14 +60,12 @@ def chair_metrics(
     object absent from their annotation; the second pools object mentions
     over the whole corpus and reports the hallucinated fraction.
     """
-    if len(generated) == 0:
-        raise InvalidInput("need at least one caption")
-    if len(generated) != len(annotated):
-        raise ShapeError(
-            f"{len(generated)} captions vs {len(annotated)} annotations"
-        )
     gen = _as_sets(generated)
     ann = _as_sets(annotated)
+    if len(gen) == 0:
+        raise InvalidInput("need at least one caption")
+    if len(gen) != len(ann):
+        raise ShapeError(f"{len(gen)} captions vs {len(ann)} annotations")
     mentions = 0
     hallucinated = 0
     dirty_captions = 0
@@ -105,14 +103,14 @@ def amber_metrics(
     A caption with an empty generated set scores 0 for chair and cog
     (logged); an empty annotation scores 0 for cover (logged).
     """
-    if len(generated) == 0:
-        raise InvalidInput("need at least one caption")
-    if not (len(generated) == len(annotated) == len(hallu_targets)):
-        raise ShapeError("generated/annotated/hallu_targets lengths disagree")
-    f1 = require_fraction(f1, "f1", InvalidParams)
     gen = _as_sets(generated)
     ann = _as_sets(annotated)
     tgt = _as_sets(hallu_targets)
+    if len(gen) == 0:
+        raise InvalidInput("need at least one caption")
+    if not (len(gen) == len(ann) == len(tgt)):
+        raise ShapeError("generated/annotated/hallu_targets lengths disagree")
+    f1 = require_fraction(f1, "f1", InvalidParams)
 
     chairs, covers, cogs, hals = [], [], [], []
     for i, (r, a, h) in enumerate(zip(gen, ann, tgt)):
@@ -196,9 +194,6 @@ class EvalReport:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report {path!r}: {exc}") from exc
+    with open_path(path, "w", "report") as fh:
+        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -21,9 +21,17 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..errors import FormatError, InvalidParams, IoError, require_grid, require_int, require_seed
+from ..errors import (
+    FormatError,
+    InvalidParams,
+    open_path,
+    require_grid,
+    require_int,
+    require_seed,
+)
 from ..grounding import MaskAnnotation
 from ..mllm import Model, SequenceLayout
+from ..mllm.core import _check_model
 from ..vocab import DEFAULT_OBJECT_WORDS, make_vocab
 
 NEGATIVE_MODES = ("random", "popular", "adversarial")
@@ -283,14 +291,17 @@ def question_text(word: str) -> str:
     return f"is there a {word} in the image ?"
 
 
+def _visual_prefix(model: Model, scene: Scene) -> tuple[int, ...]:
+    """BOS + the scene's patch tokens, the prefix of every prompt on it."""
+    _check_model(model)
+    if not isinstance(scene, Scene):
+        raise InvalidParams(f"expected a Scene, got {type(scene).__name__}")
+    return (model.vocab.bos_id,) + scene.patches
+
+
 def build_vqa_layout(model: Model, scene: Scene, word: str) -> SequenceLayout:
     """BOS + patch tokens + question word + question mark."""
-    vocab = model.vocab
-    tokens = (
-        (vocab.bos_id,)
-        + scene.patches
-        + (vocab.id_of(word), vocab.qmark_id)
-    )
+    tokens = _visual_prefix(model, scene) + (model.vocab.id_of(word), model.vocab.qmark_id)
     return SequenceLayout(
         token_ids=tokens, visual_start=1, visual_end=1 + scene.n_patches
     )
@@ -298,8 +309,7 @@ def build_vqa_layout(model: Model, scene: Scene, word: str) -> SequenceLayout:
 
 def build_caption_layout(model: Model, scene: Scene) -> SequenceLayout:
     """BOS + patch tokens + caption marker."""
-    vocab = model.vocab
-    tokens = (vocab.bos_id,) + scene.patches + (vocab.caption_id,)
+    tokens = _visual_prefix(model, scene) + (model.vocab.caption_id,)
     return SequenceLayout(
         token_ids=tokens, visual_start=1, visual_end=1 + scene.n_patches
     )
@@ -334,39 +344,32 @@ def scenes_to_payload(scenes: list[Scene]) -> dict:
 
 def save_scenes(scenes: list[Scene], path: str) -> None:
     payload = scenes_to_payload(scenes)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write scene file {path!r}: {exc}") from exc
+    with open_path(path, "w", "scene file") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_scenes(path: str) -> list[Scene]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_path(path, "r", "scene file") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read scene file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"scene file {path!r} is not valid JSON: {exc}") from exc
     try:
-        grid = tuple(int(x) for x in payload["grid"])
+        grid = require_grid(payload["grid"], "scene grid", FormatError)
         scenes = []
         for raw in payload["scenes"]:
             scenes.append(
                 Scene(
-                    grid=grid,  # type: ignore[arg-type]
-                    patches=tuple(int(p) for p in raw["patches"]),
+                    grid=grid,
+                    patches=tuple(require_int(p, "patch id", FormatError) for p in raw["patches"]),
                     objects=tuple(
-                        MaskAnnotation(
-                            word=o["word"],
-                            overlaps=np.asarray(o["mask_overlaps"], dtype=np.float64),
-                        )
+                        MaskAnnotation(word=o["word"], overlaps=o["mask_overlaps"])
                         for o in raw["objects"]
                     ),
+                    # an unknown label is a KeyError, a FormatError below
                     questions=tuple(
-                        Question(q["word"], q["label"] == "present")
+                        Question(q["word"], {"present": True, "absent": False}[q["label"]])
                         for q in raw["questions"]
                     ),
                     annotated=tuple(raw["annotated"]),

@@ -7,8 +7,9 @@ and summed log-improbability of the top-k tokens gives an object-agnostic
 salience (``vss_values``). Both return raw per-patch values. The guidance
 session (``vga.VgaSession``) scales them to unit mass over the image with
 ``numerics.unit_mass`` and reads each entry's result back as a
-``Grounding``. Visual logits from outside the program pass one check,
-``_check_visual_logits``, before either reads them.
+``Grounding``. Visual logits from outside the program, masks and
+grounding weights pass one check, ``errors.require_array``, before
+anything reads them.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, require_int
+from .errors import InvalidInput, ShapeError, require_array, require_int
 from .numerics import stable_softmax
 from .vocab import Vocabulary
 
@@ -46,7 +47,7 @@ class Grounding:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = require_array(self.weights, "grounding weights", 1)
         object.__setattr__(self, "weights", w)
         w.flags.writeable = False
         object.__setattr__(self, "rho", 0.0 if self.degenerate else support_share(w))
@@ -60,15 +61,9 @@ class MaskAnnotation:
     overlaps: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            g = np.asarray(self.overlaps, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"overlaps must be an array of reals: {exc}") from None
-        if g.ndim != 1:
-            raise ShapeError(f"overlaps must be 1-d, got shape {g.shape}")
-        # NaN fails both comparisons and +-inf fails one: this is the finiteness check too
+        g = require_array(self.overlaps, "overlaps", 1)
         if not ((g >= 0) & (g <= 1)).all():
-            raise InvalidInput("overlap coefficients must be finite and lie in [0, 1]")
+            raise InvalidInput("overlap coefficients must lie in [0, 1]")
         object.__setattr__(self, "overlaps", g)
         g.flags.writeable = False
 
@@ -77,28 +72,9 @@ class MaskAnnotation:
         return int(np.count_nonzero(self.overlaps))
 
 
-def _check_visual_logits(visual_logits) -> np.ndarray:
-    """Outside visual logits [m, V] as a finite float64 array. An array
-    that does not hold real numbers raises ``InvalidInput``: a complex one
-    would lose its imaginary part in the cast, and strings would be parsed.
-    """
-    try:
-        arr = np.asarray(visual_logits)
-    except ValueError:  # a ragged nested sequence
-        raise InvalidInput("visual logits must be a rectangular array") from None
-    if arr.dtype.kind not in "iuf":
-        raise InvalidInput(f"visual logits must hold real numbers, got {arr.dtype}")
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"visual logits must be a non-empty [m, V] array, got shape {arr.shape}")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise InvalidInput("visual logits contain NaN or Inf")
-    return arr
-
-
 def vsc_vector(visual_logits: np.ndarray, word: int) -> np.ndarray:
     """Per-patch softmax confidence assigned to one token id (length m)."""
-    logits = _check_visual_logits(visual_logits)
+    logits = require_array(visual_logits, "visual logits", 2)
     word = require_int(word, "token id", InvalidInput)
     m, v = logits.shape
     if not 0 <= word < v:
@@ -116,7 +92,7 @@ def vss_values(
     max(x) - x for models where low raw values mark the salient patches.
     Values are finite and nonnegative either way.
     """
-    logits = _check_visual_logits(visual_logits)
+    logits = require_array(visual_logits, "visual logits", 2)
     k = require_int(k, "top-k", InvalidInput)
     m, v = logits.shape
     if not 2 <= k <= v:
@@ -141,17 +117,10 @@ def vss_values(
 
 def dice(c: np.ndarray, g: np.ndarray | MaskAnnotation) -> float:
     """Soft overlap score 2*sum(c*g) / (sum(c) + sum(g)) in [0, 1]."""
-    try:
-        a = np.asarray(c, dtype=np.float64)
-        b = np.asarray(g.overlaps if isinstance(g, MaskAnnotation) else g, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"dice inputs must be arrays of reals: {exc}") from None
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("dice expects 1-d vectors")
+    a = require_array(c, "dice input", 1)
+    b = require_array(g.overlaps if isinstance(g, MaskAnnotation) else g, "dice input", 1)
     if a.shape != b.shape:
         raise ShapeError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInput("dice inputs must be finite")
     if np.any(a < 0) or np.any(b < 0):
         raise InvalidInput("dice inputs must be nonnegative")
     denom = float(np.sum(a) + np.sum(b))

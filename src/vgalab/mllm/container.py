@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from ..errors import FormatError, IoError, VgalabError, require_int
+from ..errors import FormatError, VgalabError, open_path, require_int
 from ..vocab import Vocabulary
 from .config import ModelConfig
 from .core import Model, tensor_table
@@ -58,14 +58,11 @@ def save_model(model: Model, path) -> None:
         offset += arr.nbytes
 
     encoded = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_LEN_STRUCT.pack(len(encoded)))
-            fh.write(encoded)
-            for arr in arrays:
-                fh.write(arr)
-    except OSError as exc:
-        raise IoError(f"cannot write model file {path}: {exc}") from exc
+    with open_path(path, "wb", "model file") as fh:
+        fh.write(_LEN_STRUCT.pack(len(encoded)))
+        fh.write(encoded)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def _tensor_range(name: str, entry, blob_size: int) -> tuple[tuple[int, ...], int, int]:
@@ -119,29 +116,26 @@ def load_model(path) -> Model:
 
     Streamed: each entry is checked before its array is allocated, then read
     straight into it, so the model's bytes are held once."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            manifest, header_end = _read_manifest(fh, size)
-            try:
-                config = ModelConfig.from_manifest(manifest[_CONFIG_KEY]["model"])
-                vocab = Vocabulary.from_manifest(manifest[_CONFIG_KEY]["vocab"])
-            except (KeyError, TypeError, ValueError, VgalabError) as exc:
-                raise FormatError(f"malformed {_CONFIG_KEY!r} entry: {exc}") from exc
+    with open_path(path, "rb", "model file") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        manifest, header_end = _read_manifest(fh, size)
+        try:
+            config = ModelConfig.from_manifest(manifest[_CONFIG_KEY]["model"])
+            vocab = Vocabulary.from_manifest(manifest[_CONFIG_KEY]["vocab"])
+        except (KeyError, TypeError, ValueError, VgalabError) as exc:
+            raise FormatError(f"malformed {_CONFIG_KEY!r} entry: {exc}") from exc
 
-            tensors, claimed, blob_size = {}, 0, size - header_end
-            for name, *_ in tensor_table(config):
-                shape, offset, length = _tensor_range(name, manifest.get(name), blob_size)
-                claimed += length  # overlapping ranges must not allocate the blob twice
-                if claimed > blob_size:
-                    raise FormatError(f"{name}: tensors claim more bytes than the blob holds")
-                arr = np.empty(length // 4, dtype="<f4")
-                fh.seek(header_end + offset)
-                if fh.readinto(arr) != length:
-                    raise FormatError(f"{name}: file ended inside the tensor's data")
-                tensors[name] = arr.reshape(shape)
-    except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc}") from exc
+        tensors, claimed, blob_size = {}, 0, size - header_end
+        for name, *_ in tensor_table(config):
+            shape, offset, length = _tensor_range(name, manifest.get(name), blob_size)
+            claimed += length  # overlapping ranges must not allocate the blob twice
+            if claimed > blob_size:
+                raise FormatError(f"{name}: tensors claim more bytes than the blob holds")
+            arr = np.empty(length // 4, dtype="<f4")
+            fh.seek(header_end + offset)
+            if fh.readinto(arr) != length:
+                raise FormatError(f"{name}: file ended inside the tensor's data")
+            tensors[name] = arr.reshape(shape)
     try:
         return Model.from_tensors(config, vocab, tensors)
     except VgalabError as exc:

@@ -2,8 +2,8 @@
 cosine, head balancing.
 
 Every kernel here is unchecked: it takes finite float arrays that the
-forward pass built from checked inputs, or that ``grounding`` has checked
-(``grounding._check_visual_logits``). ``stable_softmax``, ``unit_mass``
+forward pass built from checked inputs, or that ``errors.require_array``
+has checked. ``stable_softmax``, ``unit_mass``
 and ``_clamped_cosines`` state each formula once, but for one restatement:
 ``head_scales`` finishes the hook's head balancing in one call on the
 cosines of ``_clamped_cosines``, and states the unit-mass rule a second
@@ -40,20 +40,18 @@ def unit_mass(values: np.ndarray) -> tuple[np.ndarray, bool | list[bool]]:
     degenerate, which downstream guidance reads as "no information".
 
     ``degenerate`` is a bool for a vector and a list of bools, one per row,
-    for a stack; each row is bit for bit what the vector call on it returns.
+    for a stack; a vector is normalized as the one row of a stack.
     """
-    if values.ndim == 2:
-        totals = np.add.reduce(values, 1, None, None, True)  # keepdims
-        degenerate = [total < DEGENERATE_EPS for total, in totals.tolist()]
-        # a degenerate row divides by the floor, not by ~0, and is then overwritten
-        out = values / np.maximum(totals, DEGENERATE_EPS)
-        if True in degenerate:
-            out[degenerate] = 1.0 / values.shape[1]
-        return out, degenerate
-    total = float(np.add.reduce(values, None))  # values.sum() minus its Python-level wrapper
-    if total < DEGENERATE_EPS:
-        return np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype), True
-    return values / total, False
+    if values.ndim == 1:
+        out, (degenerate,) = unit_mass(values.reshape(1, -1))
+        return out[0], degenerate
+    totals = np.add.reduce(values, 1, None, None, True)  # keepdims
+    degenerate = [total < DEGENERATE_EPS for total, in totals.tolist()]
+    # a degenerate row divides by the floor, not by ~0, and is then overwritten
+    out = values / np.maximum(totals, DEGENERATE_EPS)
+    if True in degenerate:
+        out[degenerate] = 1.0 / values.shape[1]
+    return out, degenerate
 
 
 def _clamped_cosines(a: np.ndarray, b: np.ndarray) -> list[float]:

@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     InvalidInput,
     ShapeError,
+    require_array,
     require_bool,
     require_fraction,
     require_int,
@@ -197,18 +198,19 @@ class VgaSession:
         if len(layouts) != len(self.questions):
             raise ShapeError(f"{len(layouts)} prompts for {len(self.questions)} questions")
         layout = layouts[0]
-        logits = np.asarray(visual_logits, dtype=np.float64)
+        logits = require_array(visual_logits, "visual logits", 2)
         want = (layout.n_visual, self.vocab.size)
         if logits.shape != want:
             raise ShapeError(f"visual logits must be [n_visual, V] = {want}, got {logits.shape}")
         # one softmax for every entry, taken only when something reads its
         # columns: vsc grounding, or programmed suppression of a grounding;
-        # the forward pass's logits are finite, so the unchecked core serves
+        # the logits are checked finite, so the unchecked core serves
         if self.source == "vsc" or self._decays:
             self.visual_probs = stable_softmax(logits)
-        self.span = (layout.visual_start, layout.visual_end)
         if self.source != "none":
             self._restack(*self._ground(logits, layout.n_visual))
+        # bound only now: a grounding that refuses the logits leaves it unbound
+        self.span = (layout.visual_start, layout.visual_end)
 
     def correction(self, layer: int, z_last: np.ndarray, v_cache: np.ndarray) -> GuidanceRow | None:
         """Every entry's row for this layer, or None when no entry is guided.

@@ -144,8 +144,10 @@ class Vocabulary:
 
 def make_vocab(object_words=DEFAULT_OBJECT_WORDS, n_background: int = 12) -> Vocabulary:
     """Assemble the full table: specials, text words, patch tokens, textures."""
-    if isinstance(object_words, str):
-        raise InvalidSpec(f"object words must be a sequence of words, not {object_words!r}")
+    if not isinstance(object_words, (tuple, list)) or not all(
+        isinstance(word, str) for word in object_words
+    ):
+        raise InvalidSpec(f"object words must be a tuple or list of str, got {object_words!r}")
     object_words = tuple(object_words)
     if not object_words:
         raise InvalidSpec("at least one object word is required")

@@ -247,6 +247,8 @@ def test_dice_hand_values():
 def test_dice_validation():
     with pytest.raises(ShapeError):
         dice(np.ones(3), np.ones(4))
+    with pytest.raises(ShapeError):
+        dice(np.zeros(0), np.zeros(0))
     with pytest.raises(InvalidInput):
         dice(np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(InvalidInput):

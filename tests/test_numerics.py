@@ -82,6 +82,15 @@ def test_sum_normalize_unit_mass_or_degenerate(values):
         assert np.allclose(normalized * values.sum(), values, rtol=1e-12, atol=1e-300)
 
 
+def frozen_vector_unit_mass(values):
+    """``unit_mass`` of a vector as its own branch stated it before a vector
+    became one row of a stack, kept as the oracle."""
+    total = float(np.add.reduce(values, None))
+    if total < DEGENERATE_EPS:
+        return np.full(values.shape, 1.0 / values.shape[-1], dtype=values.dtype), True
+    return values / total, False
+
+
 @settings(max_examples=60)
 @given(
     st.sampled_from([np.float64, np.float32]),
@@ -90,17 +99,39 @@ def test_sum_normalize_unit_mass_or_degenerate(values):
     st.data(),
 )
 def test_unit_mass_of_a_stack_is_the_vector_call_per_row(dtype, k, n, data):
-    """Each row, degenerate ones among them, comes out byte for byte, a
-    stack of one row (every guided generation) too."""
+    """Each row, degenerate ones among them, comes out byte for byte what
+    the frozen vector branch gives, a stack of one row (every guided
+    generation) too; so does the vector call, on each row and on each
+    strided column."""
     rows = data.draw(arrays(dtype, (k, n), elements=st.floats(0, 1e6, width=32)))
     if data.draw(st.booleans()):
         rows[data.draw(st.integers(0, k - 1))] = 0.0
     stacked, degenerate = unit_mass(rows)
     assert stacked.dtype == dtype and len(degenerate) == k
+    vectors = list(rows) + [rows[:, j] for j in range(n)]
     for row, got, flag in zip(rows, stacked, degenerate):
-        want, want_flag = unit_mass(row)
+        want, want_flag = frozen_vector_unit_mass(row)
         assert got.tobytes() == want.tobytes()
         assert flag == want_flag
+    for vector in vectors:
+        got, flag = unit_mass(vector)
+        want, want_flag = frozen_vector_unit_mass(vector)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert flag is want_flag
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale", [1.0, 100.0], ids=["spread", "near-degenerate"])
+def test_unit_mass_of_softmax_columns_matches_the_frozen_vector_branch(dtype, scale):
+    """The strided ``probs[:, t]`` columns programmed suppression reads; at
+    scale 100 most columns sum below ``DEGENERATE_EPS`` or near it."""
+    logits = np.random.default_rng(3).normal(0.0, scale, (8, 46)).astype(dtype)
+    probs = stable_softmax(logits)
+    for t in range(probs.shape[1]):
+        got, flag = unit_mass(probs[:, t])
+        want, want_flag = frozen_vector_unit_mass(probs[:, t])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert flag is want_flag
 
 
 def test_sum_normalize_degenerate_is_uniform():

@@ -865,3 +865,35 @@ def test_on_visual_binds_from_prefill(clean_model):
         with pytest.raises(ShapeError):
             short.on_visual(result.visual_logits[:, :-1], [layout])
         assert short.span is None
+
+
+@pytest.mark.parametrize("source", ["vsc", "vss", "even", "none"])
+def test_non_finite_logits_leave_the_session_unbound(clean_model, source):
+    """One NaN in the visual logits raises before any grounding reads them,
+    under every source, and the session stays unbound."""
+    layout = vqa_layout(clean_model)
+    logits = prefill(clean_model, layout).visual_logits.copy()
+    logits[3, 5] = np.nan
+    session = new_session(clean_model, VgaConfig(guidance_source=source), question="is there a dog ?")
+    with pytest.raises(InvalidInput):
+        session.on_visual(logits, [layout])
+    assert session.span is None
+
+
+def test_a_refused_grounding_leaves_the_session_unbound(clean_model):
+    """A source that refuses what it grounds on raises with no span set:
+    salience whose log-sum-exp overflows, and a mask of the wrong length."""
+    layout = vqa_layout(clean_model)
+    logits = prefill(clean_model, layout).visual_logits.copy()
+    wide = logits.copy()
+    wide[0] = -1e308
+    wide[0, 0] = 1e308
+    vss = new_session(clean_model, VgaConfig(guidance_source="vss"))
+    with pytest.raises(InvalidInput):
+        vss.on_visual(wide, [layout])
+    assert vss.span is None
+    mask = MaskAnnotation("dog", np.ones(3))
+    gt = new_session(clean_model, VgaConfig(guidance_source="ground_truth"), gt_mask=mask)
+    with pytest.raises(ShapeError):
+        gt.on_visual(logits, [layout])
+    assert gt.span is None
